@@ -15,6 +15,7 @@ from .errors import ConversionError, ModulusMismatchError, ShapeError
 
 __all__ = [
     "Residue",
+    "check_field",
     "coerce_scalar",
     "scalar_to_str",
     "scalar_from_str",
@@ -93,6 +94,20 @@ class Residue:
 
     def __str__(self):
         return str(self.value)
+
+
+# Caps the trial division in check_field at 46341 divisors; the exp/log
+# regimes need p >= max(n, 2d), far below it.
+MAX_MODULUS = 2**31
+
+
+def check_field(n: int, p: int, d: int) -> None:
+    """Refuse a ring context outside the library's domain: the field is Q
+    (p = 0) or F_p with p a prime below MAX_MODULUS, and n, d >= 1."""
+    if n < 1 or d < 1:
+        raise ValueError(f"n and d must be positive, got n = {n}, d = {d}")
+    if p != 0 and not (2 <= p < MAX_MODULUS and all(p % q for q in range(2, math.isqrt(p) + 1))):
+        raise ValueError(f"p must be 0 or a prime below 2^31, got p = {p}")
 
 
 def coerce_scalar(c, p: int):

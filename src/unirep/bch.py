@@ -1,16 +1,20 @@
 """Baker-Campbell-Hausdorff machinery in the free algebra on two generators.
 
 Elements are rational linear combinations of words in the alphabet {x, y}.
-The homogeneous components P_m of log(e^x e^y) are computed by direct tuple
-enumeration; the Dynkin projection sends a length-n word to 1/n times its
-left-nested commutator and fixes every P_m.  Coefficients stay rational until
-a matrix evaluation, which first audits denominators against p.
+The homogeneous components P_m of log(e^x e^y) come from a dynamic program
+over word prefixes that end at a block boundary.  The Dynkin projection sends
+a length-n word to 1/n times its left-nested commutator and fixes every P_m;
+it expands all words of one length at once, peeling off last letters so that
+words which end alike share one expansion of their prefixes.  Coefficients
+stay rational until a matrix evaluation, which first audits denominators
+against p and then shares the matrix products of word halves across all
+words.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 from .arith import Residue, coerce_scalar
 from .errors import SeriesTerminationError
@@ -106,36 +110,40 @@ def commutator(a: FreeElement, b: FreeElement) -> FreeElement:
     return a * b - b * a
 
 
-def _pair_tuples(remaining):
-    """All nonempty (p, q) with p + q >= 1 and p + q <= remaining."""
-    for total in range(1, remaining + 1):
-        for p in range(total + 1):
-            yield p, total - p
-
-
 def log_product_series(max_degree: int) -> FreeElement:
     """All terms of log(e^x e^y) of total degree <= max_degree.
 
-    Sums ((-1)^(k-1)/k) / (p_1! q_1! ... p_k! q_k!) x^{p_1} y^{q_1} ... over
-    tuples with every p_i + q_i >= 1.
+    log(e^x e^y) = sum_k ((-1)^(k-1)/k) Z^k with Z = e^x e^y - 1, and Z^k sums
+    x^{a_1} y^{b_1} ... x^{a_k} y^{b_k} / (a_1! b_1! ... a_k! b_k!) over blocks
+    with every a_i + b_i >= 1.  Words are grown one block at a time; a prefix
+    w carries the vector over k of len(w)! times its coefficient in Z^k, which
+    is an integer, and appending x^a y^b adds the vector shifted by one block
+    and times the multinomial (len(w)+a+b)! / (len(w)! a! b!).
+
+    A vector is packed into one integer, entry k in bits [k*width, (k+1)*width).
+    An entry sums at most 2^(len(w)-1) ways to cut w into blocks, each at
+    most len(w)!, so it fits in width bits and no shift or sum carries over.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
+    width = (factorial(max_degree) << max_degree).bit_length()
+    mask = (1 << width) - 1
+    levels = [{(): 1}] + [{} for _ in range(max_degree)]
     out = {}
-
-    def extend(k, degree, w, denom):
-        if k > 0:
-            coeff = Fraction((-1) ** (k - 1), k * denom)
-            out[w] = out.get(w, 0) + coeff
-        for p, q in _pair_tuples(max_degree - degree):
-            extend(
-                k + 1,
-                degree + p + q,
-                w + ("x",) * p + ("y",) * q,
-                denom * factorial(p) * factorial(q),
-            )
-
-    extend(0, 0, (), 1)
+    for length, level in enumerate(levels):
+        if length:
+            denom = lcm(*range(1, length + 1))
+            for w, vec in level.items():
+                num = sum((-1) ** (k - 1) * (denom // k) * (vec >> (k * width) & mask)
+                          for k in range(1, length + 1))
+                out[w] = Fraction(num, denom * factorial(length))
+        for total in range(1, max_degree - length + 1):
+            target = levels[length + total]
+            for a in range(total + 1):
+                block = ("x",) * a + ("y",) * (total - a)
+                weight = comb(length + total, total) * comb(total, a)
+                for w, vec in level.items():
+                    target[w + block] = target.get(w + block, 0) + (weight * vec << width)
     return FreeElement(out)
 
 
@@ -143,12 +151,16 @@ _component_cache = {}
 
 
 def bch_components(max_degree: int):
-    """[P_1, ..., P_max_degree], the homogeneous slices of log(e^x e^y)."""
+    """(P_1, ..., P_max_degree), the homogeneous slices of log(e^x e^y).
+
+    The tuple is cached per max_degree, so it is immutable: a caller cannot
+    change what later calls return.
+    """
     if max_degree not in _component_cache:
         series = log_product_series(max_degree)
-        _component_cache[max_degree] = [
+        _component_cache[max_degree] = tuple(
             homogeneous_component(series, m) for m in range(1, max_degree + 1)
-        ]
+        )
     return _component_cache[max_degree]
 
 
@@ -167,14 +179,41 @@ def left_nested_expand(letters, coeff=1) -> FreeElement:
     return acc * coeff
 
 
+def _left_nested_sum(terms):
+    """sum of c * (left-nested bracket of w) over {w: c} with words of one
+    length, grouped by last letter: the bracket of u a is [bracket of u, a]."""
+    if len(next(iter(terms))) == 1:
+        return terms
+    groups = {}
+    for w, c in terms.items():
+        groups.setdefault(w[-1], {})[w[:-1]] = c
+    out = {}
+    for a, group in groups.items():
+        for u, c in _left_nested_sum(group).items():
+            if c:
+                out[u + (a,)] = out.get(u + (a,), 0) + c
+                out[(a,) + u] = out.get((a,) + u, 0) - c
+    return out
+
+
 def dynkin_projection(e: FreeElement) -> FreeElement:
-    """Word-by-word: c * w  ->  (c/len(w)) * (left-nested bracket of w), expanded."""
-    out = FreeElement.zero()
+    """c * w  ->  (c/len(w)) * (left-nested bracket of w), expanded.
+
+    Words of one length share a common denominator, so their brackets are
+    summed over the integers.
+    """
+    by_length = {}
     for w, c in e.terms.items():
         if len(w) == 0:
             raise ValueError("the projection is undefined on degree-0 terms")
-        out = out + left_nested_expand(w, Fraction(c, len(w)))
-    return out
+        by_length.setdefault(len(w), {})[w] = c
+    out = {}
+    for length, terms in by_length.items():
+        denom = lcm(*(c.denominator for c in terms.values()))
+        scaled = {w: c.numerator * (denom // c.denominator) for w, c in terms.items()}
+        for w, v in _left_nested_sum(scaled).items():
+            out[w] = Fraction(v, denom * length)
+    return FreeElement(out)
 
 
 def _combine_left_nested(p, q, coeff):
@@ -224,6 +263,10 @@ def bch_evaluate(components, X, Y):
     """Substitute matrices X, Y for the generators in each component and sum.
 
     In characteristic p each component must pass the denominator audit first.
+    Each word is cut into a head and a tail no longer than the head, and the
+    sum is taken as sum_head X_head @ (sum_tail c_w X_tail).  The product of
+    each distinct head or tail is formed once, from the product of its
+    prefix, and shared by every word that uses it.
     """
     sample = X.entries[0][0]
     p = sample.p if isinstance(sample, Residue) else 0
@@ -233,12 +276,26 @@ def bch_evaluate(components, X, Y):
                 raise SeriesTerminationError(
                     f"component {i + 1} has a denominator divisible by {p}"
                 )
-    gens = {"x": X, "y": Y}
-    result = X.zero_like()
+    halves = {}
     for comp in components:
         for w, c in comp.terms.items():
-            m = gens[w[0]]
-            for l in w[1:]:
-                m = m @ gens[l]
-            result = result + m.scale(coerce_scalar(c, p))
+            cut = (len(w) + 1) // 2
+            tails = halves.setdefault(w[:cut], {})
+            tails[w[cut:]] = tails.get(w[cut:], 0) + c
+    gens = {"x": X, "y": Y}
+    products = {(): X.identity_like()}
+
+    def product(w):
+        if w not in products:
+            products[w] = gens[w[0]] if len(w) == 1 else product(w[:-1]) @ gens[w[-1]]
+        return products[w]
+
+    result = X.zero_like()
+    for head, tails in halves.items():
+        inner = X.zero_like()
+        for tail, c in tails.items():
+            c = coerce_scalar(c, p)
+            if c:
+                inner = inner + product(tail).scale(c)
+        result = result + (product(head) @ inner if head else inner)
     return result

@@ -17,6 +17,7 @@ import itertools
 import json
 import sys
 
+from .arith import check_field
 from .bch import bch_components, dynkin_projection
 from .errors import UnirepError
 from .hopf import ExponentMatrix
@@ -106,6 +107,7 @@ def cmd_decompose(args):
 
 
 def cmd_roundtrip(args):
+    check_field(args.n, args.p, args.d)
     data = random_layer_data(args.n, args.d, args.p, args.layers, args.seed).trimmed()
     rep = construct_from_layers(data)
     recovered = decompose_to_layers(rep)

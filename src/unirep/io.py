@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .arith import scalar_from_str, scalar_to_str
+from .arith import check_field, scalar_from_str, scalar_to_str
 from .errors import ParseError
 from .hopf import ExponentMatrix, Polynomial, variable_pairs
 from .linalg import SquareMatrix
@@ -68,13 +68,19 @@ def _load_line(line, lineno):
     return obj
 
 
-def _header_ints(header, keys, lineno=1):
+def _header_ints(header, extra=()):
+    """The header's n, p, d and then its ``extra`` fields; (n, p, d) must pass
+    check_field."""
     out = []
-    for key in keys:
+    for key in ("n", "p", "d") + extra:
         v = header.get(key)
-        if not isinstance(v, int) or v < 0:
-            raise ParseError(f"line {lineno}: header field {key!r} must be a non-negative integer")
+        if type(v) is not int or v < 0:  # JSON true/false would pass isinstance(v, int)
+            raise ParseError(f"line 1: header field {key!r} must be a non-negative integer")
         out.append(v)
+    try:
+        check_field(*out[:3])
+    except ValueError as exc:
+        raise ParseError(f"line 1: {exc}") from None
     return out
 
 
@@ -115,9 +121,7 @@ def parse_rep_file(text: str) -> Representation:
     body = header.get("format")
     if body not in ("chi", "poly"):
         raise ParseError(f"line 1: unknown format {header.get('format')!r}")
-    n, p, d = _header_ints(header, ("n", "p", "d"))
-    if n < 1 or d < 1:
-        raise ParseError("line 1: n and d must be positive")
+    n, p, d = _header_ints(header)
     if body == "chi":
         support = {}
         for lineno, line in enumerate(lines[1:], start=2):
@@ -175,7 +179,7 @@ def parse_layer_file(text: str) -> LieLayerData:
     header = _load_line(lines[0], 1)
     if header.get("format") != "layers":
         raise ParseError(f"line 1: unknown format {header.get('format')!r}")
-    n, p, d, count = _header_ints(header, ("n", "p", "d", "layers"))
+    n, p, d, count = _header_ints(header, ("layers",))
     layers = [dict() for _ in range(count)]
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_line(line, lineno)

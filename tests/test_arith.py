@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from unirep.arith import (
     Residue,
+    check_field,
     coerce_scalar,
     gamma_factor,
     matrix_multinomial,
@@ -40,6 +41,19 @@ class TestResidue:
     def test_division_by_zero(self):
         with pytest.raises(ConversionError):
             Residue(1, 5) / Residue(0, 5)
+
+
+class TestCheckField:
+    @pytest.mark.parametrize("n,p,d", [(3, 0, 2), (1, 2, 1), (4, 11, 9), (2, 2**31 - 1, 1)])
+    def test_accepts(self, n, p, d):
+        check_field(n, p, d)
+
+    @pytest.mark.parametrize("n,p,d", [
+        (3, 1, 2), (3, 4, 2), (3, 9, 2), (3, -7, 2), (3, 2**61 - 1, 2), (0, 5, 2), (3, 5, 0),
+    ])
+    def test_refuses(self, n, p, d):
+        with pytest.raises(ValueError):
+            check_field(n, p, d)
 
 
 class TestCoercion:

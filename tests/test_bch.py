@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from unirep.arith import coerce_scalar
 from unirep.bch import (
     FreeElement,
     bch_components,
@@ -24,6 +26,58 @@ from unirep.samples import random_strict_upper
 
 def F(terms):
     return FreeElement(terms)
+
+
+# Reference implementations: the short per-word algorithms that the shared
+# prefix/suffix ones in unirep.bch replaced, kept as oracles.
+
+
+def reference_series(max_degree):
+    """log(e^x e^y) to max_degree by enumerating every block tuple."""
+    out = {}
+
+    def extend(k, degree, w, denom):
+        if k > 0:
+            out[w] = out.get(w, 0) + Fraction((-1) ** (k - 1), k * denom)
+        for total in range(1, max_degree - degree + 1):
+            for a in range(total + 1):
+                b = total - a
+                extend(k + 1, degree + total, w + ("x",) * a + ("y",) * b,
+                       denom * factorial(a) * factorial(b))
+
+    extend(0, 0, (), 1)
+    return FreeElement(out)
+
+
+def reference_projection(e):
+    """Word by word: c * w -> (c/len(w)) * left_nested_expand(w)."""
+    out = FreeElement.zero()
+    for w, c in e.terms.items():
+        out = out + left_nested_expand(w, Fraction(c, len(w)))
+    return out
+
+
+def reference_evaluate(components, X, Y, p):
+    """One matmul chain per word; the empty word is the identity."""
+    gens = {"x": X, "y": Y}
+    result = X.zero_like()
+    for comp in components:
+        for w, c in comp.terms.items():
+            m = X.identity_like()
+            for letter in w:
+                m = m @ gens[letter]
+            result = result + m.scale(coerce_scalar(c, p))
+    return result
+
+
+def random_element(rng, lengths, count, denominators=(1, 2, 3, 4)):
+    """Seeded random combination of words with the given lengths; not Lie in
+    general."""
+    return F({
+        tuple(rng.choice("xy") for _ in range(rng.choice(lengths))):
+            Fraction(rng.randint(-9, 9), rng.choice(denominators))
+        for _ in range(count)
+    })
 
 
 class TestGoldenComponents:
@@ -52,6 +106,20 @@ class TestGoldenComponents:
         assert total == series
         assert homogeneous_component(series, 2) == bch_components(4)[1]
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_series_matches_tuple_enumeration(self, m):
+        assert log_product_series(m) == reference_series(m)
+
+    def test_term_counts_to_degree_10(self):
+        counts = [len(comp.terms) for comp in bch_components(10)]
+        assert counts == [2, 2, 6, 4, 30, 28, 126, 124, 390, 388]
+
+    def test_cached_components_are_immutable(self):
+        comps = bch_components(3)
+        with pytest.raises(TypeError):
+            comps[0] = None
+        assert bch_components(3)[0] == F({("x",): 1, ("y",): 1})
+
 
 class TestDynkin:
     def test_fixes_components(self):
@@ -76,6 +144,16 @@ class TestDynkin:
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             dynkin_projection(F({(): 1}))
+
+    def test_matches_per_word_expansion(self):
+        rng = random.Random(11)
+        moved = 0
+        for _ in range(40):
+            e = random_element(rng, lengths=range(1, 7), count=rng.randint(1, 12))
+            projected = dynkin_projection(e)
+            assert projected == reference_projection(e)
+            moved += projected != e
+        assert moved > 30  # random elements are mostly not Lie
 
 
 class TestBracketRewriting:
@@ -137,3 +215,32 @@ class TestEvaluation:
         y = random_strict_upper(4, p, rng)
         with pytest.raises(SeriesTerminationError):
             bch_evaluate(bch_components(4), x, y)
+        with pytest.raises(SeriesTerminationError):
+            bch_evaluate([F({("x", "y"): 1}), F({(): Fraction(1, 3)})], x, y)
+
+    @pytest.mark.parametrize("p", [0, 5, 7, 11])
+    def test_matches_per_word_chains(self, p):
+        rng = random.Random(100 + p)
+        for _ in range(6):
+            d = rng.randint(2, 5)
+            x = random_strict_upper(d, p, rng)
+            y = random_strict_upper(d, p, rng)
+            comps = [
+                F({(): Fraction(rng.randint(1, 9), rng.choice((1, 2, 3)))}),
+                random_element(rng, lengths=range(1, 6), count=rng.randint(1, 10),
+                               denominators=(1, 2, 3)),
+                random_element(rng, lengths=range(0, 4), count=rng.randint(1, 5),
+                               denominators=(1, 2, 3)),
+            ]
+            assert bch_evaluate(comps, x, y) == reference_evaluate(comps, x, y, p)
+
+    def test_degree_8_matches_log_of_product(self):
+        # criterion 5 at degree 8: 9 x 9 over F_11
+        p = 11
+        comps = bch_components(8)
+        rng = random.Random(2025)
+        for _ in range(3):
+            x = random_strict_upper(9, p, rng)
+            y = random_strict_upper(9, p, rng)
+            lhs = bch_evaluate(comps, x, y)
+            assert lhs == log_unipotent(exp_nilpotent(x, p) @ exp_nilpotent(y, p), p)

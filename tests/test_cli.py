@@ -90,6 +90,39 @@ class TestDecompose:
         assert "p >= max(n, 2d)" in capsys.readouterr().err
 
 
+class TestFieldCheck:
+    """p must be 0 or prime and n, d positive; anything else exits 2 with an
+    error line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "2", "--d", "2", "--p", "9"],
+        ["--n", "2", "--d", "1", "--p", "4", "--layers", "2"],
+        ["--n", "0", "--d", "1", "--p", "11"],
+        ["--n", "2", "--d", "0", "--p", "11"],
+    ])
+    def test_roundtrip_refuses(self, argv, capsys):
+        assert main(["roundtrip", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,header", [
+        ("verify", {"format": "chi", "version": 1, "n": 3, "p": 6, "d": 1}),
+        ("verify", {"format": "poly", "version": 1, "n": 3, "p": 1, "d": 1}),
+        ("verify", {"format": "chi", "version": 1, "n": True, "p": 7, "d": 1}),
+        ("decompose", {"format": "chi", "version": 1, "n": 0, "p": 7, "d": 1}),
+        ("construct", {"format": "layers", "version": 1, "n": 3, "p": 9, "d": 2, "layers": 1}),
+        ("construct", {"format": "layers", "version": 1, "n": 3, "p": 7, "d": 0, "layers": 1}),
+    ])
+    def test_file_header_refused(self, command, header, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_text(json.dumps(header) + "\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1:")
+        assert "Traceback" not in err
+
+
 class TestOtherCommands:
     def test_roundtrip_command(self, capsys):
         assert main(["roundtrip", "--n", "3", "--d", "2", "--p", "11",
