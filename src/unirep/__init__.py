@@ -27,6 +27,7 @@ from .bch import (
 )
 from .errors import (
     ConversionError,
+    CostBoundError,
     HypothesisError,
     ModulusMismatchError,
     NotNilpotentError,

@@ -57,6 +57,13 @@ class FreeElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, terms):
+        """Wrap {word: nonzero Fraction} built in this module, unchecked."""
+        e = cls.__new__(cls)
+        e.terms = terms
+        return e
+
+    @classmethod
     def generator(cls, letter):
         return cls({(letter,): 1})
 
@@ -136,7 +143,8 @@ def log_product_series(max_degree: int) -> FreeElement:
             for w, vec in level.items():
                 num = sum((-1) ** (k - 1) * (denom // k) * (vec >> (k * width) & mask)
                           for k in range(1, length + 1))
-                out[w] = Fraction(num, denom * factorial(length))
+                if num:
+                    out[w] = Fraction(num, denom * factorial(length))
         for total in range(1, max_degree - length + 1):
             target = levels[length + total]
             for a in range(total + 1):
@@ -144,7 +152,7 @@ def log_product_series(max_degree: int) -> FreeElement:
                 weight = comb(length + total, total) * comb(total, a)
                 for w, vec in level.items():
                     target[w + block] = target.get(w + block, 0) + (weight * vec << width)
-    return FreeElement(out)
+    return FreeElement._trusted(out)
 
 
 _component_cache = {}
@@ -157,10 +165,10 @@ def bch_components(max_degree: int):
     change what later calls return.
     """
     if max_degree not in _component_cache:
-        series = log_product_series(max_degree)
-        _component_cache[max_degree] = tuple(
-            homogeneous_component(series, m) for m in range(1, max_degree + 1)
-        )
+        slices = [{} for _ in range(max_degree)]
+        for w, c in log_product_series(max_degree).terms.items():
+            slices[len(w) - 1][w] = c
+        _component_cache[max_degree] = tuple(FreeElement._trusted(terms) for terms in slices)
     return _component_cache[max_degree]
 
 
@@ -212,8 +220,9 @@ def dynkin_projection(e: FreeElement) -> FreeElement:
         denom = lcm(*(c.denominator for c in terms.values()))
         scaled = {w: c.numerator * (denom // c.denominator) for w, c in terms.items()}
         for w, v in _left_nested_sum(scaled).items():
-            out[w] = Fraction(v, denom * length)
-    return FreeElement(out)
+            if v:
+                out[w] = Fraction(v, denom * length)
+    return FreeElement._trusted(out)
 
 
 def _combine_left_nested(p, q, coeff):

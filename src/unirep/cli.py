@@ -78,6 +78,8 @@ def cmd_verify(args):
                 raise UnirepError(
                     f"--pointwise must be 'exhaustive' or 'sampled:N', got {args.pointwise!r}"
                 )
+            if int(count) < 1:
+                raise UnirepError(f"--pointwise sampled:N needs N >= 1, got {args.pointwise!r}")
             report = verify_group_law_pointwise(rep, mode="sampled",
                                                 count=int(count), seed=args.seed)
         findings.extend(report.findings)

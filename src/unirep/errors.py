@@ -29,5 +29,9 @@ class HypothesisError(UnirepError):
     """A theorem hypothesis (such as p >= max(n, 2d)) does not hold."""
 
 
+class CostBoundError(UnirepError):
+    """A requested computation exceeds a fixed cost bound."""
+
+
 class ParseError(UnirepError):
     """A representation or layer file is malformed."""

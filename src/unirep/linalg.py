@@ -1,14 +1,19 @@
 """Exact square matrices with truncated exponential and logarithm.
 
 Entries are either scalars (Fraction / Residue) or Polynomials, never mixed
-within one matrix.  The exp/log series are truncated at the measured
-nilpotency index, so no division by k! for k >= index ever happens; this is
-what keeps every denominator coprime to the characteristic.
+within one matrix.  When every entry of the operands is a Residue mod one p,
+products, sums and scalings run on the ints and build one Residue per output
+entry; any other matrix takes the entries' own arithmetic.  The exp/log
+series are truncated at the measured nilpotency index, so no division by k!
+for k >= index ever happens; this is what keeps every denominator coprime to
+the characteristic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul, sub
 
 from .arith import Residue, coerce_scalar
 from .errors import NotNilpotentError, SeriesTerminationError, ShapeError
@@ -67,36 +72,49 @@ class SquareMatrix:
         if self.size != other.size:
             raise ShapeError("matrix size mismatch")
 
-    def __add__(self, other):
+    def _zip(self, other, op):
         self._check(other)
-        return SquareMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        p = _common_modulus(self, other)
+        if p:
+            rows = zip(_values(self), _values(other))
+            return _residues([list(map(op, ra, rb)) for ra, rb in rows], p)
+        rows = zip(self.entries, other.entries)
+        return SquareMatrix([list(map(op, ra, rb)) for ra, rb in rows])
+
+    def __add__(self, other):
+        return self._zip(other, add)
 
     def __sub__(self, other):
-        self._check(other)
-        return SquareMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._zip(other, sub)
 
     def __neg__(self):
+        p = _common_modulus(self)
+        if p:
+            return _residues([[-a for a in row] for row in _values(self)], p)
         return SquareMatrix([[-a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
         self._check(other)
-        d = self.size
-        cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append([_dot(row, col) for col in cols])
-        return SquareMatrix(out)
+        p = _common_modulus(self, other)
+        if p:
+            return _residues(_matmul(_values(self), _values(other), p), p)
+        return SquareMatrix(_matmul(self.entries, other.entries))
 
     __mul__ = __matmul__
 
     def scale(self, c):
+        p = _common_modulus(self)
+        v = _scalar_value(c, p) if p else None
+        if v is not None:
+            return _residues([[a * v for a in row] for row in _values(self)], p)
         return SquareMatrix([[a * c for a in row] for row in self.entries])
 
     def __truediv__(self, k):
+        p = _common_modulus(self)
+        if p and _scalar_value(k, p) is not None:
+            # dividing a Residue by k raises ConversionError when p | k
+            inverse = (Residue(1, p) / k).value
+            return _residues([[a * inverse for a in row] for row in _values(self)], p)
         return SquareMatrix([[a / k for a in row] for row in self.entries])
 
     def map_entries(self, fn):
@@ -121,12 +139,52 @@ class SquareMatrix:
     __repr__ = __str__
 
 
-def _dot(row, col):
-    acc = None
-    for a, b in zip(row, col):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
+def _matmul(a, b, p=None):
+    """Rows of the product of the row lists a (r x k) and b (k x c), k >= 1.
+
+    With p the entries are ints and every output entry is reduced into
+    [0, p).  Without it they are ring elements, and each output entry is
+    a_i1 b_1j + a_i2 b_2j + ... added left to right.
+    """
+    cols = list(zip(*b))
+    if p:
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+
+
+def _common_modulus(*matrices):
+    """p when every entry of the matrices is a Residue mod p, else None."""
+    first = matrices[0].entries[0][0] if matrices[0].size else None
+    if type(first) is not Residue:
+        return None
+    p = first.p
+    for m in matrices:
+        for row in m.entries:
+            for a in row:
+                if type(a) is not Residue or a.p != p:
+                    return None
+    return p
+
+
+def _scalar_value(c, p):
+    """The int that c stands for mod p, or None when c is neither an int nor
+    a Residue mod p."""
+    if type(c) is Residue:
+        return c.value if c.p == p else None
+    return c if isinstance(c, int) else None
+
+
+def _values(m):
+    return [[a.value for a in row] for row in m.entries]
+
+
+def _residues(rows, p):
+    """The matrix of Residue(v, p) over square int rows, without SquareMatrix's
+    copy and shape check."""
+    m = SquareMatrix.__new__(SquareMatrix)
+    m.size = len(rows)
+    m.entries = [[Residue(v, p) for v in row] for row in rows]
+    return m
 
 
 def nilpotency_index(m: SquareMatrix, cap: int) -> int:

@@ -114,6 +114,22 @@ class TestGoldenComponents:
         counts = [len(comp.terms) for comp in bch_components(10)]
         assert counts == [2, 2, 6, 4, 30, 28, 126, 124, 390, 388]
 
+    def test_components_hold_checked_terms(self):
+        # the series and its slices skip FreeElement's checks; re-checking
+        # them must change nothing
+        for m, comp in enumerate(bch_components(10), start=1):
+            assert FreeElement(comp.terms).terms == comp.terms
+            assert all(len(w) == m and type(c) is Fraction and c for w, c in comp.terms.items())
+        for comp in bch_components(6):
+            projected = dynkin_projection(comp)
+            assert FreeElement(projected.terms).terms == projected.terms
+
+    def test_outside_construction_is_checked(self):
+        with pytest.raises(ValueError):
+            FreeElement({("x", "z"): 1})
+        e = FreeElement({("x",): 2, ("y",): 0})
+        assert e.terms == {("x",): Fraction(2)} and type(e.terms[("x",)]) is Fraction
+
     def test_cached_components_are_immutable(self):
         comps = bch_components(3)
         with pytest.raises(TypeError):

@@ -70,6 +70,29 @@ class TestVerify:
         rep_path.write_text(write_rep_file(construct_from_layers(data)))
         assert main(["verify", str(rep_path), "--pointwise", "everything"]) == 2
 
+    @pytest.mark.parametrize("flag", ["sampled:0", "sampled:00"])
+    def test_zero_samples_refused(self, layer_file, tmp_path, capsys, flag):
+        path, data = layer_file
+        rep_path = tmp_path / "rep.txt"
+        rep_path.write_text(write_rep_file(construct_from_layers(data)))
+        assert main(["verify", str(rep_path), "--pointwise", flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "N >= 1" in err
+        assert "Traceback" not in err
+
+    def test_exhaustive_over_cost_bound_refused(self, tmp_path, capsys):
+        # U_4(F_5) has 5^12 pairs of points: refused before any is evaluated
+        text = "\n".join([
+            json.dumps({"format": "chi", "version": 1, "n": 4, "p": 5, "d": 1}),
+            json.dumps({"M": [[0] * 4 for _ in range(4)], "matrix": [["1"]]}),
+        ]) + "\n"
+        path = tmp_path / "u4.txt"
+        path.write_text(text)
+        assert main(["verify", str(path), "--pointwise", "exhaustive"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "5^12 pairs" in err
+        assert "Traceback" not in err
+
 
 class TestDecompose:
     def test_roundtrip_through_files(self, layer_file, tmp_path):

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from unirep.arith import Residue, coerce_scalar
-from unirep.errors import HypothesisError, UnirepError
-from unirep.hopf import ExponentMatrix, Polynomial
+from unirep.errors import CostBoundError, HypothesisError, UnirepError
+from unirep.hopf import ExponentMatrix, Polynomial, variable_pairs
 from unirep.linalg import SquareMatrix, scalar_matrix
 from unirep.reps import (
+    MAX_EXHAUSTIVE_PAIRS,
     ChiTable,
     LieLayerData,
     Representation,
@@ -155,6 +156,47 @@ class TestComodule:
         assert any(f["check"] == "chi-at-zero" for f in report.findings)
 
 
+def non_representation():
+    """x_12^2 alone off the diagonal: Phi(g)Phi(h) = Phi(gh) fails."""
+    n, p, d = 3, 5, 2
+    support = {
+        ExponentMatrix.zero(n): SquareMatrix.identity(d, Residue(1, p)),
+        ExponentMatrix.epsilon(n, 1, 2, 2): scalar_matrix([[0, 1], [0, 0]], p),
+    }
+    return Representation(ChiTable(n, p, d, support))
+
+
+def pointwise_reference_failures(rep, count, seed):
+    """Failing sampled pairs, counted with the plain triple-loop product mod p
+    and the same draws as verify_group_law_pointwise."""
+    n, p, d = rep.n, rep.p, rep.d
+    pairs = variable_pairs(n)
+
+    def mul(a, b, size):
+        return [[sum(a[i][k] * b[k][j] for k in range(size)) % p for j in range(size)]
+                for i in range(size)]
+
+    def point_matrix(point):
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), v in point.items():
+            m[i - 1][j - 1] = v
+        return m
+
+    def phi(point):
+        return [[rep.poly_matrix.entries[a][b].evaluate_mod(point) for b in range(d)]
+                for a in range(d)]
+
+    rng = random.Random(seed)
+    draws = [({ij: rng.randrange(p) for ij in pairs}, {ij: rng.randrange(p) for ij in pairs})
+             for _ in range(count)]
+    failures = 0
+    for g, h in draws:
+        gh = mul(point_matrix(g), point_matrix(h), n)
+        gh_point = {(i, j): gh[i - 1][j - 1] for i, j in pairs}
+        failures += mul(phi(g), phi(h), d) != phi(gh_point)
+    return failures
+
+
 class TestGroupLawPointwise:
     def test_tautological_exhaustive(self):
         data = LieLayerData(3, 5, 3, [tautological_layer(3, 5)])
@@ -167,13 +209,29 @@ class TestGroupLawPointwise:
         assert verify_group_law_pointwise(rep, mode="sampled", count=50, seed=1).ok
 
     def test_detects_non_representation(self):
-        n, p, d = 3, 5, 2
-        support = {
-            ExponentMatrix.zero(n): SquareMatrix.identity(d, Residue(1, p)),
-            ExponentMatrix.epsilon(n, 1, 2, 2): scalar_matrix([[0, 1], [0, 0]], p),
-        }
-        rep = Representation(ChiTable(n, p, d, support))
-        assert not verify_group_law_pointwise(rep, mode="exhaustive").ok
+        assert not verify_group_law_pointwise(non_representation(), mode="exhaustive").ok
+
+    def test_sampled_count_zero_checks_no_pair(self):
+        rep = non_representation()
+        assert verify_group_law_pointwise(rep, mode="sampled", count=0).ok
+        assert not verify_group_law_pointwise(rep, mode="sampled").ok
+        with pytest.raises(ValueError):
+            verify_group_law_pointwise(rep, mode="sampled", count=-1)
+
+    def test_findings_match_reference(self):
+        rep = non_representation()
+        report = verify_group_law_pointwise(rep, mode="sampled", count=40, seed=2)
+        assert len(report.findings) == pointwise_reference_failures(rep, count=40, seed=2) > 0
+
+    def test_exhaustive_cost_bound(self):
+        # criterion 3 runs U_3(F_5) exhaustively, 125^2 pairs
+        assert 125**2 <= MAX_EXHAUSTIVE_PAIRS < 5**12
+        n, p = 4, 5
+        rep = Representation(ChiTable(n, p, 1, {
+            ExponentMatrix.zero(n): SquareMatrix.identity(1, Residue(1, p)),
+        }))
+        with pytest.raises(CostBoundError):
+            verify_group_law_pointwise(rep, mode="exhaustive")
 
     def test_char_zero_exhaustive_is_an_error(self):
         data = LieLayerData(3, 0, 3, [tautological_layer(3, 0)])
@@ -273,6 +331,21 @@ def shared_nilpotent_rep(n, d, p, coeffs):
     return construct_from_layers(LieLayerData(n, p, d, [layer])), nil
 
 
+def reference_is_morphism(t, src, dst):
+    """T chi_src(M) = chi_dst(M) T for every M, by the triple-loop product
+    over the entries' own arithmetic."""
+    rows = t.entries if isinstance(t, SquareMatrix) else t
+
+    def mul(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(1, len(b))), a[i][0] * b[0][j])
+                 for j in range(len(b[0]))] for i in range(len(a))]
+
+    return all(
+        mul(rows, src.chi.get(M).entries) == mul(dst.chi.get(M).entries, rows)
+        for M in set(src.chi.support) | set(dst.chi.support)
+    )
+
+
 class TestMorphisms:
     def test_commuting_polynomial_is_morphism(self):
         n, d, p = 3, 2, 11
@@ -299,6 +372,21 @@ class TestMorphisms:
         zero = scalar_matrix([[0, 0], [0, 0]], p)
         assert check_morphism(zero, rep1, rep2)
         assert layer_morphism_equivalence(zero, rep1, rep2).ok
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_products(self, seed):
+        n, d, p = 3, 2, 11
+        rng = random.Random(seed)
+        rep1, nil = shared_nilpotent_rep(n, d, p, (3, 4))
+        rep2, _ = shared_nilpotent_rep(n, d, p, (rng.randrange(p), rng.randrange(p)))
+        candidates = [
+            random_strict_upper(d, p, rng) + SquareMatrix.identity(d, Residue(rng.randrange(p), p)),
+            nil.scale(Residue(rng.randrange(p), p)),
+            [[rng.randrange(p) for _ in range(d)] for _ in range(d)],
+        ]
+        for t in candidates:
+            for src, dst in ((rep1, rep1), (rep1, rep2), (rep2, rep1)):
+                assert check_morphism(t, src, dst) == reference_is_morphism(t, src, dst)
 
     def test_rectangular_candidate(self):
         n, p = 3, 11
