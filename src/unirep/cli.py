@@ -151,6 +151,9 @@ def _yz_pairs(n, bound):
 
 
 def cmd_audit_splittings(args):
+    if args.n < 1 or args.bound < 0:
+        raise UnirepError(f"audit-splittings needs --n >= 1 and --bound >= 0, "
+                          f"got --n {args.n} --bound {args.bound}")
     findings = list(occurrence_report(args.n))
     for y, z in _yz_pairs(args.n, args.bound):
         solutions = brute_solve_yz(y, z, bound=args.bound + 1)

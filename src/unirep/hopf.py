@@ -10,9 +10,10 @@ exponent matrices.  The coproduct encodes matrix multiplication in U_n:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import cache
+from operator import add
 
 from .arith import Residue, coerce_scalar, p_ary_digits
 from .errors import ShapeError
@@ -29,68 +30,117 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ExponentMatrix:
-    """A strictly upper-triangular n x n matrix of non-negative integers."""
+    """A strictly upper-triangular n x n matrix of non-negative integers.
 
-    n: int
-    rows: tuple
+    It is kept as ``flat``, the tuple of its entries above the diagonal in
+    the row-major order of ``variable_pairs(n)``, with its hash computed
+    once; ``rows`` is the n x n view.  Instances are immutable.  Only the
+    constructor and ``epsilon`` check their input: sums, non-negative
+    integer scalings and ``zero`` of valid matrices are built unchecked.
+    """
+
+    __slots__ = ("n", "flat", "_hash")
+
+    def __init__(self, n, rows):
+        _set(self, "n", n)
+        _set(self, "flat", rows)  # until __post_init__ checks and flattens them
+        self.__post_init__()
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
-            raise ShapeError(f"expected a {self.n}x{self.n} matrix")
-        for i in range(self.n):
-            for j in range(self.n):
-                if rows[i][j] < 0:
+        """Check the n x n rows given to the constructor; keep their upper triangle."""
+        n = self.n
+        rows = tuple(tuple(r) for r in self.flat)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ShapeError(f"expected a {n}x{n} matrix")
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ShapeError(f"exponents must be integers, got {v!r}")
+                if v < 0:
                     raise ShapeError("exponents must be non-negative")
-                if j <= i and rows[i][j] != 0:
+                if j <= i and v != 0:
                     raise ShapeError("exponent matrix must be strictly upper triangular")
+        flat = tuple(v for i, row in enumerate(rows) for v in row[i + 1:])
+        _set(self, "flat", flat)
+        _set(self, "_hash", hash(flat))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ExponentMatrix, (self.n, self.rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not ExponentMatrix:
+            return NotImplemented
+        return self.flat == other.flat and self.n == other.n
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"ExponentMatrix(n={self.n!r}, rows={self.rows!r})"
+
+    @property
+    def rows(self):
+        entries = iter(self.flat)
+        return tuple(
+            tuple(next(entries) if j > i else 0 for j in range(self.n)) for i in range(self.n)
+        )
 
     @classmethod
     def zero(cls, n):
-        return cls(n, tuple((0,) * n for _ in range(n)))
+        return _zero(n)
 
     @classmethod
     def epsilon(cls, n, i, j, mult=1):
         """mult at the (i, j) position (1-based), zeroes elsewhere."""
-        rows = [[0] * n for _ in range(n)]
-        rows[i - 1][j - 1] = mult
-        return cls(n, tuple(tuple(r) for r in rows))
+        if not (1 <= i < j <= n and type(mult) is int and mult >= 0):
+            rows = [[0] * n for _ in range(n)]
+            rows[i - 1][j - 1] = mult
+            return cls(n, rows)  # raises the constructor's error
+        flat = [0] * (n * (n - 1) // 2)
+        flat[_index(n, i, j)] = mult
+        return _key(n, tuple(flat))
 
     def entry(self, i, j):
-        return self.rows[i - 1][j - 1]
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"({i}, {j}) is outside a {self.n}x{self.n} matrix")
+        return self.flat[_index(self.n, i, j)] if i < j else 0
 
     def __add__(self, other):
         if self.n != other.n:
             raise ShapeError("size mismatch")
-        return ExponentMatrix(
-            self.n,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        return _key(self.n, tuple(map(add, self.flat, other.flat)))
 
     def scale(self, e):
-        return ExponentMatrix(self.n, tuple(tuple(e * v for v in r) for r in self.rows))
+        if type(e) is int and e >= 0:
+            return _key(self.n, tuple(e * v for v in self.flat))
+        return ExponentMatrix(self.n, [[e * v for v in r] for r in self.rows])
 
     def is_zero(self):
-        return all(v == 0 for r in self.rows for v in r)
+        return not any(self.flat)
 
     def total_degree(self):
-        return sum(v for r in self.rows for v in r)
+        return sum(self.flat)
 
     def positions(self):
         """Yield ((i, j), exponent) over the nonzero entries, row-major, 1-based."""
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.rows[i][j]:
-                    yield (i + 1, j + 1), self.rows[i][j]
+        for pair, m in zip(_pairs(self.n), self.flat):
+            if m:
+                yield pair, m
 
     def sort_key(self):
-        return tuple(v for r in self.rows for v in r)
+        """The flat entries: same order as the row-major n x n entries, whose
+        other entries are all zero."""
+        return self.flat
 
     def max_entry(self):
-        return max(v for r in self.rows for v in r)
+        return max(self.flat, default=0)
 
     def __str__(self):
         if self.is_zero():
@@ -98,6 +148,33 @@ class ExponentMatrix:
         return "*".join(
             f"x{i}{j}" + (f"^{m}" if m > 1 else "") for (i, j), m in self.positions()
         )
+
+
+_set = object.__setattr__
+
+
+def _key(n, flat):
+    """The ExponentMatrix over a flat tuple of non-negative ints, unchecked."""
+    m = object.__new__(ExponentMatrix)
+    _set(m, "n", n)
+    _set(m, "flat", flat)
+    _set(m, "_hash", hash(flat))
+    return m
+
+
+def _index(n, i, j):
+    """Position of (i, j), 1 <= i < j <= n, in variable_pairs(n)."""
+    return (i - 1) * n - (i - 1) * i // 2 + j - i - 1
+
+
+@cache
+def _zero(n):
+    return ExponentMatrix(n, [[0] * n for _ in range(n)])
+
+
+@cache
+def _pairs(n):
+    return tuple(variable_pairs(n))
 
 
 def variable_pairs(n):
@@ -123,6 +200,13 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, n, p, terms):
+        """Wrap {size-n key: nonzero field element} built in this module, unchecked."""
+        f = cls.__new__(cls)
+        f.n, f.p, f.terms = n, p, terms
+        return f
+
+    @classmethod
     def constant(cls, n, p, c):
         return cls(n, p, {ExponentMatrix.zero(n): c})
 
@@ -146,15 +230,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.n, self.p, other)
         self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return Polynomial(self.n, self.p, terms)
+        return Polynomial._trusted(self.n, self.p, _sum_terms(self.terms, other.terms, self.p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, self.p, {k: -c for k, c in self.terms.items()})
+        return Polynomial._trusted(self.n, self.p, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else -coerce_scalar(other, self.p))
@@ -163,16 +244,14 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        n, p = self.n, self.p
         if not isinstance(other, Polynomial):
-            c = coerce_scalar(other, self.p)
-            return Polynomial(self.n, self.p, {k: v * c for k, v in self.terms.items()})
+            return Polynomial._trusted(n, p, _scaled_terms(self.terms, coerce_scalar(other, p), p))
         self._check(other)
-        terms = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = ka + kb
-                terms[key] = terms.get(key, 0) + ca * cb
-        return Polynomial(self.n, self.p, terms)
+        if not (self.terms and other.terms):
+            return Polynomial._trusted(n, p, {})
+        sums = _convolve(_flat_items(self.terms, p), _flat_items(other.terms, p))
+        return Polynomial._trusted(n, p, {_key(n, f): c for f, c in _field_sums(sums, p)})
 
     __rmul__ = __mul__
 
@@ -182,7 +261,7 @@ class Polynomial:
 
     def scale_exponents(self, e):
         """Substitute x_ij -> x_ij^e (monomials map to monomials)."""
-        return Polynomial(self.n, self.p, {k.scale(e): c for k, c in self.terms.items()})
+        return Polynomial._trusted(self.n, self.p, {k.scale(e): c for k, c in self.terms.items()})
 
     def __pow__(self, m):
         return _power(self, m, Polynomial.one(self.n, self.p))
@@ -242,9 +321,29 @@ class TensorElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, n, p, terms):
+        """Wrap {(left key, right key): nonzero field element} built in this
+        module, unchecked."""
+        t = cls.__new__(cls)
+        t.n, t.p, t.terms = n, p, terms
+        return t
+
+    @classmethod
+    def _from_flat(cls, n, p, sums):
+        """The element with the nonzero sums of {left flat + right flat: int
+        (p > 0) or Fraction}, one key object per distinct half."""
+        half = n * (n - 1) // 2
+        keys = {}
+
+        def key(f):
+            return keys.get(f) or keys.setdefault(f, _key(n, f))
+
+        return cls._trusted(n, p, {(key(f[:half]), key(f[half:])): c for f, c in _field_sums(sums, p)})
+
+    @classmethod
     def one(cls, n, p):
         z = ExponentMatrix.zero(n)
-        return cls(n, p, {(z, z): 1})
+        return cls._trusted(n, p, {(z, z): coerce_scalar(1, p)})
 
     @classmethod
     def zero(cls, n, p):
@@ -256,33 +355,26 @@ class TensorElement:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return TensorElement(self.n, self.p, terms)
+        return TensorElement._trusted(self.n, self.p, _sum_terms(self.terms, other.terms, self.p))
 
     def __neg__(self):
-        return TensorElement(self.n, self.p, {k: -c for k, c in self.terms.items()})
+        return TensorElement._trusted(self.n, self.p, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        n, p = self.n, self.p
         if not isinstance(other, TensorElement):
-            c = coerce_scalar(other, self.p)
-            return TensorElement(self.n, self.p, {k: v * c for k, v in self.terms.items()})
+            return TensorElement._trusted(n, p, _scaled_terms(self.terms, coerce_scalar(other, p), p))
         self._check(other)
-        terms = {}
-        for (la, ra), ca in self.terms.items():
-            for (lb, rb), cb in other.terms.items():
-                key = (la + lb, ra + rb)
-                terms[key] = terms.get(key, 0) + ca * cb
-        return TensorElement(self.n, self.p, terms)
+        return TensorElement._from_flat(n, p, _convolve(_flat_pair_items(self.terms, p),
+                                                         _flat_pair_items(other.terms, p)))
 
     __rmul__ = __mul__
 
     def scale_exponents(self, e):
-        return TensorElement(
+        return TensorElement._trusted(
             self.n, self.p, {(l.scale(e), r.scale(e)): c for (l, r), c in self.terms.items()}
         )
 
@@ -310,6 +402,75 @@ class TensorElement:
         return " + ".join(f"{self.terms[k]}*({k[0]})(x)({k[1]})" for k in keys)
 
     __repr__ = __str__
+
+
+# --- the term kernel ---------------------------------------------------------
+#
+# Over F_p the kernel works on the residues' ints and builds one Residue per
+# output term; over Q it works on the Fractions.  Either way the result skips
+# coerce_scalar: sums and products of field elements are field elements.
+
+
+def _values(terms, p):
+    """(key, int) over F_p, (key, Fraction) over Q."""
+    return [(k, c.value) for k, c in terms.items()] if p else terms.items()
+
+
+def _flat_items(terms, p):
+    if p:
+        return [(k.flat, c.value) for k, c in terms.items()]
+    return [(k.flat, c) for k, c in terms.items()]
+
+
+def _flat_pair_items(terms, p):
+    if p:
+        return [(l.flat + r.flat, c.value) for (l, r), c in terms.items()]
+    return [(l.flat + r.flat, c) for (l, r), c in terms.items()]
+
+
+def _convolve(xs, ys):
+    """{fx + fy entrywise: sum of cx * cy} over (fx, cx) in xs, (fy, cy) in
+    ys, keys in order of first appearance."""
+    sums = {}
+    get = sums.get
+    for fx, cx in xs:
+        for fy, cy in ys:
+            key = tuple(map(add, fx, fy))
+            sums[key] = get(key, 0) + cx * cy
+    return sums
+
+
+def _field_sums(sums, p):
+    """(key, field element) over the sums that are nonzero in the field."""
+    if not p:
+        return [(k, c) for k, c in sums.items() if c]
+    return [(k, Residue(v, p)) for k, v in sums.items() if v % p]
+
+
+def _sum_terms(a, b, p):
+    """The terms of a + b; a key whose coefficients cancel is dropped."""
+    terms = dict(a)
+    for k, c in b.items():
+        old = terms.get(k)
+        if old is None:
+            terms[k] = c
+            continue
+        c = Residue(old.value + c.value, p) if p else old + c
+        if c:
+            terms[k] = c
+        else:
+            del terms[k]
+    return terms
+
+
+def _scaled_terms(terms, c, p):
+    """The terms times the field element c."""
+    if not c:
+        return {}
+    if p:
+        v = c.value
+        return {k: Residue(x.value * v, p) for k, x in terms.items()}
+    return {k: x * c for k, x in terms.items()}
 
 
 def _power(base, m, one):
@@ -351,15 +512,20 @@ def _generator_coproduct(n, p, i, j):
 
 
 def coproduct(poly: Polynomial) -> TensorElement:
-    """Algebra-map extension of the coproduct to an arbitrary polynomial."""
+    """Algebra-map extension of the coproduct to an arbitrary polynomial.
+
+    Each term's image is a product of powers of generator coproducts; the
+    images, times their coefficients, are summed into one dict."""
     n, p = poly.n, poly.p
-    out = TensorElement.zero(n, p)
-    for key, c in poly.terms.items():
-        acc = TensorElement.one(n, p)
+    sums = {}
+    get = sums.get
+    for key, c in _values(poly.terms, p):
+        image = TensorElement.one(n, p)
         for (i, j), m in key.positions():
-            acc = acc * _generator_coproduct(n, p, i, j) ** m
-        out = out + acc * c
-    return out
+            image = image * _generator_coproduct(n, p, i, j) ** m
+        for k, v in _values(image.terms, p):
+            sums[k] = get(k, 0) + v * c
+    return TensorElement._trusted(n, p, dict(_field_sums(sums, p)))
 
 
 def counit(poly: Polynomial):
@@ -379,14 +545,22 @@ def frobenius_substitute(obj, e: int):
     return obj.map_entries(lambda f: f.scale_exponents(e))
 
 
+def _add_tensor(sums, f, g):
+    """Add the terms of f (x) g into sums, keyed by key pairs."""
+    gs = _values(g.terms, f.p)
+    get = sums.get
+    for kf, cf in _values(f.terms, f.p):
+        for kg, cg in gs:
+            key = (kf, kg)
+            sums[key] = get(key, 0) + cf * cg
+
+
 def tensor_of(f: Polynomial, g: Polynomial) -> TensorElement:
     """The elementary tensor f (x) g, expanded into the monomial-tensor basis."""
     f._check(g)
-    terms = {}
-    for kf, cf in f.terms.items():
-        for kg, cg in g.terms.items():
-            terms[(kf, kg)] = terms.get((kf, kg), 0) + cf * cg
-    return TensorElement(f.n, f.p, terms)
+    sums = {}
+    _add_tensor(sums, f, g)
+    return TensorElement._trusted(f.n, f.p, dict(_field_sums(sums, f.p)))
 
 
 def matrix_product_tensor_side(a):
@@ -398,13 +572,15 @@ def matrix_product_tensor_side(a):
     d = a.size
     sample = a.entries[0][0]
     n, p = sample.n, sample.p
-    grid = [[TensorElement.zero(n, p) for _ in range(d)] for _ in range(d)]
-    for i, k in itertools.product(range(d), repeat=2):
-        left = a.entries[i][k]
-        if not left:
-            continue
-        for j in range(d):
-            right = a.entries[k][j]
-            if right:
-                grid[i][j] = grid[i][j] + tensor_of(left, right)
-    return grid
+    grid = [[{} for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for k in range(d):
+            left = a.entries[i][k]
+            if not left:
+                continue
+            for j in range(d):
+                right = a.entries[k][j]
+                if right:
+                    left._check(right)
+                    _add_tensor(grid[i][j], left, right)
+    return [[TensorElement._trusted(n, p, dict(_field_sums(cell, p))) for cell in row] for row in grid]

@@ -8,10 +8,11 @@ matrices in lexicographic order, layers and index pairs in increasing order.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .arith import check_field, scalar_from_str, scalar_to_str
-from .errors import ParseError
+from .errors import ParseError, ShapeError
 from .hopf import ExponentMatrix, Polynomial, variable_pairs
 from .linalg import SquareMatrix
 from .reps import ChiTable, LieLayerData, Representation
@@ -24,6 +25,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+# A poly file's error lists at most this many of its missing entries.
+MISSING_SHOWN = 5
 
 
 def _exponent_rows(M: ExponentMatrix):
@@ -34,8 +37,14 @@ def _matrix_to_strings(mat: SquareMatrix):
     return [[scalar_to_str(v) for v in row] for row in mat.entries]
 
 
+def _is_square(rows, size):
+    """rows is a JSON list of size lists of size items each."""
+    return (isinstance(rows, list) and len(rows) == size
+            and all(isinstance(r, list) and len(r) == size for r in rows))
+
+
 def _matrix_from_strings(rows, d, p, lineno):
-    if len(rows) != d or any(len(r) != d for r in rows):
+    if not _is_square(rows, d):
         raise ParseError(f"line {lineno}: matrix is not {d} x {d}")
     out = []
     for row in rows:
@@ -43,18 +52,18 @@ def _matrix_from_strings(rows, d, p, lineno):
         for s in row:
             try:
                 parsed.append(scalar_from_str(s, p))
-            except (ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"line {lineno}: bad scalar {s!r}: {exc}") from None
         out.append(parsed)
     return SquareMatrix(out)
 
 
 def _exponent_from_rows(rows, n, lineno):
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if not _is_square(rows, n):
         raise ParseError(f"line {lineno}: exponent matrix is not {n} x {n}")
     try:
         return ExponentMatrix(n, rows)
-    except Exception as exc:
+    except ShapeError as exc:
         raise ParseError(f"line {lineno}: bad exponent matrix: {exc}") from None
 
 
@@ -135,22 +144,29 @@ def parse_rep_file(text: str) -> Representation:
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_line(line, lineno)
         a, b = obj.get("row"), obj.get("col")
-        if not (isinstance(a, int) and isinstance(b, int) and 1 <= a <= d and 1 <= b <= d):
+        if not (type(a) is int and type(b) is int and 1 <= a <= d and 1 <= b <= d):
             raise ParseError(f"line {lineno}: row/col out of range")
         if (a, b) in entries:
             raise ParseError(f"line {lineno}: duplicate entry ({a}, {b})")
         terms = {}
-        for t in obj.get("terms", []):
+        listed = obj.get("terms", [])
+        if not (isinstance(listed, list) and all(isinstance(t, dict) for t in listed)):
+            raise ParseError(f"line {lineno}: terms must be a list of objects")
+        for t in listed:
             M = _exponent_from_rows(t.get("M"), n, lineno)
             try:
                 c = scalar_from_str(t.get("c"), p)
-            except (ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"line {lineno}: bad scalar {t.get('c')!r}: {exc}") from None
             terms[M] = c
         entries[(a, b)] = Polynomial(n, p, terms)
-    missing = [(a, b) for a in range(1, d + 1) for b in range(1, d + 1) if (a, b) not in entries]
-    if missing:
-        raise ParseError(f"line {len(lines)}: missing matrix entries {missing}")
+    if len(entries) != d * d:
+        # each body line is one distinct in-range entry, so entries are missing
+        pairs = itertools.product(range(1, d + 1), repeat=2)
+        missing = list(itertools.islice((ab for ab in pairs if ab not in entries), MISSING_SHOWN))
+        more = d * d - len(entries) - len(missing)
+        raise ParseError(f"line {len(lines)}: missing matrix entries {missing}"
+                         + (f" and {more} more" if more else ""))
     pm = SquareMatrix([[entries[(a, b)] for b in range(1, d + 1)] for a in range(1, d + 1)])
     return Representation.from_poly_matrix(pm, n, p)
 
@@ -184,9 +200,9 @@ def parse_layer_file(text: str) -> LieLayerData:
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_line(line, lineno)
         l, i, j = obj.get("layer"), obj.get("i"), obj.get("j")
-        if not (isinstance(l, int) and 0 <= l < count):
+        if not (type(l) is int and 0 <= l < count):
             raise ParseError(f"line {lineno}: layer index out of range")
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= n):
+        if not (type(i) is int and type(j) is int and 1 <= i < j <= n):
             raise ParseError(f"line {lineno}: pair ({i}, {j}) out of range")
         if (i, j) in layers[l]:
             raise ParseError(f"line {lineno}: duplicate layer entry")

@@ -13,9 +13,11 @@ closed-form coproduct.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cache
 
-from .arith import matrix_multinomial, multinomial
+from .arith import coerce_scalar, matrix_multinomial
 from .errors import ShapeError
 from .hopf import ExponentMatrix, TensorElement, variable_pairs
 
@@ -119,6 +121,13 @@ class Splitting:
                 clean[v] = m
         self.assignment = clean
 
+    @classmethod
+    def _trusted(cls, n, assignment):
+        """Wrap {size-n variable: positive int} built in this module, unchecked."""
+        s = cls.__new__(cls)
+        s.n, s.assignment = n, assignment
+        return s
+
     def layer_matrix(self, k) -> ExponentMatrix:
         """The matrix S_k."""
         rows = [[0] * self.n for _ in range(self.n)]
@@ -185,6 +194,13 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+@cache
+def _entry_vars(n):
+    """Per pair (i, j) of variable_pairs(n), the variables s_ij^1 ..
+    s_ij^{j-i+1}, built once per n."""
+    return tuple(tuple(SplitVarId(i, j, k) for k in range(1, j - i + 2)) for i, j in variable_pairs(n))
+
+
 def enumerate_splittings(M: ExponentMatrix):
     """Every decomposition S_1 + ... + S_n = M respecting the layer shapes.
 
@@ -192,17 +208,31 @@ def enumerate_splittings(M: ExponentMatrix):
     is the per-entry product; the order is lexicographic in (i, j, k).
     """
     n = M.n
+    per_entry = [
+        [tuple((v, m) for v, m in zip(slots, parts) if m) for parts in _compositions(total, len(slots))]
+        for slots, total in zip(_entry_vars(n), M.flat)
+    ]
+    return [
+        Splitting._trusted(n, dict(itertools.chain.from_iterable(combo)))
+        for combo in itertools.product(*per_entry)
+    ]
+
+
+@cache
+def _feeds(n):
+    """For each splitting variable of size n, the positions in a joined L/R
+    key where it adds its value: L_ij at its index in variable_pairs(n), R_ij
+    at N plus that index (N the number of pairs), and 2N for a missing side.
+    By the occurrence claims each variable feeds at most one L and one R."""
     pairs = variable_pairs(n)
-    per_entry = [list(_compositions(M.entry(i, j), j - i + 1)) for i, j in pairs]
-    out = []
-    for combo in itertools.product(*per_entry):
-        assignment = {}
-        for (i, j), parts in zip(pairs, combo):
-            for k, m in enumerate(parts, start=1):
-                if m:
-                    assignment[SplitVarId(i, j, k)] = m
-        out.append(Splitting(n, assignment))
-    return out
+    N = len(pairs)
+    feeds = {v: [2 * N, 2 * N] for slots in _entry_vars(n) for v in slots}
+    for pos, (i, j) in enumerate(pairs):
+        for v in l_expression(i, j, n).summands:
+            feeds[v][0] = pos
+        for v in r_expression(i, j, n).summands:
+            feeds[v][1] = N + pos
+    return {v: tuple(f) for v, f in feeds.items()}
 
 
 def split_coproduct(chi):
@@ -211,21 +241,37 @@ def split_coproduct(chi):
     ``chi`` provides n, p, d and a finite support mapping exponent matrices to
     d x d scalar matrices.  For each supported M and each splitting, the term
     is weighted by the matrix multinomial and placed at the exponents given by
-    the L/R evaluations.
+    the L/R evaluations.  The weights of one M are summed per L/R key before
+    the d x d cells are touched.
     """
     n, p, d = chi.n, chi.p, chi.d
+    feeds = _feeds(n)
+    width = n * (n - 1)  # the L entries, then the R entries
     grid = [[{} for _ in range(d)] for _ in range(d)]
     for M, mat in chi.items():
+        # a splitting's weight, the matrix multinomial: prod m_ij! / prod (s_ij^k)!
+        whole = math.prod(map(math.factorial, M.flat))
+        weights = {}
         for s in enumerate_splittings(M):
-            key = (s.left_matrix(), s.right_matrix())
-            w = s.weight()
-            for a in range(d):
-                for b in range(d):
-                    c = mat.entries[a][b]
-                    if c:
-                        cell = grid[a][b]
+            key = [0] * (width + 1)
+            parts = 1
+            for v, m in s.assignment.items():
+                left, right = feeds[v]
+                key[left] += m
+                key[right] += m
+                parts *= math.factorial(m)
+            key = tuple(key[:width])
+            weights[key] = weights.get(key, 0) + whole // parts
+        for a in range(d):
+            for b in range(d):
+                c = mat.entries[a][b]
+                if c:
+                    c = coerce_scalar(c, p)
+                    c = c.value if p else c
+                    cell = grid[a][b]
+                    for key, w in weights.items():
                         cell[key] = cell.get(key, 0) + c * w
-    return [[TensorElement(n, p, cell) for cell in row] for row in grid]
+    return [[TensorElement._from_flat(n, p, cell) for cell in row] for row in grid]
 
 
 def solve_yz(Y: ExponentMatrix, Z: ExponentMatrix) -> Splitting:

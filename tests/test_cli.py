@@ -167,3 +167,83 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+class TestBoundaryChecks:
+    """Malformed inputs exit 2 with one short error line, never a traceback."""
+
+    @pytest.mark.parametrize("entry", [0.5, True, "1"])
+    def test_non_integer_exponent_refused(self, entry, tmp_path, capsys):
+        text = "\n".join([
+            json.dumps({"format": "chi", "version": 1, "n": 2, "p": 7, "d": 1}),
+            json.dumps({"M": [[0, entry], [0, 0]], "matrix": [["1"]]}),
+        ]) + "\n"
+        path = tmp_path / "chi.txt"
+        path.write_text(text)
+        assert main(["verify", str(path), "--chi-relations", "--lemmas"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:") and "integers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", [{"matrix": [["1"]]}, {"M": [[0, 0], [0, 0]]},
+                                      {"M": "00", "matrix": [["1"]]}])
+    def test_missing_or_malformed_fields_refused(self, line, tmp_path, capsys):
+        text = "\n".join([
+            json.dumps({"format": "chi", "version": 1, "n": 2, "p": 7, "d": 1}),
+            json.dumps(line),
+        ]) + "\n"
+        path = tmp_path / "chi.txt"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-2"], ["--n", "3", "--bound", "-1"]])
+    def test_audit_splittings_bounds(self, argv, capsys):
+        assert main(["audit-splittings", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: audit-splittings needs --n >= 1 and --bound >= 0")
+        assert "expected a" not in captured.err and captured.out == ""
+
+    def test_audit_splittings_smallest_n(self, capsys):
+        assert main(["audit-splittings", "--n", "1", "--bound", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_poly_body_far_short_of_its_header(self, tmp_path, capsys):
+        path = tmp_path / "poly.txt"
+        path.write_text(json.dumps({"format": "poly", "version": 1, "n": 3, "p": 7, "d": 3000}) + "\n")
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: line 1: missing matrix entries "
+                       "[(1, 1), (1, 2), (1, 3), (1, 4), (1, 5)] and 8999995 more\n")
+
+    def test_poly_body_missing_few_entries_lists_them(self, tmp_path, capsys):
+        text = "\n".join([
+            json.dumps({"format": "poly", "version": 1, "n": 3, "p": 7, "d": 2}),
+            json.dumps({"row": 1, "col": 1, "terms": []}),
+            json.dumps({"row": 2, "col": 1, "terms": []}),
+        ]) + "\n"
+        path = tmp_path / "poly.txt"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 3: missing matrix entries [(1, 2), (2, 2)]\n"
+
+    @pytest.mark.parametrize("header,line", [
+        ({"format": "poly", "n": 2, "p": 7, "d": 1}, {"row": 1, "col": 1, "terms": [5]}),
+        ({"format": "poly", "n": 2, "p": 7, "d": 1}, {"row": 1, "col": 1, "terms": 5}),
+        ({"format": "poly", "n": 2, "p": 7, "d": 1},
+         {"row": 1, "col": 1, "terms": [{"M": [[0, 0], [0, 0]]}]}),
+        ({"format": "poly", "n": 2, "p": 7, "d": 1}, {"row": True, "col": 1, "terms": []}),
+        ({"format": "chi", "n": 2, "p": 7, "d": 1}, {"M": [[0, 0], [0, 0]], "matrix": [[None]]}),
+        ({"format": "layers", "n": 2, "p": 7, "d": 1, "layers": 1},
+         {"layer": False, "i": 1, "j": 2, "matrix": [["0"]]}),
+        ({"format": "layers", "n": 2, "p": 7, "d": 1, "layers": 1},
+         {"layer": 0, "i": True, "j": 2, "matrix": [["0"]]}),
+    ])
+    def test_malformed_body_lines_refused(self, header, line, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_text(json.dumps({"version": 1, **header}) + "\n" + json.dumps(line) + "\n")
+        command = "construct" if header["format"] == "layers" else "verify"
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:") and "Traceback" not in err

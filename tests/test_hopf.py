@@ -1,5 +1,7 @@
 """The representing Hopf algebra: polynomials, coproduct, counit."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -168,3 +170,197 @@ class TestTensorElement:
         t = coproduct(x(3, p, 1, 3))
         tp = t**p
         assert tp == frobenius_substitute(t, p)
+
+
+# --- entry-arithmetic references for the int/Fraction term kernel -----------
+
+PRIMES = [0, 2, 5, 13, 2**31 - 1]
+
+
+def reference_poly_mul(f, g):
+    """Key sums and coefficient products in the coefficients' own arithmetic,
+    coerced again by the constructor."""
+    terms = {}
+    for ka, ca in f.terms.items():
+        for kb, cb in g.terms.items():
+            key = ExponentMatrix(f.n, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(ka.rows, kb.rows)])
+            terms[key] = terms.get(key, 0) + ca * cb
+    return Polynomial(f.n, f.p, terms)
+
+
+def reference_sum(cls, s, t):
+    terms = dict(s.terms)
+    for k, c in t.terms.items():
+        terms[k] = terms.get(k, 0) + c
+    return cls(s.n, s.p, terms)
+
+
+def reference_tensor_mul(s, t):
+    terms = {}
+    for (la, ra), ca in s.terms.items():
+        for (lb, rb), cb in t.terms.items():
+            key = (reference_key_sum(la, lb), reference_key_sum(ra, rb))
+            terms[key] = terms.get(key, 0) + ca * cb
+    return TensorElement(s.n, s.p, terms)
+
+
+def reference_key_sum(a, b):
+    return ExponentMatrix(a.n, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
+def reference_coproduct(poly):
+    """The algebra-map extension summed as out + acc * c, term by term."""
+    n, p = poly.n, poly.p
+    out = TensorElement(n, p)
+    for key, c in poly.terms.items():
+        acc = TensorElement(n, p, {(ExponentMatrix.zero(n), ExponentMatrix.zero(n)): 1})
+        for (i, j), m in key.positions():
+            z = ExponentMatrix.zero(n)
+            gen = {(z, ExponentMatrix.epsilon(n, i, j)): 1, (ExponentMatrix.epsilon(n, i, j), z): 1}
+            for k in range(i + 1, j):
+                gen[(ExponentMatrix.epsilon(n, i, k), ExponentMatrix.epsilon(n, k, j))] = 1
+            for _ in range(m):
+                acc = reference_tensor_mul(acc, TensorElement(n, p, gen))
+        out = reference_sum(TensorElement, out, TensorElement(n, p, {k: v * c for k, v in acc.terms.items()}))
+    return out
+
+
+def random_poly(rng, n, p, size, max_exp=2):
+    terms = {}
+    for _ in range(size):
+        rows = [[rng.randint(0, max_exp) if j > i else 0 for j in range(n)] for i in range(n)]
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if p == 0 else rng.randrange(p)
+        terms[ExponentMatrix(n, rows)] = c
+    return Polynomial(n, p, terms)
+
+
+def random_tensor(rng, n, p, size):
+    f, g = random_poly(rng, n, p, size), random_poly(rng, n, p, size)
+    terms = {}
+    for (kf, cf), (kg, _) in zip(f.terms.items(), g.terms.items()):
+        terms[(kf, kg)] = cf
+    return TensorElement(n, p, terms)
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_polynomial_products_and_sums(self, p):
+        rng = random.Random(p)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            f = random_poly(rng, n, p, rng.randint(0, 6))
+            g = random_poly(rng, n, p, rng.randint(0, 6))
+            assert (f * g).terms == reference_poly_mul(f, g).terms
+            assert (f + g).terms == reference_sum(Polynomial, f, g).terms
+            assert (f - f).terms == {}
+            c = rng.randrange(max(p, 7))
+            assert (f * c).terms == Polynomial(n, p, {k: v * c for k, v in f.terms.items()}).terms
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_tensor_products_and_sums(self, p):
+        rng = random.Random(100 + p)
+        for _ in range(20):
+            n = rng.randint(2, 4)
+            s, t = random_tensor(rng, n, p, rng.randint(0, 5)), random_tensor(rng, n, p, rng.randint(0, 5))
+            assert (s * t).terms == reference_tensor_mul(s, t).terms
+            assert (s + t).terms == reference_sum(TensorElement, s, t).terms
+            assert (s - s).terms == {}
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_coproduct(self, p):
+        rng = random.Random(200 + p)
+        for _ in range(8):
+            n = rng.randint(2, 4)
+            f = random_poly(rng, n, p, rng.randint(0, 5))
+            assert coproduct(f).terms == reference_coproduct(f).terms
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_tensor_of(self, p):
+        rng = random.Random(300 + p)
+        for _ in range(15):
+            n = rng.randint(2, 4)
+            f, g = random_poly(rng, n, p, rng.randint(0, 4)), random_poly(rng, n, p, rng.randint(0, 4))
+            expected = TensorElement(n, p, {(kf, kg): cf * cg for kf, cf in f.terms.items()
+                                            for kg, cg in g.terms.items()})
+            assert tensor_of(f, g).terms == expected.terms
+
+    def test_coefficients_are_reduced_field_elements(self):
+        p = 2**31 - 1
+        f = random_poly(random.Random(1), 3, p, 5)
+        for c in (f * f).terms.values():
+            assert type(c) is Residue and c.p == p and 0 < c.value < p
+        g = random_poly(random.Random(2), 3, 0, 5)
+        assert all(type(c) is Fraction and c for c in (g * g).terms.values())
+
+    def test_operands_unchanged(self):
+        f = x(3, 5, 1, 2) + 2 * x(3, 5, 2, 3) + 1
+        before = dict(f.terms)
+        f * f, f + f, -f, f * 3, coproduct(f)
+        assert f.terms == before
+
+
+class TestKeys:
+    def keys(self, n, seed, count=40):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            rows = [[rng.randint(0, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+            out.append((rows, ExponentMatrix(n, rows)))
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_trusted_sum_and_scale_equal_checked_construction(self, n):
+        keys = self.keys(n, n)
+        for (ra, a), (rb, b) in zip(keys, keys[1:]):
+            checked = ExponentMatrix(n, [[u + v for u, v in zip(x, y)] for x, y in zip(ra, rb)])
+            assert a + b == checked and hash(a + b) == hash(checked)
+            assert (a + b).flat == checked.flat and (a + b).rows == checked.rows
+            for e in (0, 1, 7):
+                scaled = ExponentMatrix(n, [[e * u for u in x] for x in ra])
+                assert a.scale(e) == scaled and hash(a.scale(e)) == hash(scaled)
+
+    def test_equal_keys_hash_equal(self):
+        a = ExponentMatrix(3, ((0, 1, 2), (0, 0, 3), (0, 0, 0)))
+        b = ExponentMatrix.epsilon(3, 1, 2) + ExponentMatrix.epsilon(3, 1, 3, 2) + ExponentMatrix.epsilon(3, 2, 3, 3)
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != ExponentMatrix.zero(3) and a != a.flat
+        assert ExponentMatrix.zero(0) != ExponentMatrix.zero(1)  # both have empty flats
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sort_key_order_is_row_major_order(self, n):
+        keys = [m for _, m in self.keys(n, 10 + n)]
+        row_major = sorted(keys, key=lambda m: tuple(v for r in m.rows for v in r))
+        assert sorted(keys, key=ExponentMatrix.sort_key) == row_major
+
+    def test_rows_view_and_entries(self):
+        rows = ((0, 2, 1), (0, 0, 3), (0, 0, 0))
+        m = ExponentMatrix(3, rows)
+        assert m.rows == rows and m.flat == (2, 1, 3)
+        assert [m.entry(i, j) for i in (1, 2, 3) for j in (1, 2, 3)] == [v for r in rows for v in r]
+        assert ExponentMatrix(3, m.rows) == m
+        assert repr(m) == "ExponentMatrix(n=3, rows=((0, 2, 1), (0, 0, 3), (0, 0, 0)))"
+        assert ExponentMatrix.epsilon(4, 2, 4, 5).rows[1][3] == 5
+
+    def test_immutable(self):
+        m = ExponentMatrix.epsilon(3, 1, 2)
+        for name, value in (("n", 4), ("flat", (9, 9, 9)), ("rows", ())):
+            with pytest.raises(AttributeError):
+                setattr(m, name, value)
+        with pytest.raises(AttributeError):
+            del m.flat
+        assert m.flat == (1, 0, 0) and isinstance(m.flat, tuple)
+        assert copy.deepcopy(m) == m and pickle.loads(pickle.dumps(m)) == m
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1", None])
+    def test_constructor_rejects_non_integer_entries(self, bad):
+        with pytest.raises(ShapeError):
+            ExponentMatrix(2, ((0, bad), (0, 0)))
+
+    @pytest.mark.parametrize("args", [(3, 2, 1), (3, 1, 2, -1), (3, 1, 2, 0.5), (3, 1, 2, True)])
+    def test_epsilon_checks(self, args):
+        with pytest.raises(ShapeError):
+            ExponentMatrix.epsilon(*args)
+
+    def test_negative_scale_still_checked(self):
+        with pytest.raises(ShapeError):
+            ExponentMatrix.epsilon(3, 1, 2).scale(-1)

@@ -1,14 +1,17 @@
 """Splitting combinatorics behind the closed-form coproduct."""
 
 import itertools
+import math
 
 import pytest
 
 from unirep.errors import ShapeError
-from unirep.hopf import ExponentMatrix, coproduct
+from unirep.hopf import ExponentMatrix, TensorElement, coproduct, variable_pairs
+from unirep.linalg import scalar_matrix
 from unirep.reps import ChiTable, Representation
 from unirep.samples import random_chi_support
 from unirep.splittings import (
+    Splitting,
     SplitVarId,
     brute_solve_yz,
     enumerate_splittings,
@@ -130,3 +133,99 @@ class TestYZSolving:
         bad_z = ExponentMatrix.epsilon(3, 2, 3)  # off the top row
         with pytest.raises(ShapeError):
             solve_yz(ExponentMatrix.zero(3), bad_z)
+
+
+# --- the per-splitting split_coproduct, kept as the oracle -------------------
+
+
+def reference_enumerate(M):
+    """Every splitting of M, each variable built and checked anew."""
+    n = M.n
+    pairs = variable_pairs(n)
+    per_entry = [
+        [c for c in itertools.product(range(M.entry(i, j) + 1), repeat=j - i + 1)
+         if sum(c) == M.entry(i, j)]
+        for i, j in pairs
+    ]
+    out = []
+    for combo in itertools.product(*per_entry):
+        assignment = {}
+        for (i, j), parts in zip(pairs, combo):
+            for k, m in enumerate(parts, start=1):
+                if m:
+                    assignment[SplitVarId(i, j, k)] = m
+        out.append(Splitting(n, assignment))
+    return out
+
+
+def reference_split_coproduct(chi):
+    """Each splitting's key from left_matrix/right_matrix and its weight from
+    weight(), added into the cells one splitting at a time."""
+    d = chi.d
+    grid = [[{} for _ in range(d)] for _ in range(d)]
+    for M, mat in chi.items():
+        for s in reference_enumerate(M):
+            key = (s.left_matrix(), s.right_matrix())
+            w = s.weight()
+            for a in range(d):
+                for b in range(d):
+                    c = mat.entries[a][b]
+                    if c:
+                        grid[a][b][key] = grid[a][b].get(key, 0) + c * w
+    return [[TensorElement(chi.n, chi.p, cell) for cell in row] for row in grid]
+
+
+def splitting_count(support):
+    """Entry m_ij of a key splits into j - i + 1 ordered parts."""
+    return sum(math.prod(math.comb(m + j - i, j - i) for (i, j), m in M.positions())
+               for M in support)
+
+
+def small_chi(n, d, p, count, seed, cap=200):
+    """A seeded chi table with at most ``cap`` splittings in all."""
+    max_entry = {2: 6, 3: 2}.get(n, 1)
+    while True:
+        support = random_chi_support(n, d, p, count, seed=seed, max_entry=max_entry)
+        if splitting_count(support) <= cap:
+            return ChiTable(n, p, d, support)
+        seed += 1000
+
+
+class TestSplitCoproductOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [0, 5, 7, 11])
+    def test_matches_per_splitting_reference(self, n, p):
+        for count in range(1, 6):
+            chi = small_chi(n, 2, p, count, seed=100 * n + 10 * p + count)
+            fast = split_coproduct(chi)
+            slow = reference_split_coproduct(chi)
+            for a in range(2):
+                for b in range(2):
+                    assert fast[a][b] == slow[a][b]
+                    assert fast[a][b].terms == slow[a][b].terms
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_enumeration_matches_reference(self, n):
+        chi = small_chi(n, 1, 7, 3, seed=n)
+        for M in chi.support:
+            fast = enumerate_splittings(M)
+            assert fast == reference_enumerate(M)
+            assert all(isinstance(s, Splitting) for s in fast)
+            for s in fast:
+                assert all(v == SplitVarId(v.i, v.j, v.k) and m > 0 for v, m in s.assignment.items())
+                assert s.sum_matrix() == M
+
+    def test_one_dimensional_identity_table(self):
+        # d = 1, only the zero key: Delta(1) = 1 (x) 1
+        z = ExponentMatrix.zero(4)
+        chi = ChiTable(4, 5, 1, {z: scalar_matrix([[1]], 5)})
+        assert split_coproduct(chi)[0][0] == TensorElement.one(4, 5)
+
+    def test_weight_sum_divisible_by_p_drops_the_term(self):
+        # M = 5 eps_12 over F_5: the split keys (a eps_12, b eps_12) with
+        # 0 < a < 5 have binomial weights divisible by 5 and vanish
+        M = ExponentMatrix.epsilon(2, 1, 2, 5)
+        chi = ChiTable(2, 5, 1, {M: scalar_matrix([[1]], 5)})
+        grid = split_coproduct(chi)
+        assert grid[0][0] == reference_split_coproduct(chi)[0][0]
+        assert len(grid[0][0].terms) == 2
