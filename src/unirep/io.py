@@ -12,7 +12,7 @@ import itertools
 import json
 
 from .arith import check_field, scalar_from_str, scalar_to_str
-from .errors import ParseError, ShapeError
+from .errors import CostBoundError, ParseError, ShapeError
 from .hopf import ExponentMatrix, Polynomial, variable_pairs
 from .linalg import SquareMatrix
 from .reps import ChiTable, LieLayerData, Representation
@@ -27,6 +27,11 @@ __all__ = [
 FORMAT_VERSION = 1
 # A poly file's error lists at most this many of its missing entries.
 MISSING_SHOWN = 5
+# Layer l of a family sits at the exponents p^l with p >= 2, so 64 layers
+# already reach exponents of 2^63.  A header's count above this is refused
+# before any per-layer storage is made, so one line cannot ask for unbounded
+# memory.
+MAX_LAYERS = 64
 
 
 def _exponent_rows(M: ExponentMatrix):
@@ -196,6 +201,8 @@ def parse_layer_file(text: str) -> LieLayerData:
     if header.get("format") != "layers":
         raise ParseError(f"line 1: unknown format {header.get('format')!r}")
     n, p, d, count = _header_ints(header, ("layers",))
+    if count > MAX_LAYERS:
+        raise CostBoundError(f"line 1: {count} layers is over the bound of {MAX_LAYERS}")
     layers = [dict() for _ in range(count)]
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_line(line, lineno)

@@ -16,7 +16,7 @@ from functools import reduce
 from operator import add, mul, sub
 
 from .arith import Residue, coerce_scalar
-from .errors import NotNilpotentError, SeriesTerminationError, ShapeError
+from .errors import ModulusMismatchError, NotNilpotentError, SeriesTerminationError, ShapeError
 from .hopf import Polynomial
 
 __all__ = [
@@ -150,6 +150,48 @@ def _matmul(a, b, p=None):
     if p:
         return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
     return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+
+
+def _field_rows(m, p):
+    """The rows of m over the field of characteristic p: the ints of its
+    Residues mod p, or its Fractions when p = 0.  Any other entry, such as a
+    Residue mod another prime, raises ModulusMismatchError, so nothing is
+    reduced mod the wrong p."""
+    field = Residue if p else Fraction
+    rows = []
+    for row in m.entries:
+        for a in row:
+            if type(a) is not field or (p and a.p != p):
+                raise ModulusMismatchError(
+                    f"entry {a!r} is not in the field of characteristic {p}")
+        rows.append([a.value for a in row] if p else list(row))
+    return rows
+
+
+def _bracket(a, b, p=None):
+    """Rows of ab - ba for the square row lists a and b, reduced mod p when p
+    is given."""
+    ab, ba = _matmul(a, b, p), _matmul(b, a, p)
+    if p:
+        return [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+    return [list(map(sub, r, s)) for r, s in zip(ab, ba)]
+
+
+def _negated(a, p=None):
+    if p:
+        return [[-x % p for x in row] for row in a]
+    return [[-x for x in row] for row in a]
+
+
+def _is_nilpotent(a, cap, p=None):
+    """Whether a^k = 0 for some k <= cap, as nilpotency_index decides it."""
+    power = a
+    for k in range(1, cap + 1):
+        if not any(map(any, power)):
+            return True
+        if k < cap:
+            power = _matmul(power, a, p)
+    return False
 
 
 def _common_modulus(*matrices):

@@ -15,10 +15,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .arith import coerce_scalar, gamma_factor, p_ary_digits, sum_carries
-from .errors import CostBoundError, HypothesisError, NotNilpotentError, ShapeError, UnirepError
+from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError
 from .hopf import (
     ExponentMatrix,
     Polynomial,
@@ -29,11 +28,13 @@ from .hopf import (
 )
 from .linalg import (
     SquareMatrix,
+    _bracket,
+    _field_rows,
+    _is_nilpotent,
     _matmul,
-    commutator,
+    _negated,
     exp_nilpotent,
     log_unipotent,
-    nilpotency_index,
 )
 from .splittings import split_coproduct
 
@@ -86,6 +87,16 @@ def lie_bracket_pairs(rs, tu):
     if r == u and s != t:
         return [((t, s), -1)]
     return []
+
+
+def _bracket_image(images, rs, tu, p):
+    """Rows of the image of [eps_rs, eps_tu] under a map given by its nonzero
+    images (rows by pair), or None when that image is zero."""
+    for ij, sign in lie_bracket_pairs(rs, tu):
+        img = images.get(ij)
+        if img is not None:
+            return img if sign > 0 else _negated(img, p)
+    return None
 
 
 class ChiTable:
@@ -235,27 +246,27 @@ class LieLayerData:
         """Check the layer invariants: each layer a Lie algebra homomorphism on
         the basis, nilpotent basis images, and cross-layer commutation."""
         report = Report()
+        p, d = self.p, self.d
         pairs = variable_pairs(self.n)
-        for l in range(len(self.layers)):
+        layers = [{ij: _field_rows(mat, p) for ij, mat in layer.items()} for layer in self.layers]
+        zero = [[0] * d for _ in range(d)]
+        for l, images in enumerate(layers):
             for i, j in pairs:
-                img = self.image(l, i, j)
-                try:
-                    nilpotency_index(img, self.d)
-                except NotNilpotentError:
+                img = images.get((i, j))
+                if img is not None and not _is_nilpotent(img, d, p):
                     report.add("layer-nilpotency", f"layer {l}, eps_{i}{j}",
                                "nilpotent image", "not nilpotent")
             for rs, tu in itertools.combinations(pairs, 2):
-                lhs = commutator(self.image(l, *rs), self.image(l, *tu))
-                rhs = self.image(l, *rs).zero_like()
-                for (i, j), sign in lie_bracket_pairs(rs, tu):
-                    img = self.image(l, i, j)
-                    rhs = rhs + (img if sign > 0 else -img)
+                a, b = images.get(rs), images.get(tu)
+                lhs = zero if a is None or b is None else _bracket(a, b, p)
+                rhs = _bracket_image(images, rs, tu, p) or zero
                 if lhs != rhs:
                     report.add("layer-homomorphism", f"layer {l}, [{rs}, {tu}]",
                                "bracket-compatible", "bracket mismatch")
-        for la, lb in itertools.combinations(range(len(self.layers)), 2):
+        for la, lb in itertools.combinations(range(len(layers)), 2):
             for rs, tu in itertools.product(pairs, pairs):
-                if not commutator(self.image(la, *rs), self.image(lb, *tu)).is_zero():
+                a, b = layers[la].get(rs), layers[lb].get(tu)
+                if a is not None and b is not None and _matmul(a, b, p) != _matmul(b, a, p):
                     report.add("cross-layer-commutation",
                                f"layers {la}/{lb}, eps_{rs} vs eps_{tu}",
                                "commuting images", "nonzero commutator")
@@ -501,8 +512,8 @@ def decompose_to_layers(rep: Representation, check=True) -> LieLayerData:
         scale = p**l if p else 1
         layer = {}
         for i, j in variable_pairs(n):
-            mat = chi.get(ExponentMatrix.epsilon(n, i, j, scale))
-            if not mat.is_zero():
+            mat = chi.support.get(ExponentMatrix.epsilon(n, i, j, scale))
+            if mat is not None:
                 layer[(i, j)] = mat
         layers.append(layer)
     data = LieLayerData(n, p, d, layers).trimmed()
@@ -528,25 +539,24 @@ def verify_chi_relations(rep: Representation) -> Report:
     [chi(p^l eps_rs), chi(p^m eps_tu)]: zero for l != m or vanishing Lie
     bracket, chi(p^l [eps_rs, eps_tu]) otherwise."""
     chi = rep.chi
-    if chi.p == 0:
+    p, d = chi.p, chi.d
+    if p == 0:
         raise HypothesisError("chi relations are a positive-characteristic statement")
     report = Report()
-    powers = _chi_power_items(chi)
-    for l, (i, j), mat in powers:
-        try:
-            nilpotency_index(mat, chi.d)
-        except NotNilpotentError:
+    powers = [(l, ij, _field_rows(mat, p)) for l, ij, mat in _chi_power_items(chi)]
+    for l, (i, j), a in powers:
+        if not _is_nilpotent(a, d, p):
             report.add("chi-nilpotency", f"chi(p^{l} eps_{i}{j})", "nilpotent", "not nilpotent")
+    layers = {}
+    for l, ij, a in powers:
+        layers.setdefault(l, {})[ij] = a
+    zero = [[0] * d for _ in range(d)]
     for (l, rs, a), (m, tu, b) in itertools.combinations(powers, 2):
-        bracket = commutator(a, b)
-        expected = chi.zero_matrix()
-        if l == m:
-            for (i, j), sign in lie_bracket_pairs(rs, tu):
-                img = chi.get(ExponentMatrix.epsilon(chi.n, i, j, chi.p**l))
-                expected = expected + (img if sign > 0 else -img)
+        bracket = _bracket(a, b, p)
+        expected = (_bracket_image(layers[l], rs, tu, p) if l == m else None) or zero
         if bracket != expected:
             report.add("chi-bracket", f"[chi(p^{l} eps_{rs}), chi(p^{m} eps_{tu})]",
-                       expected, bracket)
+                       SquareMatrix(expected), SquareMatrix(bracket))
     return report
 
 
@@ -559,41 +569,51 @@ def audit_structure_lemmas(rep: Representation) -> Report:
     if p == 0 or p < 2 * d:
         raise HypothesisError(f"structure audits need p >= 2d = {2 * d}, got p = {p}")
     report = Report()
+    rows = {M: _field_rows(mat, p) for M, mat in chi.support.items()}
+    zero = [[0] * d for _ in range(d)]
+    one = [[int(a == b) for b in range(d)] for a in range(d)]
+    if rows.get(ExponentMatrix.zero(n)) == one:
+        rows[ExponentMatrix.zero(n)] = one  # so that products skip chi(0)
 
-    for M, mat in chi.items():
-        prod = chi.identity_matrix()
-        for i in range(n - 1, 0, -1):
-            for j in range(i + 1, n + 1):
-                prod = prod @ chi.get(ExponentMatrix.epsilon(n, i, j, M.entry(i, j)))
-        if prod != mat:
+    def chi_at(i, j, r):
+        return rows.get(ExponentMatrix.epsilon(n, i, j, r), zero)
+
+    def product(factors):
+        """Rows of the product of the factors, left to right.  Skipping the
+        factors that are ``one`` is exact: every entry is already in [0, p)."""
+        out = one
+        for f in factors:
+            if f is not one:
+                out = f if out is one else _matmul(out, f, p)
+        return out
+
+    for M, _ in chi.items():
+        factors = [chi_at(i, j, M.entry(i, j)) for i in range(n - 1, 0, -1)
+                   for j in range(i + 1, n + 1)]
+        if product(factors) != rows[M]:
             report.add("factorization", f"chi({M})",
                        "product of chi(m_ij eps_ij), rows reversed", "mismatch")
 
-    for r, (i, j), mat in chi.single_position_items():
+    for r, (i, j), _ in chi.single_position_items():
         digits = p_ary_digits(r, p).digits
-        factors = [chi.get(ExponentMatrix.epsilon(n, i, j, p**t)) for t in range(len(digits))]
+        factors = [chi_at(i, j, p**t) for t in range(len(digits))]
         for (ta, fa), (tb, fb) in itertools.combinations(enumerate(factors), 2):
-            if not commutator(fa, fb).is_zero():
+            if _matmul(fa, fb, p) != _matmul(fb, fa, p):
                 report.add("gamma-formula", f"chi(p^{ta} eps_{i}{j}) vs chi(p^{tb} eps_{i}{j})",
                            "commuting factors", "nonzero commutator")
         for t, f in enumerate(factors):
-            try:
-                nilpotency_index(f, min(p, d))
-            except NotNilpotentError:
+            if not _is_nilpotent(f, min(p, d), p):
                 report.add("gamma-formula", f"chi(p^{t} eps_{i}{j})",
                            "nilpotent of order <= p", "not nilpotent")
-        prod = chi.identity_matrix()
-        for t, digit in enumerate(digits):
-            for _ in range(digit):
-                prod = prod @ factors[t]
-        expected = prod.scale(coerce_scalar(Fraction(1, gamma_factor(r, p)), p))
-        if expected != mat:
+        inverse = pow(gamma_factor(r, p), -1, p)
+        prod = product(f for f, digit in zip(factors, digits) for _ in range(digit))
+        if [[x * inverse % p for x in row] for row in prod] != chi_at(i, j, r):
             report.add("gamma-formula", f"chi({r} eps_{i}{j})",
                        "Gamma(r)^-1 prod chi(p^t eps_ij)^{r_t}", "mismatch")
 
     singles = chi.single_position_items()
-    for (r, ij, mat_r), (s, uv, mat_s) in itertools.product(singles, singles):
-        if sum_carries(r, s, p) and not (mat_r.is_zero() or mat_s.is_zero()):
+    for (r, ij, _), (s, uv, _) in itertools.product(singles, singles):
+        if sum_carries(r, s, p):  # ChiTable keeps no zero matrix in its support
             report.add("carrying", f"chi({r} eps_{ij}) and chi({s} eps_{uv})",
                        "at least one zero when r + s carries mod p", "both nonzero")
     return report

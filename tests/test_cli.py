@@ -5,7 +5,7 @@ import json
 import pytest
 
 from unirep.cli import main
-from unirep.io import parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
+from unirep.io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
 from unirep.reps import construct_from_layers
 from unirep.samples import random_layer_data
 
@@ -144,6 +144,23 @@ class TestFieldCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: line 1:")
         assert "Traceback" not in err
+
+
+class TestLayerCountBound:
+    @pytest.mark.parametrize("count", [MAX_LAYERS + 1, 100000000])
+    def test_header_layer_count_refused(self, count, tmp_path, capsys):
+        # refused before one dict per layer is allocated
+        header = {"format": "layers", "version": 1, "n": 3, "p": 7, "d": 2, "layers": count}
+        path = tmp_path / "in.txt"
+        path.write_text(json.dumps(header) + "\n")
+        assert main(["construct", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 1: {count} layers is over the bound of 64\n"
+        assert captured.out == ""
+
+    def test_largest_layer_count_parses(self):
+        header = {"format": "layers", "version": 1, "n": 3, "p": 7, "d": 2, "layers": MAX_LAYERS}
+        assert len(parse_layer_file(json.dumps(header) + "\n").layers) == MAX_LAYERS
 
 
 class TestOtherCommands:

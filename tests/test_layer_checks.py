@@ -1,0 +1,391 @@
+"""The layer and chi checks on int rows, against the SquareMatrix bodies they
+replaced: LieLayerData.validate, verify_chi_relations, audit_structure_lemmas."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from unirep.arith import coerce_scalar, gamma_factor, p_ary_digits, sum_carries
+from unirep.errors import HypothesisError, ModulusMismatchError, NotNilpotentError
+from unirep.hopf import ExponentMatrix, variable_pairs
+from unirep.linalg import SquareMatrix, commutator, nilpotency_index, scalar_matrix
+from unirep.reps import (
+    ChiTable,
+    LieLayerData,
+    Report,
+    Representation,
+    _chi_power_items,
+    audit_structure_lemmas,
+    construct_from_layers,
+    lie_bracket_pairs,
+    verify_chi_relations,
+)
+from unirep.samples import random_layer_data
+
+
+# --- the SquareMatrix bodies, kept as the oracle ------------------------------
+
+def reference_validate(data):
+    report = Report()
+    pairs = variable_pairs(data.n)
+    for l in range(len(data.layers)):
+        for i, j in pairs:
+            img = data.image(l, i, j)
+            try:
+                nilpotency_index(img, data.d)
+            except NotNilpotentError:
+                report.add("layer-nilpotency", f"layer {l}, eps_{i}{j}",
+                           "nilpotent image", "not nilpotent")
+        for rs, tu in itertools.combinations(pairs, 2):
+            lhs = commutator(data.image(l, *rs), data.image(l, *tu))
+            rhs = data.image(l, *rs).zero_like()
+            for (i, j), sign in lie_bracket_pairs(rs, tu):
+                img = data.image(l, i, j)
+                rhs = rhs + (img if sign > 0 else -img)
+            if lhs != rhs:
+                report.add("layer-homomorphism", f"layer {l}, [{rs}, {tu}]",
+                           "bracket-compatible", "bracket mismatch")
+    for la, lb in itertools.combinations(range(len(data.layers)), 2):
+        for rs, tu in itertools.product(pairs, pairs):
+            if not commutator(data.image(la, *rs), data.image(lb, *tu)).is_zero():
+                report.add("cross-layer-commutation",
+                           f"layers {la}/{lb}, eps_{rs} vs eps_{tu}",
+                           "commuting images", "nonzero commutator")
+    return report
+
+
+def reference_chi_relations(rep):
+    chi = rep.chi
+    if chi.p == 0:
+        raise HypothesisError("chi relations are a positive-characteristic statement")
+    report = Report()
+    powers = _chi_power_items(chi)
+    for l, (i, j), mat in powers:
+        try:
+            nilpotency_index(mat, chi.d)
+        except NotNilpotentError:
+            report.add("chi-nilpotency", f"chi(p^{l} eps_{i}{j})", "nilpotent", "not nilpotent")
+    for (l, rs, a), (m, tu, b) in itertools.combinations(powers, 2):
+        bracket = commutator(a, b)
+        expected = chi.zero_matrix()
+        if l == m:
+            for (i, j), sign in lie_bracket_pairs(rs, tu):
+                img = chi.get(ExponentMatrix.epsilon(chi.n, i, j, chi.p**l))
+                expected = expected + (img if sign > 0 else -img)
+        if bracket != expected:
+            report.add("chi-bracket", f"[chi(p^{l} eps_{rs}), chi(p^{m} eps_{tu})]",
+                       expected, bracket)
+    return report
+
+
+def reference_audits(rep):
+    chi = rep.chi
+    n, p, d = chi.n, chi.p, chi.d
+    if p == 0 or p < 2 * d:
+        raise HypothesisError(f"structure audits need p >= 2d = {2 * d}, got p = {p}")
+    report = Report()
+    for M, mat in chi.items():
+        prod = chi.identity_matrix()
+        for i in range(n - 1, 0, -1):
+            for j in range(i + 1, n + 1):
+                prod = prod @ chi.get(ExponentMatrix.epsilon(n, i, j, M.entry(i, j)))
+        if prod != mat:
+            report.add("factorization", f"chi({M})",
+                       "product of chi(m_ij eps_ij), rows reversed", "mismatch")
+    for r, (i, j), mat in chi.single_position_items():
+        digits = p_ary_digits(r, p).digits
+        factors = [chi.get(ExponentMatrix.epsilon(n, i, j, p**t)) for t in range(len(digits))]
+        for (ta, fa), (tb, fb) in itertools.combinations(enumerate(factors), 2):
+            if not commutator(fa, fb).is_zero():
+                report.add("gamma-formula", f"chi(p^{ta} eps_{i}{j}) vs chi(p^{tb} eps_{i}{j})",
+                           "commuting factors", "nonzero commutator")
+        for t, f in enumerate(factors):
+            try:
+                nilpotency_index(f, min(p, d))
+            except NotNilpotentError:
+                report.add("gamma-formula", f"chi(p^{t} eps_{i}{j})",
+                           "nilpotent of order <= p", "not nilpotent")
+        prod = chi.identity_matrix()
+        for t, digit in enumerate(digits):
+            for _ in range(digit):
+                prod = prod @ factors[t]
+        expected = prod.scale(coerce_scalar(Fraction(1, gamma_factor(r, p)), p))
+        if expected != mat:
+            report.add("gamma-formula", f"chi({r} eps_{i}{j})",
+                       "Gamma(r)^-1 prod chi(p^t eps_ij)^{r_t}", "mismatch")
+    singles = chi.single_position_items()
+    for (r, ij, mat_r), (s, uv, mat_s) in itertools.product(singles, singles):
+        if sum_carries(r, s, p) and not (mat_r.is_zero() or mat_s.is_zero()):
+            report.add("carrying", f"chi({r} eps_{ij}) and chi({s} eps_{uv})",
+                       "at least one zero when r + s carries mod p", "both nonzero")
+    return report
+
+
+# --- seeded inputs: valid, one entry corrupted, corrupted across layers -------
+
+# the dense (n, d, L) shapes of the benchmark's roundtrip workload
+DENSE_SHAPES = (
+    (3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 3, 1), (4, 2, 1), (4, 2, 2),
+    (4, 2, 3), (4, 3, 1), (5, 2, 2), (5, 3, 1),
+)
+
+
+def random_scalar(p, rng):
+    return coerce_scalar(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) if p == 0
+                         else rng.randrange(p), p)
+
+
+def with_entry(mat, a, b, value):
+    rows = [list(row) for row in mat.entries]
+    rows[a][b] = value
+    return SquareMatrix(rows)
+
+
+def corrupted_layers(data, rng, across):
+    """data with one image entry redrawn, or (across) the transpose of an
+    image copied into another layer at a random pair."""
+    layers = [dict(layer) for layer in data.layers]
+    pairs = variable_pairs(data.n)
+    present = [(l, ij) for l, layer in enumerate(layers) for ij in layer]
+    if across:
+        l, ij = rng.choice(present)
+        target = (l + 1) % len(layers) if len(layers) > 1 else 1
+        if target == len(layers):
+            layers.append({})
+        layers[target][rng.choice(pairs)] = layers[l][ij].transpose()
+    else:
+        l, ij = rng.choice(present) if rng.random() < 0.7 else (rng.randrange(len(layers)),
+                                                                 rng.choice(pairs))
+        mat = data.image(l, *ij)
+        a, b = rng.randrange(data.d), rng.randrange(data.d)
+        layers[l][ij] = with_entry(mat, a, b, mat.entries[a][b] + random_scalar(data.p, rng) + 1)
+    return LieLayerData(data.n, data.p, data.d, layers)
+
+
+def corrupted_rep(rep, rng, how):
+    """rep with one chi entry redrawn ("entry"), the transpose of a layer-0
+    image placed at chi(p eps_ij) ("across"), or a layer-0 image copied to
+    chi(r eps_ij) with r + r carrying mod p ("carrying")."""
+    chi = rep.chi
+    support = dict(chi.support)
+    if how == "entry":
+        M = rng.choice(sorted(support, key=ExponentMatrix.sort_key))
+        mat = support[M]
+        a, b = rng.randrange(chi.d), rng.randrange(chi.d)
+        support[M] = with_entry(mat, a, b, mat.entries[a][b] + 1 + rng.randrange(chi.p - 1))
+    else:
+        images = [mat for l, _, mat in _chi_power_items(chi) if l == 0]
+        if not images:
+            return None
+        i, j = rng.choice(variable_pairs(chi.n))
+        image = rng.choice(images)
+        if how == "across":
+            support[ExponentMatrix.epsilon(chi.n, i, j, chi.p)] = image.transpose()
+        else:
+            r = rng.randrange((chi.p + 1) // 2, chi.p)
+            support[ExponentMatrix.epsilon(chi.n, i, j, r)] = image
+    return Representation(ChiTable(chi.n, chi.p, chi.d, support))
+
+
+def outcome(check, arg):
+    try:
+        return check(arg).findings
+    except HypothesisError as exc:
+        return ("HypothesisError", str(exc))
+
+
+def test_checks_match_the_squarematrix_bodies():
+    compared = with_findings = 0
+    for (n, d, L), p, seed in itertools.product(DENSE_SHAPES, (0, 5, 11, 13), range(3)):
+        rng = random.Random(seed * 1000 + p)
+        data = random_layer_data(n, d, p, L, seed).trimmed()
+        datas = [data, corrupted_layers(data, rng, False), corrupted_layers(data, rng, True)]
+        for candidate in datas:
+            got = candidate.validate().findings
+            assert got == reference_validate(candidate).findings, (n, d, L, p, seed)
+            compared += 1
+            with_findings += bool(got)
+        if p == 0:
+            continue
+        rep = construct_from_layers(data)
+        reps = [rep] + [corrupted_rep(rep, rng, how) for how in ("entry", "across", "carrying")]
+        for candidate in filter(None, reps):
+            for check, reference in ((verify_chi_relations, reference_chi_relations),
+                                     (audit_structure_lemmas, reference_audits)):
+                got = outcome(check, candidate)
+                assert got == outcome(reference, candidate), (check.__name__, n, d, L, p, seed)
+                compared += 1
+                with_findings += bool(got)
+    assert compared > 1000 and with_findings > compared // 3
+
+
+# --- each finding kind, pinned ------------------------------------------------
+
+E12 = [[0, 1], [0, 0]]
+E21 = [[0, 0], [1, 0]]
+IDEMPOTENT = [[1, 0], [0, 0]]
+I2 = [[1, 0], [0, 1]]
+
+
+def finding(check, location, expected, actual):
+    return {"check": check, "location": location, "expected": expected, "actual": actual}
+
+
+def layer_data(n, p, layers):
+    return LieLayerData(n, p, 2, [{ij: scalar_matrix(rows, p) for ij, rows in layer.items()}
+                                  for layer in layers])
+
+
+def chi_rep(n, p, entries, d=2):
+    """Representation from {((i, j, mult), ...): rows}; () is chi(0)."""
+    support = {}
+    for key, rows in entries.items():
+        M = ExponentMatrix.zero(n)
+        for i, j, mult in key:
+            M = M + ExponentMatrix.epsilon(n, i, j, mult)
+        support[M] = scalar_matrix(rows, p)
+    return Representation(ChiTable(n, p, d, support))
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_layer_nilpotency_finding(p):
+    data = layer_data(2, p, [{(1, 2): IDEMPOTENT}])
+    assert data.validate().findings == [
+        finding("layer-nilpotency", "layer 0, eps_12", "nilpotent image", "not nilpotent")]
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_layer_homomorphism_finding(p):
+    # [E12, E21] = diag(1, -1), but eps_13 goes to 0
+    data = layer_data(3, p, [{(1, 2): E12, (2, 3): E21}])
+    assert data.validate().findings == [
+        finding("layer-homomorphism", "layer 0, [(1, 2), (2, 3)]",
+                "bracket-compatible", "bracket mismatch")]
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_cross_layer_commutation_finding(p):
+    data = layer_data(2, p, [{(1, 2): E12}, {(1, 2): E21}])
+    assert data.validate().findings == [
+        finding("cross-layer-commutation", "layers 0/1, eps_(1, 2) vs eps_(1, 2)",
+                "commuting images", "nonzero commutator")]
+
+
+def test_chi_nilpotency_finding():
+    rep = chi_rep(2, 11, {(): I2, ((1, 2, 1),): IDEMPOTENT})
+    assert verify_chi_relations(rep).findings == [
+        finding("chi-nilpotency", "chi(p^0 eps_12)", "nilpotent", "not nilpotent")]
+
+
+def test_chi_bracket_finding_against_zero():
+    rep = chi_rep(3, 11, {(): I2, ((1, 2, 1),): E12, ((2, 3, 1),): E21})
+    assert verify_chi_relations(rep).findings == [
+        finding("chi-bracket", "[chi(p^0 eps_(2, 3)), chi(p^0 eps_(1, 2))]",
+                "[0, 0; 0, 0]", "[10, 0; 0, 1]")]
+
+
+def test_chi_bracket_finding_against_a_negated_image():
+    # the keys sort eps_23 < eps_13 < eps_12, so the pair is (eps_23, eps_12),
+    # whose bracket is -eps_13: expected -chi(eps_13) = -2 E13, actual -E13
+    def unit(i, j, c=1):
+        return [[c * ((a, b) == (i, j)) for b in range(1, 4)] for a in range(1, 4)]
+
+    identity = [[int(a == b) for b in range(3)] for a in range(3)]
+    rep = chi_rep(3, 11, {(): identity, ((1, 2, 1),): unit(1, 2), ((2, 3, 1),): unit(2, 3),
+                          ((1, 3, 1),): unit(1, 3, 2)}, d=3)
+    assert verify_chi_relations(rep).findings == [
+        finding("chi-bracket", "[chi(p^0 eps_(2, 3)), chi(p^0 eps_(1, 2))]",
+                "[0, 0, 9; 0, 0, 0; 0, 0, 0]", "[0, 0, 10; 0, 0, 0; 0, 0, 0]")]
+
+
+def test_factorization_finding():
+    # chi(eps_23) is absent, so the product for eps_12 + eps_23 is zero
+    rep = chi_rep(3, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 1), (2, 3, 1)): E12})
+    assert audit_structure_lemmas(rep).findings == [
+        finding("factorization", "chi(x12*x23)",
+                "product of chi(m_ij eps_ij), rows reversed", "mismatch")]
+
+
+def test_gamma_formula_mismatch_finding():
+    rep = chi_rep(2, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 2),): E12})
+    assert audit_structure_lemmas(rep).findings == [
+        finding("gamma-formula", "chi(2 eps_12)",
+                "Gamma(r)^-1 prod chi(p^t eps_ij)^{r_t}", "mismatch")]
+
+
+def test_gamma_formula_commuting_finding():
+    rep = chi_rep(2, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 5),): E21})
+    assert audit_structure_lemmas(rep).findings == [
+        finding("gamma-formula", "chi(p^0 eps_12) vs chi(p^1 eps_12)",
+                "commuting factors", "nonzero commutator")]
+
+
+def test_gamma_formula_nilpotency_finding():
+    rep = chi_rep(2, 5, {(): I2, ((1, 2, 1),): IDEMPOTENT})
+    assert audit_structure_lemmas(rep).findings == [
+        finding("gamma-formula", "chi(p^0 eps_12)", "nilpotent of order <= p", "not nilpotent")]
+
+
+def test_carrying_finding():
+    # 3 + 3 carries mod 5; chi(3 eps_12) also breaks the Gamma formula
+    rep = chi_rep(2, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 3),): E12})
+    assert audit_structure_lemmas(rep).findings == [
+        finding("gamma-formula", "chi(3 eps_12)",
+                "Gamma(r)^-1 prod chi(p^t eps_ij)^{r_t}", "mismatch"),
+        finding("carrying", "chi(3 eps_(1, 2)) and chi(3 eps_(1, 2))",
+                "at least one zero when r + s carries mod p", "both nonzero")]
+
+
+def test_pinned_cases_match_the_oracle():
+    cases = [
+        chi_rep(3, 11, {(): I2, ((1, 2, 1),): E12, ((2, 3, 1),): E21}),
+        chi_rep(3, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 1), (2, 3, 1)): E12}),
+        chi_rep(2, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 5),): E21}),
+        chi_rep(2, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 3),): E12}),
+        chi_rep(2, 5, {((1, 2, 1),): E12}),  # chi(0) absent
+    ]
+    for rep in cases:
+        assert verify_chi_relations(rep).findings == reference_chi_relations(rep).findings
+        assert audit_structure_lemmas(rep).findings == reference_audits(rep).findings
+
+
+# --- the field of every entry is checked where the rows are read --------------
+
+def with_chi(support, n, p, d=2):
+    """A Representation over ``support`` as given; Representation(chi) would
+    refuse residues mod another prime while it assembles the polynomials."""
+    rep = Representation.__new__(Representation)
+    rep.chi = ChiTable(n, p, d, support)
+    return rep
+
+
+def test_validate_refuses_images_mod_another_prime():
+    all_mod_q = layer_data(3, 11, [{(1, 2): E12, (2, 3): E21}])
+    mixed = LieLayerData(3, 7, 2, [{(1, 2): scalar_matrix(E12, 7),
+                                    (2, 3): scalar_matrix(E21, 11)}])
+    for data in (LieLayerData(3, 7, 2, all_mod_q.layers), mixed):
+        with pytest.raises(ModulusMismatchError):
+            data.validate()
+    with pytest.raises(ModulusMismatchError):  # residues where p = 0 means Q
+        LieLayerData(2, 0, 2, [{(1, 2): scalar_matrix(E12, 7)}]).validate()
+    with pytest.raises(ModulusMismatchError):  # and rationals where p = 7
+        LieLayerData(2, 7, 2, [{(1, 2): scalar_matrix(E12, 0)}]).validate()
+
+
+@pytest.mark.parametrize("check", [verify_chi_relations, audit_structure_lemmas])
+def test_chi_checks_refuse_entries_mod_another_prime(check):
+    n, p, q = 2, 7, 11
+    zero, eps = ExponentMatrix.zero(n), ExponentMatrix.epsilon(n, 1, 2)
+    all_mod_q = {zero: scalar_matrix(I2, q), eps: scalar_matrix(E12, q)}
+    mixed = {zero: scalar_matrix(I2, p), eps: scalar_matrix(E12, q)}
+    for support in (all_mod_q, mixed):
+        with pytest.raises(ModulusMismatchError):
+            check(with_chi(support, n, p))
+    # rationals in a mod-p table assemble, but are not read as residues
+    rationals = Representation(ChiTable(n, p, 2, {zero: scalar_matrix(I2, 0),
+                                                   eps: scalar_matrix(E12, 0)}))
+    with pytest.raises(ModulusMismatchError):
+        check(rationals)
+

@@ -4,7 +4,8 @@ The tracer is loaded from its file, unchanged, and installed on a freshly
 imported set of unirep modules, as the benchmark's traced run does.  If a
 hook it needs is gone (``ExponentMatrix.__post_init__``,
 ``Residue.__post_init__``, the Polynomial/TensorElement operators, a list
-from ``enumerate_splittings``), installing raises or a counter stays at 0.
+from ``enumerate_splittings``, ``LieLayerData.validate``, the chi checks in
+``reps.__all__``), installing raises or a counter stays at 0.
 """
 
 import importlib.util
@@ -53,6 +54,10 @@ def test_tracer_counts_and_uninstalls():
             delta = u.hopf.coproduct(f)
             assert grid[0][0] == delta
             assert u.hopf.coproduct(f * f + f) == delta * delta + delta
+            data = u.samples.random_layer_data(3, 2, 7, 2, seed=0)
+            assert data.validate().ok
+            rep = u.reps.construct_from_layers(data, validate=False)
+            assert u.reps.verify_chi_relations(rep).ok and u.reps.audit_structure_lemmas(rep).ok
         finally:
             tracer.uninstall()
         metrics = tracer.metrics()
@@ -60,6 +65,7 @@ def test_tracer_counts_and_uninstalls():
                     "hopf.poly_mul_calls"):
             assert metrics[key][0] > 0, key
         assert metrics["hopf.coproduct_s"][0] > 0 and metrics["splittings.split_coproduct_s"][0] > 0
+        assert metrics["reps.validate_calls"][0] > 0 and metrics["reps.audit_s"][0] > 0
         after = bindings(u)
         assert after.keys() == before.keys()
         assert all(after[k] is before[k] for k in before)
