@@ -52,10 +52,6 @@ class SquareMatrix:
         self.entries = entries
 
     @classmethod
-    def from_rows(cls, rows):
-        return cls(rows)
-
-    @classmethod
     def identity(cls, d, one):
         zero = one - one
         return cls([[one if i == j else zero for j in range(d)] for i in range(d)])
@@ -74,10 +70,10 @@ class SquareMatrix:
 
     def _zip(self, other, op):
         self._check(other)
-        p = _common_modulus(self, other)
-        if p:
-            rows = zip(_values(self), _values(other))
-            return _residues([list(map(op, ra, rb)) for ra, rb in rows], p)
+        ints = _int_rows(self, other)
+        if ints:
+            p, a, b = ints
+            return _residues([list(map(op, ra, rb)) for ra, rb in zip(a, b)], p)
         rows = zip(self.entries, other.entries)
         return SquareMatrix([list(map(op, ra, rb)) for ra, rb in rows])
 
@@ -88,33 +84,37 @@ class SquareMatrix:
         return self._zip(other, sub)
 
     def __neg__(self):
-        p = _common_modulus(self)
-        if p:
-            return _residues([[-a for a in row] for row in _values(self)], p)
+        ints = _int_rows(self)
+        if ints:
+            p, a = ints
+            return _residues([[-x for x in row] for row in a], p)
         return SquareMatrix([[-a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
         self._check(other)
-        p = _common_modulus(self, other)
-        if p:
-            return _residues(_matmul(_values(self), _values(other), p), p)
+        ints = _int_rows(self, other)
+        if ints:
+            p, a, b = ints
+            return _residues(_matmul(a, b, p), p)
         return SquareMatrix(_matmul(self.entries, other.entries))
 
     __mul__ = __matmul__
 
     def scale(self, c):
-        p = _common_modulus(self)
-        v = _scalar_value(c, p) if p else None
+        ints = _int_rows(self)
+        v = _scalar_value(c, ints[0]) if ints else None
         if v is not None:
-            return _residues([[a * v for a in row] for row in _values(self)], p)
+            p, a = ints
+            return _residues([[x * v for x in row] for row in a], p)
         return SquareMatrix([[a * c for a in row] for row in self.entries])
 
     def __truediv__(self, k):
-        p = _common_modulus(self)
-        if p and _scalar_value(k, p) is not None:
+        ints = _int_rows(self)
+        if ints and _scalar_value(k, ints[0]) is not None:
+            p, a = ints
             # dividing a Residue by k raises ConversionError when p | k
             inverse = (Residue(1, p) / k).value
-            return _residues([[a * inverse for a in row] for row in _values(self)], p)
+            return _residues([[x * inverse for x in row] for row in a], p)
         return SquareMatrix([[a / k for a in row] for row in self.entries])
 
     def map_entries(self, fn):
@@ -194,18 +194,26 @@ def _is_nilpotent(a, cap, p=None):
     return False
 
 
-def _common_modulus(*matrices):
-    """p when every entry of the matrices is a Residue mod p, else None."""
+def _int_rows(*matrices):
+    """[p, the int rows of each matrix] when every entry of the matrices is a
+    Residue mod one p, else None.  On None the caller takes the entries' own
+    arithmetic, where mixed moduli raise ModulusMismatchError."""
     first = matrices[0].entries[0][0] if matrices[0].size else None
     if type(first) is not Residue:
         return None
     p = first.p
+    out = [p]
     for m in matrices:
+        rows = []
         for row in m.entries:
+            ints = []
             for a in row:
                 if type(a) is not Residue or a.p != p:
                     return None
-    return p
+                ints.append(a.value)
+            rows.append(ints)
+        out.append(rows)
+    return out
 
 
 def _scalar_value(c, p):
@@ -214,10 +222,6 @@ def _scalar_value(c, p):
     if type(c) is Residue:
         return c.value if c.p == p else None
     return c if isinstance(c, int) else None
-
-
-def _values(m):
-    return [[a.value for a in row] for row in m.entries]
 
 
 def _residues(rows, p):

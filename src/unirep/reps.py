@@ -348,16 +348,17 @@ def _point_matrix(n, p, point):
 
 # U_3(F_5) has 125^2 = 15625 pairs and checks in 0.23-0.36 s at d = 3 on a
 # 2.1 GHz Xeon, so the bound is some 20 s of work; U_4(F_5) has 5^12 pairs.
+# It caps the N of sampled:N as well.
 MAX_EXHAUSTIVE_PAIRS = 10**6
 
 
 def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=None, seed=0) -> Report:
     """Check Phi(g) Phi(h) = Phi(gh) and Phi(1) = Id at group points of U_n(F_p).
 
-    mode 'exhaustive' iterates every ordered pair of group elements, and
+    mode 'exhaustive' iterates every ordered pair of group elements; mode
+    'sampled' draws ``count`` seeded pairs, 100 when count is None.  Either
     refuses with CostBoundError before evaluating anything when there are more
-    than MAX_EXHAUSTIVE_PAIRS; mode 'sampled' draws ``count`` seeded pairs,
-    100 when count is None.
+    than MAX_EXHAUSTIVE_PAIRS pairs.
     """
     report = Report()
     chi = rep.chi
@@ -370,6 +371,8 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
             f"exhaustive check of U_{n}(F_{p}) needs {p}^{2 * len(pairs)} pairs, "
             f"over the bound of {MAX_EXHAUSTIVE_PAIRS}; use sampled:N"
         )
+    if mode == "sampled" and count is not None and count > MAX_EXHAUSTIVE_PAIRS:
+        raise CostBoundError(f"sampled check of {count} pairs is over the bound of {MAX_EXHAUSTIVE_PAIRS}")
 
     def phi_at(point):
         return [
@@ -391,13 +394,13 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
             count = 100
         elif count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        sampled_pairs = [
+        sampled_pairs = (  # drawn one pair at a time, as they are checked
             (
                 {ij: rng.randrange(p) for ij in pairs},
                 {ij: rng.randrange(p) for ij in pairs},
             )
             for _ in range(count)
-        ]
+        )
         all_points = None
     else:
         raise HypothesisError(f"unknown pointwise mode {mode!r}")

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from unirep import bch, reps
+from unirep.bch import MAX_BCH_DEGREE
 from unirep.cli import main
 from unirep.io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
-from unirep.reps import construct_from_layers
+from unirep.reps import MAX_EXHAUSTIVE_PAIRS, construct_from_layers
 from unirep.samples import random_layer_data
 
 
@@ -161,6 +163,49 @@ class TestLayerCountBound:
     def test_largest_layer_count_parses(self):
         header = {"format": "layers", "version": 1, "n": 3, "p": 7, "d": 2, "layers": MAX_LAYERS}
         assert len(parse_layer_file(json.dumps(header) + "\n").layers) == MAX_LAYERS
+
+
+class TestCostBounds:
+    """Sampled pairs and the BCH degree are refused past their bounds, with
+    exit 2 and one error line, before any pair is drawn or term built."""
+
+    @pytest.fixture
+    def rep_path(self, layer_file, tmp_path):
+        path = tmp_path / "rep.txt"
+        path.write_text(write_rep_file(construct_from_layers(layer_file[1])))
+        return str(path)
+
+    @staticmethod
+    def assert_refused(argv, capsys, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("count", [MAX_EXHAUSTIVE_PAIRS + 1, 50000000])
+    def test_sampled_pairs_over_the_bound_refused(self, count, rep_path, capsys):
+        self.assert_refused(["verify", rep_path, "--pointwise", f"sampled:{count}"], capsys,
+                            f"sampled check of {count} pairs is over the bound of {MAX_EXHAUSTIVE_PAIRS}")
+
+    def test_sampled_pairs_at_the_bound_pass(self, rep_path, capsys, monkeypatch):
+        monkeypatch.setattr(reps, "MAX_EXHAUSTIVE_PAIRS", 30)
+        assert main(["verify", rep_path, "--pointwise", "sampled:30"]) == 0
+        assert capsys.readouterr().err == ""
+        self.assert_refused(["verify", rep_path, "--pointwise", "sampled:31"], capsys,
+                            "sampled check of 31 pairs is over the bound of 30")
+
+    @pytest.mark.parametrize("m", [MAX_BCH_DEGREE + 1, 1000])
+    def test_bch_degree_over_the_bound_refused(self, m, capsys):
+        self.assert_refused(["bch", "--max-degree", str(m)], capsys,
+                            f"series to degree {m} is over the bound of {MAX_BCH_DEGREE}")
+
+    def test_bch_degree_at_the_bound_passes(self, capsys, monkeypatch):
+        assert MAX_BCH_DEGREE >= 14  # the README's timing table goes to 14
+        monkeypatch.setattr(bch, "MAX_BCH_DEGREE", 5)
+        monkeypatch.setattr(bch, "_component_cache", {})
+        assert main(["bch", "--max-degree", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        self.assert_refused(["bch", "--max-degree", "6"], capsys, "series to degree 6 is over the bound of 5")
 
 
 class TestOtherCommands:

@@ -364,3 +364,81 @@ class TestKeys:
     def test_negative_scale_still_checked(self):
         with pytest.raises(ShapeError):
             ExponentMatrix.epsilon(3, 1, 2).scale(-1)
+
+
+class TestSharedTermAlgebra:
+    """Polynomial and TensorElement share one term algebra; the strings, the
+    key layouts and the type boundary between them are pinned here."""
+
+    @pytest.mark.parametrize("p, poly, tensor", [
+        (0, "7/2 + 1*x13*x23^2 + 4*x12",
+         "-2/3*(1)(x)(1) + -2*(1)(x)(x23^2) + 1*(1)(x)(x13) + 1*(x13)(x)(1) + 1/3*(x12)(x)(1)"
+         " + 1*(x12)(x)(x23) + 1*(x12)(x)(x23^2)"),
+        (5, "1 + 1*x13*x23^2 + 4*x12",
+         "1*(1)(x)(1) + 3*(1)(x)(x23^2) + 1*(1)(x)(x13) + 1*(x13)(x)(1) + 2*(x12)(x)(1)"
+         " + 1*(x12)(x)(x23) + 1*(x12)(x)(x23^2)"),
+    ])
+    def test_golden_strings(self, p, poly, tensor):
+        f = 4 * x(3, p, 1, 2) + x(3, p, 1, 3) * x(3, p, 2, 3) ** 2 + Fraction(7, 2)
+        t = tensor_of(x(3, p, 1, 2) - 2, x(3, p, 2, 3) ** 2 + Fraction(1, 3)) + coproduct(x(3, p, 1, 3))
+        assert str(f) == repr(f) == poly
+        assert str(t) == repr(t) == tensor
+        assert str(Polynomial.zero(3, p)) == str(TensorElement.zero(3, p)) == "0"
+
+    def test_types_do_not_mix(self):
+        f = x(3, 5, 1, 2) + 1
+        t = coproduct(f)
+        for combine in (lambda: f * t, lambda: t * f, lambda: t + 1, lambda: t - 1,
+                        lambda: t + f, lambda: f + t, lambda: f - t):
+            with pytest.raises(ShapeError):
+                combine()
+        assert f != t and t != f
+        assert not isinstance(t, Polynomial) and not isinstance(f, TensorElement)
+
+    @pytest.mark.parametrize("other", [coproduct(x(4, 5, 1, 2)), coproduct(x(3, 7, 1, 2)),
+                                       coproduct(x(3, 0, 1, 2))])
+    def test_tensors_from_different_rings_do_not_mix(self, other):
+        t = coproduct(x(3, 5, 1, 2))
+        for combine in (lambda: t + other, lambda: t - other, lambda: t * other, lambda: other * t):
+            with pytest.raises(ShapeError):
+                combine()
+        assert t != other
+
+    @pytest.mark.parametrize("key", [
+        "junk",
+        ExponentMatrix.zero(3),
+        (ExponentMatrix.zero(3),),
+        (ExponentMatrix.zero(3), ExponentMatrix.zero(3), ExponentMatrix.zero(3)),
+        (ExponentMatrix.zero(3), ExponentMatrix.zero(2)),
+        (ExponentMatrix.epsilon(4, 1, 2), ExponentMatrix.zero(3)),
+    ])
+    def test_tensor_constructor_refuses_bad_keys(self, key):
+        with pytest.raises(ShapeError):
+            TensorElement(3, 5, {key: 1})
+
+    def test_tensor_constructor_accepts_pairs_and_drops_zero_terms(self):
+        z, e = ExponentMatrix.zero(3), ExponentMatrix.epsilon(3, 1, 2)
+        t = TensorElement(3, 5, {(z, e): 6, (e, z): 5})
+        assert t.terms == {(z, e): Residue(1, 5)}
+        assert t.coefficient(z, e) == Residue(1, 5) and t.coefficient(e, z) == Residue(0, 5)
+
+    def test_polynomial_constructor_refuses_bad_keys(self):
+        for key in (ExponentMatrix.zero(2), (ExponentMatrix.zero(3), ExponentMatrix.zero(3)), "junk"):
+            with pytest.raises(ShapeError):
+                Polynomial(3, 5, {key: 1})
+
+    def test_shared_operations_agree_on_both_layouts(self):
+        # a polynomial f and the tensor f (x) 1 have the same arithmetic
+        p = 7
+        one = Polynomial.one(3, p)
+        f = x(3, p, 1, 2) + 2 * x(3, p, 2, 3) + 3
+        g = x(3, p, 1, 3) - 1
+        for lhs, rhs in ((f * g, tensor_of(f, one) * tensor_of(g, one)),
+                         (f + g, tensor_of(f, one) + tensor_of(g, one)),
+                         (f - g, tensor_of(f, one) - tensor_of(g, one)),
+                         (-f, -tensor_of(f, one)),
+                         (f * 3, 3 * tensor_of(f, one)),
+                         (f ** 9, tensor_of(f, one) ** 9)):
+            assert tensor_of(lhs, one) == rhs
+        assert not TensorElement.zero(3, p) and tensor_of(f, one)
+        assert TensorElement.one(3, p) == tensor_of(one, one)

@@ -66,6 +66,9 @@ def test_tracer_counts_and_uninstalls():
             assert metrics[key][0] > 0, key
         assert metrics["hopf.coproduct_s"][0] > 0 and metrics["splittings.split_coproduct_s"][0] > 0
         assert metrics["reps.validate_calls"][0] > 0 and metrics["reps.audit_s"][0] > 0
+        # Polynomial and TensorElement share one body but are wrapped apart
+        recorded = {tracer.names[i] for i in tracer.span_name}
+        assert {"hopf.poly_mul", "hopf.tensor_mul", "hopf.poly_add", "hopf.tensor_add"} <= recorded
         after = bindings(u)
         assert after.keys() == before.keys()
         assert all(after[k] is before[k] for k in before)
