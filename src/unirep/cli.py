@@ -19,9 +19,9 @@ import sys
 
 from .arith import check_field
 from .bch import bch_components, dynkin_projection
-from .errors import UnirepError
+from .errors import CostBoundError, UnirepError
 from .hopf import ExponentMatrix
-from .io import parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
+from .io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
 from .reps import (
     audit_structure_lemmas,
     construct_from_layers,
@@ -31,7 +31,7 @@ from .reps import (
     verify_group_law_pointwise,
 )
 from .samples import random_layer_data
-from .splittings import brute_solve_yz, occurrence_report, solve_yz
+from .splittings import MAX_AUDIT_N, MAX_AUDIT_PAIRS, brute_solve_yz, occurrence_report, solve_yz
 
 __all__ = ["main"]
 
@@ -110,6 +110,8 @@ def cmd_decompose(args):
 
 def cmd_roundtrip(args):
     check_field(args.n, args.p, args.d)
+    if args.layers > MAX_LAYERS:
+        raise CostBoundError(f"{args.layers} layers is over the bound of {MAX_LAYERS}")
     data = random_layer_data(args.n, args.d, args.p, args.layers, args.seed).trimmed()
     rep = construct_from_layers(data)
     recovered = decompose_to_layers(rep)
@@ -154,6 +156,12 @@ def cmd_audit_splittings(args):
     if args.n < 1 or args.bound < 0:
         raise UnirepError(f"audit-splittings needs --n >= 1 and --bound >= 0, "
                           f"got --n {args.n} --bound {args.bound}")
+    if args.n > MAX_AUDIT_N:
+        raise CostBoundError(f"audit-splittings --n {args.n} is over the bound of {MAX_AUDIT_N}")
+    size = args.n * (args.n - 1) // 2
+    if (args.bound + 1) ** size > MAX_AUDIT_PAIRS:
+        raise CostBoundError(f"audit-splittings needs {args.bound + 1}^{size} (Y, Z) pairs, "
+                             f"over the bound of {MAX_AUDIT_PAIRS}")
     findings = list(occurrence_report(args.n))
     for y, z in _yz_pairs(args.n, args.bound):
         solutions = brute_solve_yz(y, z, bound=args.bound + 1)

@@ -247,21 +247,28 @@ def nilpotency_index(m: SquareMatrix, cap: int) -> int:
     raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
 
 
-def _series_index(x: SquareMatrix, char_bound) -> int:
-    """Nilpotency index of x, enforcing index <= char_bound when bounded.
+def _powers(x: SquareMatrix, char_bound):
+    """x, x^2, ... up to the last nonzero power, each formed once.
 
-    Over a domain a nilpotent d x d matrix has index <= d, so the search is
-    capped at min(char_bound, d).
+    Over a domain a nilpotent d x d matrix has index <= d, so the walk is
+    capped at min(char_bound, d).  A nonzero power at the cap raises before it
+    is yielded, so no series term with a denominator divisible by the
+    characteristic is ever formed.
     """
     cap = x.size if char_bound is None else min(char_bound, x.size)
-    try:
-        return nilpotency_index(x, cap)
-    except NotNilpotentError:
-        if char_bound is not None and char_bound < x.size:
-            raise SeriesTerminationError(
-                f"nilpotency index exceeds the characteristic bound {char_bound}"
-            ) from None
-        raise
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    power = x
+    for k in range(1, cap + 1):
+        if power.is_zero():
+            return
+        if k == cap:
+            break
+        yield power
+        power = power @ x
+    if char_bound is not None and char_bound < x.size:
+        raise SeriesTerminationError(f"nilpotency index exceeds the characteristic bound {char_bound}")
+    raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
 
 
 def exp_nilpotent(x: SquareMatrix, char_bound=None) -> SquareMatrix:
@@ -270,12 +277,9 @@ def exp_nilpotent(x: SquareMatrix, char_bound=None) -> SquareMatrix:
     char_bound is p in characteristic p (the series must terminate before any
     denominator divisible by p) and None over the rationals.
     """
-    index = _series_index(x, char_bound)
     result = x.identity_like()
-    power = x.identity_like()
     kfact = 1
-    for k in range(1, index):
-        power = power @ x
+    for k, power in enumerate(_powers(x, char_bound), start=1):
         kfact *= k
         result = result + power / kfact
     return result
@@ -284,11 +288,8 @@ def exp_nilpotent(x: SquareMatrix, char_bound=None) -> SquareMatrix:
 def log_unipotent(g: SquareMatrix, char_bound=None) -> SquareMatrix:
     """Truncated alternating series sum ((-1)^(k-1)/k) (g-1)^k."""
     u = g - g.identity_like()
-    index = _series_index(u, char_bound)
     result = u.zero_like()
-    power = g.identity_like()
-    for k in range(1, index):
-        power = power @ u
+    for k, power in enumerate(_powers(u, char_bound), start=1):
         term = power / k
         result = result + (term if k % 2 == 1 else -term)
     return result

@@ -12,9 +12,12 @@ maps with nilpotent images assembles into the representation
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
+from operator import mul
 
 from .arith import coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError
@@ -339,16 +342,10 @@ def verify_comodule(rep: Representation, use_splitting=False) -> Report:
     return report
 
 
-def _point_matrix(n, p, point):
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for (i, j), v in point.items():
-        rows[i - 1][j - 1] = v % p
-    return rows
-
-
 # U_3(F_5) has 125^2 = 15625 pairs and checks in 0.23-0.36 s at d = 3 on a
 # 2.1 GHz Xeon, so the bound is some 20 s of work; U_4(F_5) has 5^12 pairs.
-# It caps the N of sampled:N as well.
+# It caps the N of sampled:N as well, and Phi is kept per point only when the
+# group is small enough for the exhaustive check.
 MAX_EXHAUSTIVE_PAIRS = 10**6
 
 
@@ -358,7 +355,8 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
     mode 'exhaustive' iterates every ordered pair of group elements; mode
     'sampled' draws ``count`` seeded pairs, 100 when count is None.  Either
     refuses with CostBoundError before evaluating anything when there are more
-    than MAX_EXHAUSTIVE_PAIRS pairs.
+    than MAX_EXHAUSTIVE_PAIRS pairs.  A point is the flat tuple of its entries
+    above the diagonal, and Phi(g) = sum_M g^M chi(M) mod p.
     """
     report = Report()
     chi = rep.chi
@@ -366,71 +364,54 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
     if p == 0:
         raise HypothesisError("pointwise verification needs a positive characteristic")
     pairs = variable_pairs(n)
-    if mode == "exhaustive" and p ** (2 * len(pairs)) > MAX_EXHAUSTIVE_PAIRS:
-        raise CostBoundError(
-            f"exhaustive check of U_{n}(F_{p}) needs {p}^{2 * len(pairs)} pairs, "
-            f"over the bound of {MAX_EXHAUSTIVE_PAIRS}; use sampled:N"
-        )
-    if mode == "sampled" and count is not None and count > MAX_EXHAUSTIVE_PAIRS:
-        raise CostBoundError(f"sampled check of {count} pairs is over the bound of {MAX_EXHAUSTIVE_PAIRS}")
-
-    def phi_at(point):
-        return [
-            [rep.poly_matrix.entries[a][b].evaluate_mod(point) for b in range(d)]
-            for a in range(d)
-        ]
-
-    identity_point = {ij: 0 for ij in pairs}
-    ident = [[1 if a == b else 0 for b in range(d)] for a in range(d)]
-    if phi_at(identity_point) != ident:
-        report.add("group-law", "Phi(1)", "identity", tuple(map(tuple, phi_at(identity_point))))
-
+    small = p ** (2 * len(pairs)) <= MAX_EXHAUSTIVE_PAIRS
     if mode == "exhaustive":
-        all_points = [dict(zip(pairs, vals)) for vals in itertools.product(range(p), repeat=len(pairs))]
-        sampled_pairs = None
+        if not small:
+            raise CostBoundError(
+                f"exhaustive check of U_{n}(F_{p}) needs {p}^{2 * len(pairs)} pairs, "
+                f"over the bound of {MAX_EXHAUSTIVE_PAIRS}; use sampled:N"
+            )
+        points = list(itertools.product(range(p), repeat=len(pairs)))
+        stream = itertools.product(points, repeat=2)
     elif mode == "sampled":
-        rng = random.Random(seed)
+        if count is not None and count > MAX_EXHAUSTIVE_PAIRS:
+            raise CostBoundError(f"sampled check of {count} pairs is over the bound of {MAX_EXHAUSTIVE_PAIRS}")
         if count is None:
             count = 100
         elif count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        sampled_pairs = (  # drawn one pair at a time, as they are checked
-            (
-                {ij: rng.randrange(p) for ij in pairs},
-                {ij: rng.randrange(p) for ij in pairs},
-            )
+        rng = random.Random(seed)
+        stream = (  # drawn one pair at a time, as they are checked
+            (tuple(rng.randrange(p) for _ in pairs), tuple(rng.randrange(p) for _ in pairs))
             for _ in range(count)
         )
-        all_points = None
     else:
         raise HypothesisError(f"unknown pointwise mode {mode!r}")
+    support = {M.flat: _field_rows(mat, p) for M, mat in chi.support.items()}
+    cells = [[rows[a][b] for rows in support.values()] for a in range(d) for b in range(d)]
+    index = {ij: k for k, ij in enumerate(pairs)}
+    inner = [[(index[i, m], index[m, j]) for m in range(i + 1, j)] for i, j in pairs]
 
-    table = {}
+    def phi(point):
+        values = [math.prod(map(pow, point, M, itertools.repeat(p))) % p for M in support]
+        flat = [sum(map(mul, values, cell)) % p for cell in cells]
+        return [flat[a * d:(a + 1) * d] for a in range(d)]
 
-    def phi_cached(point):
-        key = tuple(point[ij] for ij in pairs)
-        if key not in table:
-            table[key] = phi_at(point)
-        return table[key]
+    if small:
+        phi = functools.cache(phi)
 
-    def check_pair(g_point, h_point):
-        g = _point_matrix(n, p, g_point)
-        h = _point_matrix(n, p, h_point)
-        gh = _matmul(g, h, p)
-        gh_point = {(i, j): gh[i - 1][j - 1] for i, j in pairs}
-        lhs = _matmul(phi_cached(g_point), phi_cached(h_point), p)
-        if lhs != phi_cached(gh_point):
-            report.add("group-law", f"g={g_point}, h={h_point}",
+    def product(g, h):
+        """(gh)_ij = g_ij + h_ij + sum_{i<m<j} g_im h_mj, mod p."""
+        return tuple((g[k] + h[k] + sum(g[a] * h[b] for a, b in terms)) % p
+                     for k, terms in enumerate(inner))
+
+    identity = phi((0,) * len(pairs))
+    if identity != [[int(a == b) for b in range(d)] for a in range(d)]:
+        report.add("group-law", "Phi(1)", "identity", tuple(map(tuple, identity)))
+    for g, h in stream:
+        if _matmul(phi(g), phi(h), p) != phi(product(g, h)):
+            report.add("group-law", f"g={dict(zip(pairs, g))}, h={dict(zip(pairs, h))}",
                        "Phi(g)Phi(h) = Phi(gh)", "mismatch")
-
-    if all_points is not None:
-        for g_point in all_points:
-            phi_cached(g_point)
-        for g_point, h_point in itertools.product(all_points, repeat=2):
-            check_pair(g_point, h_point)
-    else:
-        for g_point, h_point in sampled_pairs:
-            check_pair(g_point, h_point)
     return report
 
 
@@ -500,26 +481,11 @@ def decompose_to_layers(rep: Representation, check=True) -> LieLayerData:
         report = verify_comodule(rep)
         if not report.ok:
             raise UnirepError(f"input fails the comodule axioms: {report.findings}")
-    if p == 0:
-        max_power = 1
-    else:
-        max_power = 1
-        for M in chi.support:
-            pos = list(M.positions())
-            if len(pos) == 1:
-                _, r = pos[0]
-                digits = p_ary_digits(r, p).digits
-                max_power = max(max_power, len(digits))
     layers = []
-    for l in range(max_power):
-        scale = p**l if p else 1
-        layer = {}
-        for i, j in variable_pairs(n):
-            mat = chi.support.get(ExponentMatrix.epsilon(n, i, j, scale))
-            if mat is not None:
-                layer[(i, j)] = mat
-        layers.append(layer)
-    data = LieLayerData(n, p, d, layers).trimmed()
+    for l, ij, mat in _chi_power_items(chi):
+        layers.extend({} for _ in range(l + 1 - len(layers)))
+        layers[l][ij] = mat
+    data = LieLayerData(n, p, d, layers)
     if check:
         report = data.validate()
         if not report.ok:
@@ -528,10 +494,11 @@ def decompose_to_layers(rep: Representation, check=True) -> LieLayerData:
 
 
 def _chi_power_items(chi: ChiTable):
-    """Supported chi(p^l eps_ij), as (l, (i, j), matrix)."""
+    """Supported chi(p^l eps_ij), as (l, (i, j), matrix); at p = 0 the
+    single layer is chi(eps_ij)."""
     out = []
     for r, (i, j), mat in chi.single_position_items():
-        digits = p_ary_digits(r, chi.p).digits
+        digits = p_ary_digits(r, chi.p).digits if chi.p else (r,)
         if sum(digits) == 1:
             out.append((digits.index(1), (i, j), mat))
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .arith import coerce_scalar, matrix_multinomial
-from .errors import ShapeError
+from .errors import CostBoundError, ShapeError
 from .hopf import ExponentMatrix, TensorElement, variable_pairs
 
 __all__ = [
@@ -295,6 +295,17 @@ def solve_yz(Y: ExponentMatrix, Z: ExponentMatrix) -> Splitting:
     return Splitting(n, assignment)
 
 
+# brute_solve_yz recurses once per split variable, n(n-1)(n+4)/6 of them:
+# 800 at n = 16 (0.27 s), 952 at n = 17 and 1122 at n = 18, past the default
+# limit of 1000 frames.
+MAX_AUDIT_N = 16
+# An audit checks (bound+1)^N (Y, Z) pairs, N = n(n-1)/2.  Each pair costs
+# more as the bound grows, so the slowest accepted request is n = 2,
+# --bound 4095 (21.7 s on a 2.1 GHz Xeon); n = 4, --bound 3 takes 1.4 s,
+# n = 3, --bound 15 takes 1.0 s, and n = 6, --bound 1 (2^15 pairs) 28-33 s.
+MAX_AUDIT_PAIRS = 4096
+
+
 def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
     """Exhaustive search for all splittings with entries <= bound satisfying
     L-evaluation = Y and R-evaluation = Z.
@@ -302,11 +313,14 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
     The default bound is the largest entry of Y + Z (every variable appears in
     some L or R with coefficient 1, so larger values cannot occur).  The
     search walks the variables in lexicographic order with partial-sum
-    pruning; it enumerates the same set as the naive full product.
+    pruning; it enumerates the same set as the naive full product.  Sizes
+    above MAX_AUDIT_N are refused with CostBoundError.
     """
     n = Y.n
     if Z.n != n:
         raise ShapeError("size mismatch")
+    if n > MAX_AUDIT_N:
+        raise CostBoundError(f"splitting search at n = {n} is over the bound of {MAX_AUDIT_N}")
     if bound is None:
         bound = (Y + Z).max_entry()
     pairs = variable_pairs(n)

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from unirep import bch, reps
+from unirep import bch, cli, reps
 from unirep.bch import MAX_BCH_DEGREE
 from unirep.cli import main
 from unirep.io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
 from unirep.reps import MAX_EXHAUSTIVE_PAIRS, construct_from_layers
 from unirep.samples import random_layer_data
+from unirep.splittings import MAX_AUDIT_N, MAX_AUDIT_PAIRS
 
 
 @pytest.fixture
@@ -166,8 +167,9 @@ class TestLayerCountBound:
 
 
 class TestCostBounds:
-    """Sampled pairs and the BCH degree are refused past their bounds, with
-    exit 2 and one error line, before any pair is drawn or term built."""
+    """Sampled pairs, the BCH degree, roundtrip layers and the audit's size and
+    pairs are refused past their bounds, with exit 2 and one error line, before
+    any pair is drawn, term built or layer drawn."""
 
     @pytest.fixture
     def rep_path(self, layer_file, tmp_path):
@@ -206,6 +208,42 @@ class TestCostBounds:
         assert main(["bch", "--max-degree", "5"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
         self.assert_refused(["bch", "--max-degree", "6"], capsys, "series to degree 6 is over the bound of 5")
+
+    def test_roundtrip_layers_at_the_bound_pass(self, capsys):
+        assert main(["roundtrip", "--n", "3", "--d", "2", "--p", "11",
+                     "--layers", str(MAX_LAYERS), "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["actual"] == "exact layer recovery"
+
+    @pytest.mark.parametrize("count", [MAX_LAYERS + 1, 2000])
+    def test_roundtrip_layers_over_the_bound_refused(self, count, capsys, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a layer was drawn")
+
+        monkeypatch.setattr(cli, "random_layer_data", draw)
+        self.assert_refused(["roundtrip", "--n", "3", "--d", "2", "--p", "11", "--layers", str(count)],
+                            capsys, f"{count} layers is over the bound of {MAX_LAYERS}")
+
+    def test_audit_size_at_and_past_the_bound(self, capsys):
+        assert main(["audit-splittings", "--n", str(MAX_AUDIT_N), "--bound", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        # n = 17 has 952 split variables, n = 18 overflows the recursion limit
+        for n in (MAX_AUDIT_N + 1, 18):
+            self.assert_refused(["audit-splittings", "--n", str(n), "--bound", "0"], capsys,
+                                f"audit-splittings --n {n} is over the bound of {MAX_AUDIT_N}")
+
+    def test_audit_pairs_at_and_past_the_bound(self, capsys):
+        # the benchmark's audits stay accepted
+        assert 3**6 <= MAX_AUDIT_PAIRS and 2**10 <= MAX_AUDIT_PAIRS
+        assert 16**3 == MAX_AUDIT_PAIRS
+        assert main(["audit-splittings", "--n", "3", "--bound", "15"]) == 0
+        assert capsys.readouterr().out == ""
+        self.assert_refused(["audit-splittings", "--n", "3", "--bound", "16"], capsys,
+                            f"audit-splittings needs 17^3 (Y, Z) pairs, over the bound of {MAX_AUDIT_PAIRS}")
+        self.assert_refused(["audit-splittings", "--n", "2", "--bound", str(MAX_AUDIT_PAIRS)], capsys,
+                            f"audit-splittings needs {MAX_AUDIT_PAIRS + 1}^1 (Y, Z) pairs, "
+                            f"over the bound of {MAX_AUDIT_PAIRS}")
+        self.assert_refused(["audit-splittings", "--n", "6", "--bound", "1"], capsys,
+                            f"audit-splittings needs 2^15 (Y, Z) pairs, over the bound of {MAX_AUDIT_PAIRS}")
 
 
 class TestOtherCommands:

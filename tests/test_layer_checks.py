@@ -21,6 +21,7 @@ from unirep.reps import (
     construct_from_layers,
     lie_bracket_pairs,
     verify_chi_relations,
+    verify_group_law_pointwise,
 )
 from unirep.samples import random_layer_data
 
@@ -388,4 +389,17 @@ def test_chi_checks_refuse_entries_mod_another_prime(check):
                                                    eps: scalar_matrix(E12, 0)}))
     with pytest.raises(ModulusMismatchError):
         check(rationals)
+
+
+def test_pointwise_check_refuses_entries_outside_the_field():
+    """The pointwise check reads chi through the same row reader as the chi
+    checks, so an entry outside F_p is refused, not evaluated."""
+    n, p, q = 2, 7, 11
+    zero, eps = ExponentMatrix.zero(n), ExponentMatrix.epsilon(n, 1, 2)
+    for support in ({zero: scalar_matrix(I2, q), eps: scalar_matrix(E12, q)},
+                    {zero: scalar_matrix(I2, p), eps: scalar_matrix(E12, q)},
+                    {zero: scalar_matrix(I2, 0), eps: scalar_matrix(E12, 0)}):
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(ModulusMismatchError):
+                verify_group_law_pointwise(with_chi(support, n, p), mode=mode)
 

@@ -22,7 +22,8 @@ from unirep.linalg import (
     nilpotency_index,
     scalar_matrix,
 )
-from unirep.samples import random_strict_upper
+from unirep.reps import generic_element
+from unirep.samples import random_invertible, random_strict_upper
 
 
 class TestSquareMatrix:
@@ -98,6 +99,103 @@ class TestExpLog:
         x = random_strict_upper(5, p, rng)
         g = exp_nilpotent(x, p)
         assert all(isinstance(v, Residue) for row in g.entries for v in row)
+
+
+
+# --- the two-pass exp/log (index first, then the series), kept as the oracle ---
+
+def reference_series_index(x, char_bound):
+    cap = x.size if char_bound is None else min(char_bound, x.size)
+    try:
+        return nilpotency_index(x, cap)
+    except NotNilpotentError:
+        if char_bound is not None and char_bound < x.size:
+            raise SeriesTerminationError(
+                f"nilpotency index exceeds the characteristic bound {char_bound}") from None
+        raise
+
+
+def reference_exp(x, char_bound=None):
+    index = reference_series_index(x, char_bound)
+    result = x.identity_like()
+    power = x.identity_like()
+    kfact = 1
+    for k in range(1, index):
+        power = power @ x
+        kfact *= k
+        result = result + power / kfact
+    return result
+
+
+def reference_log(g, char_bound=None):
+    u = g - g.identity_like()
+    index = reference_series_index(u, char_bound)
+    result = u.zero_like()
+    power = g.identity_like()
+    for k in range(1, index):
+        power = power @ u
+        term = power / k
+        result = result + (term if k % 2 == 1 else -term)
+    return result
+
+
+def outcome(fn, *args):
+    """The result as its string, or the error's type and message."""
+    try:
+        return str(fn(*args))
+    except (NotNilpotentError, SeriesTerminationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def series_inputs(p, rng):
+    """Nilpotent, conjugated-nilpotent and non-nilpotent d x d matrices over
+    F_p (Q when p = 0), with char bounds that pass and fail."""
+    bounds = (None,) if p == 0 else (p, 2, 1)
+    for d in range(1, 7):
+        nilpotent = random_strict_upper(d, p, rng)
+        s, s_inv = random_invertible(d, p, rng)
+        full = (random_fraction_matrix(d, rng) if p == 0
+                else scalar_matrix([[rng.randrange(p) for _ in range(d)] for _ in range(d)], p))
+        for x in (nilpotent, s @ nilpotent @ s_inv, full):
+            for bound in bounds:
+                yield x, bound
+
+
+class TestSeriesOracle:
+    """exp/log find the nilpotency index while they sum; the two-pass series
+    stays the oracle, errors included."""
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_matrices(self, p, seed):
+        rng = random.Random(seed)
+        for x, bound in series_inputs(p, rng):
+            assert outcome(exp_nilpotent, x, bound) == outcome(reference_exp, x, bound)
+            g = x + x.identity_like()
+            assert outcome(log_unipotent, g, bound) == outcome(reference_log, g, bound)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("p", [0, 2, 3, 7])
+    def test_generic_element_log_and_its_exp(self, n, p):
+        g = generic_element(n, p)
+        bound = p or None
+        log_g = outcome(log_unipotent, g, bound)
+        assert log_g == outcome(reference_log, g, bound)
+        if isinstance(log_g, str):
+            x = log_unipotent(g, bound)
+            assert log_unipotent(g, bound) == reference_log(g, bound)
+            assert outcome(exp_nilpotent, x, bound) == outcome(reference_exp, x, bound)
+            assert exp_nilpotent(x, bound) == g
+        else:
+            assert log_g[0] is SeriesTerminationError
+
+    def test_messages(self):
+        n = scalar_matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], 3)
+        assert outcome(exp_nilpotent, n, 3) == (
+            SeriesTerminationError, "nilpotency index exceeds the characteristic bound 3")
+        one = SquareMatrix.identity(2, Fraction(1))
+        assert outcome(exp_nilpotent, one) == (NotNilpotentError, "matrix is not nilpotent within 2 powers")
+        assert outcome(exp_nilpotent, n, 0) == (ValueError, "cap must be at least 1")
 
 
 # --- the int kernel for F_p matrices against per-entry Residue arithmetic ---

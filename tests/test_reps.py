@@ -1,16 +1,19 @@
 """Representation core: extraction, construction, decomposition, audits."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from unirep.arith import Residue, coerce_scalar
+from unirep.arith import Residue, coerce_scalar, p_ary_digits
 from unirep.errors import CostBoundError, HypothesisError, UnirepError
 from unirep.hopf import ExponentMatrix, Polynomial, variable_pairs
 from unirep.linalg import SquareMatrix, scalar_matrix
 from unirep.reps import (
     MAX_EXHAUSTIVE_PAIRS,
     ChiTable,
+    Report,
     LieLayerData,
     Representation,
     check_morphism,
@@ -240,6 +243,132 @@ class TestGroupLawPointwise:
             verify_group_law_pointwise(rep, mode="exhaustive")
 
 
+
+# --- the per-entry, dict-point pointwise check, kept as the oracle ------------
+
+def reference_pointwise(rep, mode, count=None, seed=0):
+    """Findings of the group-law check it replaces: points as dicts, every
+    Phi entry evaluated term by term, gh as an n x n product, Phi cached at
+    every point."""
+    n, p, d = rep.n, rep.p, rep.d
+    pairs = variable_pairs(n)
+    report = Report()
+
+    def mul(a, b, size):
+        return [[sum(a[i][k] * b[k][j] for k in range(size)) % p for j in range(size)]
+                for i in range(size)]
+
+    def point_matrix(point):
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), v in point.items():
+            m[i - 1][j - 1] = v
+        return m
+
+    table = {}
+
+    def phi(point):
+        key = tuple(point[ij] for ij in pairs)
+        if key not in table:
+            table[key] = [[rep.poly_matrix.entries[a][b].evaluate_mod(point) for b in range(d)]
+                          for a in range(d)]
+        return table[key]
+
+    identity = phi({ij: 0 for ij in pairs})
+    if identity != [[int(a == b) for b in range(d)] for a in range(d)]:
+        report.add("group-law", "Phi(1)", "identity", tuple(map(tuple, identity)))
+    if mode == "exhaustive":
+        points = [dict(zip(pairs, vals)) for vals in itertools.product(range(p), repeat=len(pairs))]
+        draws = itertools.product(points, repeat=2)
+    else:
+        rng = random.Random(seed)
+        draws = [({ij: rng.randrange(p) for ij in pairs}, {ij: rng.randrange(p) for ij in pairs})
+                 for _ in range(100 if count is None else count)]
+    for g, h in draws:
+        gh = mul(point_matrix(g), point_matrix(h), n)
+        if mul(phi(g), phi(h), d) != phi({(i, j): gh[i - 1][j - 1] for i, j in pairs}):
+            report.add("group-law", f"g={g}, h={h}", "Phi(g)Phi(h) = Phi(gh)", "mismatch")
+    return report.findings
+
+
+def corrupted(rep, M, rows):
+    """rep with chi(M) replaced by the scalar matrix of rows."""
+    support = dict(rep.chi.support)
+    support[M] = scalar_matrix(rows, rep.p)
+    return Representation(ChiTable(rep.n, rep.p, rep.d, support))
+
+
+def pointwise_cases():
+    """(name, rep): valid and failing reps for n = 1..4, Phi(1) wrong too."""
+    e = ExponentMatrix.epsilon
+    valid5 = construct_from_layers(random_layer_data(3, 2, 5, 2, seed=3))
+    valid7 = construct_from_layers(random_layer_data(3, 3, 7, 2, seed=3))
+    missing_identity = Representation(ChiTable(3, 5, 2, {e(3, 1, 2, 2): scalar_matrix([[0, 1], [0, 0]], 5)}))
+    return [
+        ("n1", Representation(ChiTable(1, 3, 2, {ExponentMatrix.zero(1): scalar_matrix([[1, 2], [0, 1]], 3)}))),
+        ("n2", construct_from_layers(random_layer_data(2, 2, 5, 2, seed=1))),
+        ("n3-p3", construct_from_layers(random_layer_data(3, 2, 3, 1, seed=2))),
+        ("n3-p5", valid5),
+        ("n3-p7", valid7),
+        ("non-representation", non_representation()),
+        ("missing-identity", missing_identity),
+        ("corrupted-p5", corrupted(valid5, e(3, 1, 2) + e(3, 2, 3), [[0, 1], [0, 0]])),
+        ("corrupted-p7", corrupted(valid7, e(3, 1, 2) + e(3, 2, 3), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])),
+        ("n4-p5", construct_from_layers(random_layer_data(4, 2, 5, 1, seed=0))),
+        # nilpotent 2 x 2 images commute, so a d = 2 rep never reads x_13; these do
+        ("tautological-n3", construct_from_layers(LieLayerData(3, 5, 3, [tautological_layer(3, 5)]))),
+        ("tautological-n4", construct_from_layers(LieLayerData(4, 5, 4, [tautological_layer(4, 5)]))),
+    ]
+
+
+class TestPointwiseOracle:
+    """One flat pass over chi's support per point; the per-entry check it
+    replaced stays the oracle, on whole findings lists."""
+
+    @pytest.mark.parametrize("name,rep", pointwise_cases())
+    def test_sampled_findings_match(self, name, rep):
+        for count, seed in ((None, 0), (60, 4), (1, 9)):
+            got = verify_group_law_pointwise(rep, mode="sampled", count=count, seed=seed).findings
+            assert got == reference_pointwise(rep, "sampled", count, seed)
+
+    @pytest.mark.parametrize("name,rep", [(name, rep) for name, rep in pointwise_cases()
+                                          if rep.p ** len(variable_pairs(rep.n)) <= 125])
+    def test_exhaustive_findings_match(self, name, rep):
+        got = verify_group_law_pointwise(rep, mode="exhaustive").findings
+        assert got == reference_pointwise(rep, "exhaustive")
+
+    def test_both_modes_find_the_failures(self):
+        rep = non_representation()
+        assert len(verify_group_law_pointwise(rep, mode="exhaustive").findings) == 10000
+        assert len(verify_group_law_pointwise(rep, mode="sampled", count=300, seed=4).findings) == 202
+
+    def test_golden_findings(self):
+        import json
+
+        rep = non_representation()
+        first = verify_group_law_pointwise(rep, mode="sampled", count=300, seed=4).findings[0]
+        assert json.dumps(first, sort_keys=True) == (
+            '{"actual": "mismatch", "check": "group-law", "expected": "Phi(g)Phi(h) = Phi(gh)", '
+            '"location": "g={(1, 2): 1, (1, 3): 2, (2, 3): 0}, h={(1, 2): 3, (1, 3): 3, (2, 3): 1}"}')
+        missing_identity = dict(pointwise_cases())["missing-identity"]
+        first = verify_group_law_pointwise(missing_identity, mode="sampled", count=1).findings[0]
+        assert first == {"check": "group-law", "location": "Phi(1)", "expected": "identity",
+                         "actual": "((0, 0), (0, 0))"}
+
+    def test_sampled_memory_does_not_grow_with_the_count(self):
+        # U_4(F_11) has 11^12 pairs, so no Phi is kept per point
+        rep = construct_from_layers(random_layer_data(4, 2, 11, 1, seed=1))
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert verify_group_law_pointwise(rep, mode="sampled", count=count, seed=3).ok
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) - peak(200) < 200_000
+
+
 class TestDecomposition:
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip(self, seed):
@@ -268,6 +397,56 @@ class TestDecomposition:
         rep = Representation(ChiTable(n, p, d, support))
         with pytest.raises(UnirepError):
             decompose_to_layers(rep)
+
+
+
+# --- the digit-scan layer extraction, kept as the oracle ----------------------
+
+def reference_layers(rep):
+    """Layers from a scan of every single-position exponent's p-ary digits,
+    then one chi(p^l eps_ij) lookup per layer and pair."""
+    chi = rep.chi
+    n, p, d = chi.n, chi.p, chi.d
+    count = 1
+    for M in chi.support if p else ():
+        pos = list(M.positions())
+        if len(pos) == 1:
+            count = max(count, len(p_ary_digits(pos[0][1], p).digits))
+    layers = []
+    for l in range(count):
+        keys = {(i, j): ExponentMatrix.epsilon(n, i, j, p**l if p else 1) for i, j in variable_pairs(n)}
+        layers.append({ij: chi.support[M] for ij, M in keys.items() if M in chi.support})
+    return LieLayerData(n, p, d, layers).trimmed()
+
+
+class TestDecomposeOracle:
+    N2 = [[0, 1], [0, 0]]
+
+    def cases(self):
+        p = 5
+        gap = LieLayerData(3, p, 2, [{(1, 2): scalar_matrix(self.N2, p)}, {},
+                                     {(2, 3): scalar_matrix(self.N2, p)}])
+        yield gap
+        yield LieLayerData(3, p, 2, [{}, {(1, 2): scalar_matrix(self.N2, p)}])
+        for seed in range(4):
+            yield random_layer_data(3, 3, 0, 1, seed=seed).trimmed()
+            yield random_layer_data(3, 2, 7, 3, seed=seed).trimmed()
+            yield random_layer_data(4, 2, 11, 2, seed=seed).trimmed()
+
+    def test_layers_match(self):
+        for data in self.cases():
+            rep = construct_from_layers(data)
+            assert decompose_to_layers(rep) == reference_layers(rep) == data
+
+    def test_empty_middle_layer_is_kept(self):
+        data = next(self.cases())
+        layers = decompose_to_layers(construct_from_layers(data)).layers
+        assert len(layers) == 3 and layers[1] == {} and layers[0] and layers[2]
+
+    def test_no_layers(self):
+        for p in (0, 7):
+            rep = Representation(ChiTable(3, p, 2, {ExponentMatrix.zero(3): scalar_matrix([[1, 0], [0, 1]], p)}))
+            assert decompose_to_layers(rep).layers == reference_layers(rep).layers == ()
 
 
 class TestStructureAudits:

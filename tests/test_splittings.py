@@ -5,12 +5,13 @@ import math
 
 import pytest
 
-from unirep.errors import ShapeError
+from unirep.errors import CostBoundError, ShapeError
 from unirep.hopf import ExponentMatrix, TensorElement, coproduct, variable_pairs
 from unirep.linalg import scalar_matrix
 from unirep.reps import ChiTable, Representation
 from unirep.samples import random_chi_support
 from unirep.splittings import (
+    MAX_AUDIT_N,
     Splitting,
     SplitVarId,
     brute_solve_yz,
@@ -125,6 +126,14 @@ class TestYZSolving:
                 y, z = yz_matrices(n, y_vals, z_vals)
                 sols = brute_solve_yz(y, z, bound=2)
                 assert sols == [solve_yz(y, z)]
+
+    def test_brute_search_size_bound(self):
+        n = MAX_AUDIT_N + 1
+        with pytest.raises(CostBoundError, match=f"n = {n} is over the bound of {MAX_AUDIT_N}"):
+            brute_solve_yz(ExponentMatrix.zero(n), ExponentMatrix.zero(n))
+        n = MAX_AUDIT_N
+        assert brute_solve_yz(ExponentMatrix.zero(n), ExponentMatrix.zero(n)) == [
+            solve_yz(ExponentMatrix.zero(n), ExponentMatrix.zero(n))]
 
     def test_shape_guards(self):
         bad_y = ExponentMatrix.epsilon(3, 1, 2)  # nonzero top row
