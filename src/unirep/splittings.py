@@ -299,10 +299,11 @@ def solve_yz(Y: ExponentMatrix, Z: ExponentMatrix) -> Splitting:
 # 800 at n = 16 (0.27 s), 952 at n = 17 and 1122 at n = 18, past the default
 # limit of 1000 frames.
 MAX_AUDIT_N = 16
-# An audit checks (bound+1)^N (Y, Z) pairs, N = n(n-1)/2.  Each pair costs
-# more as the bound grows, so the slowest accepted request is n = 2,
-# --bound 4095 (21.7 s on a 2.1 GHz Xeon); n = 4, --bound 3 takes 1.4 s,
-# n = 3, --bound 15 takes 1.0 s, and n = 6, --bound 1 (2^15 pairs) 28-33 s.
+# An audit checks (bound+1)^N (Y, Z) pairs, N = n(n-1)/2.  The search stops
+# each variable at its first value past a goal, but a pair still costs more
+# as its goals grow, so the slowest accepted request is n = 2, --bound 4095
+# (6.9-8.4 s on a 2.1 GHz Xeon); n = 4, --bound 3 takes 1.5-1.7 s,
+# n = 3, --bound 15 takes 0.7-1.0 s, and n = 6, --bound 1 (2^15 pairs) 25-27 s.
 MAX_AUDIT_PAIRS = 4096
 
 
@@ -346,12 +347,12 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
             solutions.append(Splitting(n, dict(assignment)))
             return
         v = variables[idx]
-        for m in range(bound + 1):
+        # partial sums grow with m: past one goal, every larger m is too
+        top = min([bound] + [targets[name][1] - running[name] for name in feeds[v]])
+        for m in range(top + 1):
             ok = True
             for name in feeds[v]:
-                total = running[name] + m
-                goal = targets[name][1]
-                if total > goal or (last_var[name] == v and total != goal):
+                if last_var[name] == v and running[name] + m != targets[name][1]:
                     ok = False
                     break
             if not ok:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unirep.arith import (
+    PAryDigits,
     Residue,
     check_field,
     coerce_scalar,
@@ -111,6 +112,15 @@ class TestBasePDigits:
 
     def test_zero(self):
         assert p_ary_digits(0, 5).digits == (0,)
+
+    def test_digits_are_a_frozen_value(self):
+        # 19 = 1 + 0*3 + 2*9: least significant first, no trailing zero digit
+        d = p_ary_digits(19, 3)
+        assert d == PAryDigits((1, 0, 2), 3) and d.p == 3 and d.reconstruct() == 19
+        with pytest.raises(AttributeError):
+            d.digits = (0,)
+        with pytest.raises(ValueError):
+            p_ary_digits(-1, 3)
 
     @given(st.integers(0, 5000), st.integers(0, 5000), st.sampled_from([2, 5, 7]))
     def test_carry_matches_digit_oracle(self, r, s, p):

@@ -21,10 +21,28 @@ from unirep.hopf import (
     tensor_of,
     variable_pairs,
 )
+from unirep.linalg import SquareMatrix
 
 
 def x(n, p, i, j):
     return Polynomial.variable(n, p, i, j)
+
+
+def matrix(n, flat):
+    """The exponent matrix with these flat entries, through the checked constructor."""
+    entries = iter(flat)
+    return ExponentMatrix(n, [[next(entries) if j > i else 0 for j in range(n)] for i in range(n)])
+
+
+def as_pairs(t):
+    """The terms of t keyed by (left, right) pairs of checked exponent matrices."""
+    half = t.n * (t.n - 1) // 2
+    return {(matrix(t.n, k[:half]), matrix(t.n, k[half:])): c for k, c in t.terms.items()}
+
+
+def from_pairs(n, p, terms):
+    """The tensor element with these pair-keyed terms, flattened only here."""
+    return TensorElement(n, p, {left.flat + right.flat: c for (left, right), c in terms.items()})
 
 
 class TestExponentMatrix:
@@ -92,11 +110,13 @@ class TestCoproduct:
         t = coproduct(x(3, 0, 1, 3))
         z = ExponentMatrix.zero(3)
         e = ExponentMatrix.epsilon
-        assert t.terms == {
+        assert as_pairs(t) == {
             (z, e(3, 1, 3)): Fraction(1),
             (e(3, 1, 2), e(3, 2, 3)): Fraction(1),
             (e(3, 1, 3), z): Fraction(1),
         }
+        # flat keys: x12, x13, x23 of the left factor, then of the right
+        assert t.terms == {(0, 0, 0, 0, 1, 0): 1, (1, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 0, 0): 1}
 
     def test_superdiagonal_is_primitive(self):
         t = coproduct(x(4, 0, 2, 3))
@@ -118,11 +138,11 @@ class TestCoproduct:
             t = coproduct(Polynomial.variable(n, p, i, j))
             left = {}
             right = {}
-            for (l, r), c in t.terms.items():
-                for (ll, lr), cc in coproduct(Polynomial(n, p, {l: 1})).terms.items():
+            for (l, r), c in as_pairs(t).items():
+                for (ll, lr), cc in as_pairs(coproduct(Polynomial(n, p, {l: 1}))).items():
                     key = (ll, lr, r)
                     left[key] = left.get(key, 0) + c * cc
-                for (rl, rr), cc in coproduct(Polynomial(n, p, {r: 1})).terms.items():
+                for (rl, rr), cc in as_pairs(coproduct(Polynomial(n, p, {r: 1}))).items():
                     key = (l, rl, rr)
                     right[key] = right.get(key, 0) + c * cc
             assert {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
@@ -156,14 +176,26 @@ class TestSubstitution:
         with pytest.raises(ValueError):
             frobenius_substitute(x(3, 5, 1, 2), 0)
 
+    @pytest.mark.parametrize("e", [0, -1, 2.0, True, "2"])
+    def test_scale_exponents_refuses_powers_below_one(self, e):
+        # e = 0 would send distinct monomials to the one key 1 and drop terms
+        f = x(3, 7, 1, 2) + x(3, 7, 1, 3)
+        for obj in (f, coproduct(x(3, 7, 1, 3)), SquareMatrix([[f]])):
+            with pytest.raises(ValueError, match=f"must be an integer at least 1, got {e!r}"):
+                frobenius_substitute(obj, e)
+        for obj in (f, coproduct(f)):
+            with pytest.raises(ValueError, match=f"must be an integer at least 1, got {e!r}"):
+                obj.scale_exponents(e)
+
 
 class TestTensorElement:
     def test_product(self):
         a = tensor_of(x(3, 0, 1, 2), Polynomial.one(3, 0))
         b = tensor_of(Polynomial.one(3, 0), x(3, 0, 2, 3))
         ab = a * b
-        key = (ExponentMatrix.epsilon(3, 1, 2), ExponentMatrix.epsilon(3, 2, 3))
+        key = ExponentMatrix.epsilon(3, 1, 2).flat + ExponentMatrix.epsilon(3, 2, 3).flat
         assert ab.terms == {key: Fraction(1)}
+        assert as_pairs(ab) == {(ExponentMatrix.epsilon(3, 1, 2), ExponentMatrix.epsilon(3, 2, 3)): Fraction(1)}
 
     def test_power_freshman_dream(self):
         p = 5
@@ -196,12 +228,13 @@ def reference_sum(cls, s, t):
 
 
 def reference_tensor_mul(s, t):
+    """Pair keys summed half by half through the checked constructor."""
     terms = {}
-    for (la, ra), ca in s.terms.items():
-        for (lb, rb), cb in t.terms.items():
+    for (la, ra), ca in as_pairs(s).items():
+        for (lb, rb), cb in as_pairs(t).items():
             key = (reference_key_sum(la, lb), reference_key_sum(ra, rb))
             terms[key] = terms.get(key, 0) + ca * cb
-    return TensorElement(s.n, s.p, terms)
+    return from_pairs(s.n, s.p, terms)
 
 
 def reference_key_sum(a, b):
@@ -213,14 +246,14 @@ def reference_coproduct(poly):
     n, p = poly.n, poly.p
     out = TensorElement(n, p)
     for key, c in poly.terms.items():
-        acc = TensorElement(n, p, {(ExponentMatrix.zero(n), ExponentMatrix.zero(n)): 1})
+        acc = from_pairs(n, p, {(ExponentMatrix.zero(n), ExponentMatrix.zero(n)): 1})
         for (i, j), m in key.positions():
             z = ExponentMatrix.zero(n)
             gen = {(z, ExponentMatrix.epsilon(n, i, j)): 1, (ExponentMatrix.epsilon(n, i, j), z): 1}
             for k in range(i + 1, j):
                 gen[(ExponentMatrix.epsilon(n, i, k), ExponentMatrix.epsilon(n, k, j))] = 1
             for _ in range(m):
-                acc = reference_tensor_mul(acc, TensorElement(n, p, gen))
+                acc = reference_tensor_mul(acc, from_pairs(n, p, gen))
         out = reference_sum(TensorElement, out, TensorElement(n, p, {k: v * c for k, v in acc.terms.items()}))
     return out
 
@@ -239,7 +272,7 @@ def random_tensor(rng, n, p, size):
     terms = {}
     for (kf, cf), (kg, _) in zip(f.terms.items(), g.terms.items()):
         terms[(kf, kg)] = cf
-    return TensorElement(n, p, terms)
+    return from_pairs(n, p, terms)
 
 
 class TestKernelAgainstReference:
@@ -280,8 +313,8 @@ class TestKernelAgainstReference:
         for _ in range(15):
             n = rng.randint(2, 4)
             f, g = random_poly(rng, n, p, rng.randint(0, 4)), random_poly(rng, n, p, rng.randint(0, 4))
-            expected = TensorElement(n, p, {(kf, kg): cf * cg for kf, cf in f.terms.items()
-                                            for kg, cg in g.terms.items()})
+            expected = from_pairs(n, p, {(kf, kg): cf * cg for kf, cf in f.terms.items()
+                                         for kg, cg in g.terms.items()})
             assert tensor_of(f, g).terms == expected.terms
 
     def test_coefficients_are_reduced_field_elements(self):
@@ -404,22 +437,25 @@ class TestSharedTermAlgebra:
                 combine()
         assert t != other
 
+    # a key is one flat tuple of 2N = 6 ints >= 0 for n = 3
     @pytest.mark.parametrize("key", [
         "junk",
-        ExponentMatrix.zero(3),
-        (ExponentMatrix.zero(3),),
-        (ExponentMatrix.zero(3), ExponentMatrix.zero(3), ExponentMatrix.zero(3)),
-        (ExponentMatrix.zero(3), ExponentMatrix.zero(2)),
-        (ExponentMatrix.epsilon(4, 1, 2), ExponentMatrix.zero(3)),
+        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0),
+        (0, 0, -1, 0, 0, 0),
+        (0, 0, True, 0, 0, 0),
+        (0, 0, 1.0, 0, 0, 0),
+        (ExponentMatrix.zero(3), ExponentMatrix.epsilon(3, 1, 2)),
+        (0,) * 12,
     ])
     def test_tensor_constructor_refuses_bad_keys(self, key):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="is not a flat tuple of 2N exponents of size 3"):
             TensorElement(3, 5, {key: 1})
 
-    def test_tensor_constructor_accepts_pairs_and_drops_zero_terms(self):
+    def test_tensor_constructor_accepts_flat_keys_and_drops_zero_terms(self):
         z, e = ExponentMatrix.zero(3), ExponentMatrix.epsilon(3, 1, 2)
-        t = TensorElement(3, 5, {(z, e): 6, (e, z): 5})
-        assert t.terms == {(z, e): Residue(1, 5)}
+        t = TensorElement(3, 5, {z.flat + e.flat: 6, e.flat + z.flat: 5})
+        assert t.terms == {(0, 0, 0, 1, 0, 0): Residue(1, 5)}
         assert t.coefficient(z, e) == Residue(1, 5) and t.coefficient(e, z) == Residue(0, 5)
 
     def test_polynomial_constructor_refuses_bad_keys(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -12,8 +13,10 @@ from unirep.reps import ChiTable, Representation
 from unirep.samples import random_chi_support
 from unirep.splittings import (
     MAX_AUDIT_N,
+    LinearExpr,
     Splitting,
     SplitVarId,
+    all_split_vars,
     brute_solve_yz,
     enumerate_splittings,
     l_expression,
@@ -45,6 +48,21 @@ class TestExpressions:
     def test_shared_variable(self):
         assert shared_variable((1, 2), (2, 4), 4) == s(1, 4, 2)
         assert shared_variable((1, 3), (2, 4), 4) is None
+
+    def test_linear_expr_refuses_duplicates_and_evaluates(self):
+        with pytest.raises(ShapeError, match="duplicate variable"):
+            LinearExpr((s(1, 2, 1), s(1, 3, 2), s(1, 2, 1)))
+        expr = l_expression(1, 2, 4)
+        assert expr.evaluate({}) == 0
+        assert expr.evaluate({s(1, 2, 2): 3, s(1, 4, 2): 4, s(1, 2, 1): 100}) == 7
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_all_split_vars(self, n):
+        # s_ij^k for 1 <= k <= j - i + 1: n(n-1)(n+4)/6 variables, in (i, j, k) order
+        variables = all_split_vars(n)
+        assert len(variables) == n * (n - 1) * (n + 4) // 6
+        assert variables == sorted(variables) and len(set(variables)) == len(variables)
+        assert variables == [s(i, j, k) for i, j in variable_pairs(n) for k in range(1, j - i + 2)]
 
 
 class TestOccurrenceReport:
@@ -126,6 +144,25 @@ class TestYZSolving:
                 y, z = yz_matrices(n, y_vals, z_vals)
                 sols = brute_solve_yz(y, z, bound=2)
                 assert sols == [solve_yz(y, z)]
+        # a bound far above the largest goal: every value past a goal is cut off
+        for y_vals in ((2, 0, 1), (0, 3, 0)):
+            y, z = yz_matrices(4, y_vals, (1, 0, 2))
+            assert brute_solve_yz(y, z, bound=9) == [solve_yz(y, z)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_brute_search_matches_full_product(self, seed):
+        # targets of a random splitting may have several solutions; the search
+        # finds all of them, in the lexicographic order of the full product
+        n, bound = 3, 2
+        variables = all_split_vars(n)
+        rng = random.Random(seed)
+        hit = Splitting(n, {v: rng.randint(0, 1) for v in variables})
+        y, z = hit.left_matrix(), hit.right_matrix()
+        full = [sp for sp in (Splitting(n, dict(zip(variables, values)))
+                              for values in itertools.product(range(bound + 1), repeat=len(variables)))
+                if sp.left_matrix() == y and sp.right_matrix() == z]
+        assert hit in full
+        assert brute_solve_yz(y, z, bound=bound) == full
 
     def test_brute_search_size_bound(self):
         n = MAX_AUDIT_N + 1
@@ -168,8 +205,9 @@ def reference_enumerate(M):
 
 
 def reference_split_coproduct(chi):
-    """Each splitting's key from left_matrix/right_matrix and its weight from
-    weight(), added into the cells one splitting at a time."""
+    """Each splitting's key pair from left_matrix/right_matrix and its weight
+    from weight(), added into the cells one splitting at a time; the pairs
+    become flat tensor keys only at the end."""
     d = chi.d
     grid = [[{} for _ in range(d)] for _ in range(d)]
     for M, mat in chi.items():
@@ -181,7 +219,8 @@ def reference_split_coproduct(chi):
                     c = mat.entries[a][b]
                     if c:
                         grid[a][b][key] = grid[a][b].get(key, 0) + c * w
-    return [[TensorElement(chi.n, chi.p, cell) for cell in row] for row in grid]
+    return [[TensorElement(chi.n, chi.p, {left.flat + right.flat: c for (left, right), c in cell.items()})
+             for cell in row] for row in grid]
 
 
 def splitting_count(support):
