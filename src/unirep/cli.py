@@ -13,6 +13,7 @@ findings, 2 usage or hypothesis error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -177,7 +178,10 @@ def cmd_audit_splittings(args):
     return 1 if findings else 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: prog is fixed and parse_args does not
+    change the parser, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="unirep",
         description="Construct, verify, and decompose representations of U_n "

@@ -17,13 +17,16 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import mul
 
-from .arith import coerce_scalar, gamma_factor, p_ary_digits, sum_carries
+from .arith import Residue, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError
 from .hopf import (
     ExponentMatrix,
     Polynomial,
+    _index,
+    _key,
     coproduct,
     frobenius_substitute,
     matrix_product_tensor_side,
@@ -36,6 +39,7 @@ from .linalg import (
     _is_nilpotent,
     _matmul,
     _negated,
+    _powers,
     exp_nilpotent,
     log_unipotent,
 )
@@ -441,9 +445,29 @@ def construct_single_layer(layer, n, p, d) -> SquareMatrix:
     return exp_nilpotent(exponent, p or None)
 
 
+# The construct walk counts a node for each partial product it visits and for
+# each product it tries, at most one d x d product each.  Every supported M is
+# a visited node, so the bound caps the support, and with it memory, as well.
+# Random layers of roundtrip --n 40 --d 3 take about 28,000 nodes and 4 s in
+# all; --d 4 takes about 414,000, and its comodule check in decompose then
+# needs 2.3 GB.
+MAX_CONSTRUCT_NODES = 2 * 10**5
+
+
 def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
-    """Commuting product of the per-layer constructions, layer l twisted by
-    the variable-power substitution p^l."""
+    """The representation prod_l (e^{phi_l(log g)})^[p^l] of the layers,
+    read off in closed form with no logarithm: with the pairs taken in the
+    order i = n-1..1, then j = i+1..n,
+
+        chi(M) = prod chi(m_ij eps_ij)   and   chi(r eps_ij) = prod_l X_l^{r_l} / r_l!,
+
+    where X_l is the layer-l image of eps_ij and r_l are the p-ary digits of
+    r (X_0^r / r! at p = 0).  The first is the factorization
+    g = prod (1 + g_ij E_ij) of U_n, the second the exponential of the root
+    subgroup 1 + t E_ij, on which log g = t E_ij.  chi is built by a
+    depth-first walk over the pairs, pruned at the first zero partial
+    product, and refused with CostBoundError past MAX_CONSTRUCT_NODES nodes.
+    """
     n, p, d = data.n, data.p, data.d
     if p and p < max(n, d):
         raise HypothesisError(f"construction needs p >= max(n, d) = {max(n, d)}, got p = {p}")
@@ -453,15 +477,82 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
         report = data.validate()
         if not report.ok:
             raise HypothesisError(f"layer data invariants fail: {report.findings}")
-    one = Polynomial.one(n, p)
-    zero = Polynomial.zero(n, p)
-    result = SquareMatrix([[one if a == b else zero for b in range(d)] for a in range(d)])
+    one = [[int(a == b) for b in range(d)] for a in range(d)]
+    branches = []  # (flat index of the pair, its nonzero (r, chi(r eps_ij)) with r >= 1)
+    for i in range(n - 1, 0, -1):
+        for j in range(i + 1, n + 1):
+            options = _root_subgroup(data, i, j, one)
+            if options:
+                branches.append((_index(n, i, j), options))
+    size = n * (n - 1) // 2
+    support = {}
+    nodes = 0
+    stack = [(0, one, None)]  # (depth, partial product, chosen as (index, r, rest))
+    while stack:
+        k, partial, chosen = stack.pop()
+        if k == len(branches):
+            flat = [0] * size
+            while chosen:
+                index, r, chosen = chosen
+                flat[index] = r
+            support[_key(n, tuple(flat))] = partial
+            continue
+        index, options = branches[k]
+        nodes += 1 + len(options)
+        if nodes > MAX_CONSTRUCT_NODES:
+            raise CostBoundError(f"constructing chi takes over {MAX_CONSTRUCT_NODES} nodes")
+        stack.append((k + 1, partial, chosen))
+        for r, rows in options:
+            product = _skip_zero_product(partial, rows, p)
+            if any(map(any, product)):
+                stack.append((k + 1, product, (index, r, chosen)))
+    scalar = functools.cache(functools.partial(Residue, p=p) if p else Fraction)  # immutable, so shared
+    return Representation(ChiTable(n, p, d, {
+        M: SquareMatrix([list(map(scalar, row)) for row in rows]) for M, rows in support.items()
+    }))
+
+
+def _root_subgroup(data: LieLayerData, i, j, one):
+    """The nonzero (r, rows of chi(r eps_ij)) for r >= 1: the products
+    X_0^{r_0} / r_0! ... X_m^{r_m} / r_m!, left to right, over the digits r_l
+    of r.  The powers are exp_nilpotent's, so a nonzero power at the cap
+    min(d, p) raises as it does there.  ``one`` is the rows of the identity."""
+    p = data.p
+    out = [(0, one)]
     for l, layer in enumerate(data.layers):
-        factor = construct_single_layer(layer, n, p, d)
-        if l > 0:
-            factor = frobenius_substitute(factor, p**l)
-        result = result @ factor
-    return Representation.from_poly_matrix(result, n, p)
+        image = layer.get((i, j))
+        if image is None:
+            continue
+        terms = [(0, one)]
+        kfact = 1
+        for k, power in enumerate(_powers(image, p or None), start=1):
+            kfact *= k
+            rows = _field_rows(power, p)
+            if p:
+                inverse = pow(kfact, -1, p)
+                terms.append((k * p**l, [[x * inverse % p for x in row] for row in rows]))
+            else:
+                terms.append((k, [[x / kfact for x in row] for row in rows]))
+        out = [(r + s, _skip_zero_product(a, b, p)) for r, a in out for s, b in terms]
+        out = [(r, a) for r, a in out if any(map(any, a))]
+    return out[1:]
+
+
+def _skip_zero_product(a, b, p):
+    """Rows of a b that add a_ik times row k of b only where a_ik and that row
+    are nonzero (Gustavson, ACM TOMS 4(3), 1978), reduced mod p when p > 0.
+    Rows with no such term share one zero row."""
+    rows = [(k, row) for k, row in enumerate(b) if any(row)]
+    zero = [0] * len(b[0])
+    out = []
+    for arow in a:
+        acc = None
+        for k, brow in rows:
+            x = arow[k]
+            if x:
+                acc = [x * y for y in brow] if acc is None else [s + x * y for s, y in zip(acc, brow)]
+        out.append(zero if acc is None else [s % p for s in acc] if p else acc)
+    return out
 
 
 def decompose_to_layers(rep: Representation, check=True) -> LieLayerData:

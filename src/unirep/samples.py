@@ -141,9 +141,15 @@ def random_layer_data(n, d, p, num_layers, seed) -> LieLayerData:
 
 def random_chi_support(n, d, p, count, seed, max_entry=3):
     """Random sparse exponent-matrix keys with random coefficient matrices,
-    for stress-testing combinatorial routines (not valid representations)."""
+    for stress-testing combinatorial routines (not valid representations).
+
+    A count above the (max_entry + 1)^N distinct keys, N = n(n-1)/2, is
+    refused with ValueError before anything is drawn."""
     from .hopf import ExponentMatrix
 
+    keys = (max_entry + 1) ** (n * (n - 1) // 2)
+    if count > keys:
+        raise ValueError(f"count {count} is over the {keys} distinct keys with entries <= {max_entry}")
     rng = random.Random(seed)
     modulus = p if p else 9
     support = {}

@@ -1,9 +1,16 @@
 """End-to-end command-line behavior and exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unirep
 from unirep import bch, cli, reps
 from unirep.bch import MAX_BCH_DEGREE
 from unirep.cli import main
@@ -347,3 +354,43 @@ class TestBoundaryChecks:
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2:") and "Traceback" not in err
+
+
+class TestParserOnce:
+    def run(self, argv):
+        """stdout, stderr and exit code of one cli.main call."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        return out.getvalue(), err.getvalue(), code
+
+    def test_calls_share_one_parser_and_match_fresh_ones(self, layer_file, tmp_path, monkeypatch):
+        path, data = layer_file
+        rep_path = tmp_path / "rep.txt"
+        rep_path.write_text(write_rep_file(construct_from_layers(data)))
+        calls = [
+            ["verify", str(rep_path), "--comodule"],
+            ["verify", str(rep_path)],
+            ["verify", str(rep_path), "--no-such-flag"],
+            ["construct", str(path)],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        shared = [self.run(argv) for argv in calls]
+        assert [code for _, _, code in shared] == [0, 0, 2, 0]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert shared == [self.run(argv) for argv in calls]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["roundtrip", "--n", "3", "--d", "2", "--p", "5"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(unirep.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "unirep", *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")

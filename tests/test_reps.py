@@ -1,16 +1,20 @@
 """Representation core: extraction, construction, decomposition, audits."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
 import pytest
 
+from unirep import cli, linalg, reps
 from unirep.arith import Residue, coerce_scalar, p_ary_digits
-from unirep.errors import CostBoundError, HypothesisError, UnirepError
-from unirep.hopf import ExponentMatrix, Polynomial, variable_pairs
+from unirep.errors import CostBoundError, HypothesisError, NotNilpotentError, UnirepError
+from unirep.hopf import ExponentMatrix, Polynomial, frobenius_substitute, variable_pairs
+from unirep.io import write_rep_file
 from unirep.linalg import SquareMatrix, scalar_matrix
 from unirep.reps import (
+    MAX_CONSTRUCT_NODES,
     MAX_EXHAUSTIVE_PAIRS,
     ChiTable,
     Report,
@@ -28,7 +32,7 @@ from unirep.reps import (
     verify_comodule,
     verify_group_law_pointwise,
 )
-from unirep.samples import random_layer_data, random_strict_upper
+from unirep.samples import _embed, random_layer_data, random_strict_upper
 
 
 def poly(n, p, exponents):
@@ -133,6 +137,110 @@ class TestConstruction:
         assert not data.validate().ok
         with pytest.raises(HypothesisError):
             construct_from_layers(data)
+
+
+# --- the per-layer exp/log construction, kept as the oracle --------------------
+
+def reference_construct(data):
+    """prod_l (e^{phi_l(log g)})^[p^l] as polynomial matrices: the generic
+    logarithm and one exponential per layer, multiplied in layer order."""
+    n, p, d = data.n, data.p, data.d
+    one, zero = Polynomial.one(n, p), Polynomial.zero(n, p)
+    result = SquareMatrix([[one if a == b else zero for b in range(d)] for a in range(d)])
+    for l, layer in enumerate(data.layers):
+        factor = construct_single_layer(layer, n, p, d)
+        if l > 0:
+            factor = frobenius_substitute(factor, p**l)
+        result = result @ factor
+    return Representation.from_poly_matrix(result, n, p)
+
+
+def construct_grid(count, seed):
+    """A seeded sample of (n, d, p, layers, seed) over n 1..5, d 1..4,
+    p in (0, 5, 7, 11), 1-3 layers and seeds 0..3, inside the regime."""
+    grid = [(n, d, p, layers, s) for n in range(1, 6) for d in range(1, 5) for p in (0, 5, 7, 11)
+            for layers in (1, 2, 3) for s in range(4)
+            if (p == 0 and layers == 1) or (p and p >= max(n, d))]
+    return random.Random(seed).sample(grid, count)
+
+
+def block_layers(n, p, count):
+    """``count`` tautological layers, each on its own n-wide diagonal block."""
+    d = n * count
+    taut = tautological_layer(n, p)
+    return LieLayerData(n, p, d, [{ij: _embed(m, n * l, d, p) for ij, m in taut.items()}
+                                  for l in range(count)])
+
+
+NILPOTENT_2 = [[0, 1], [0, 0]]
+
+
+class TestClosedFormOracle:
+    def cases(self):
+        for args in construct_grid(80, seed=12):
+            yield random_layer_data(*args)
+        for n in (3, 4):
+            yield LieLayerData(n, 7, n, [tautological_layer(n, 7)])
+        yield LieLayerData(3, 0, 3, [tautological_layer(3, 0)])
+        yield block_layers(3, 7, 2)
+        yield block_layers(2, 5, 2)
+        yield block_layers(3, 0, 1)
+        yield LieLayerData(1, 5, 2, [{}])
+        yield LieLayerData(1, 0, 1, [{}])
+        yield LieLayerData(3, 7, 2, [])
+        yield LieLayerData(3, 7, 2, [{}, {(1, 2): scalar_matrix(NILPOTENT_2, 7)}])
+        yield LieLayerData(3, 5, 2, [{(2, 3): scalar_matrix(NILPOTENT_2, 5)}, {},
+                                     {(1, 2): scalar_matrix(NILPOTENT_2, 5)}])
+
+    def test_matches_reference_on_both_bodies(self):
+        for data in self.cases():  # construct_from_layers validates each
+            rep, ref = construct_from_layers(data), reference_construct(data)
+            assert rep == ref
+            for body in ("chi", "poly"):
+                assert write_rep_file(rep, body) == write_rep_file(ref, body)
+
+    @pytest.mark.parametrize("p, layer", [(0, 0), (5, 0), (5, 1)])
+    def test_unvalidated_non_nilpotent_image_raises(self, p, layer):
+        layers = [{}] * layer + [{(1, 2): scalar_matrix([[1, 0], [0, 0]], p)}]
+        data = LieLayerData(2, p, 2, layers)
+        assert not data.validate().ok
+        with pytest.raises(NotNilpotentError):
+            reference_construct(data)
+        with pytest.raises(NotNilpotentError):
+            construct_from_layers(data, validate=False)
+
+    def test_node_budget(self, monkeypatch):
+        data = random_layer_data(4, 2, 7, 2, seed=1)
+        assert construct_from_layers(data) == reference_construct(data)
+        assert MAX_CONSTRUCT_NODES >= 10**5
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 3)
+        with pytest.raises(CostBoundError, match="over 3 nodes"):
+            construct_from_layers(data)
+
+    def test_node_budget_on_the_command_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 3)
+        assert cli.main(["roundtrip", "--n", "4", "--d", "2", "--p", "7", "--layers", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: constructing chi takes over 3 nodes\n"
+
+    def test_large_n_roundtrip(self, capsys):
+        # the generic logarithm of U_22 ran out of memory; the walk costs what the support does
+        assert cli.main(["roundtrip", "--n", "22", "--d", "2", "--p", "23"]) == 0
+        assert json.loads(capsys.readouterr().out)["actual"] == "exact layer recovery"
+
+    def test_no_logarithm_is_taken(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return linalg.log_unipotent(*args, **kwargs)
+
+        monkeypatch.setattr(reps, "log_unipotent", counted)
+        data = random_layer_data(4, 3, 7, 2, seed=0)
+        rep = construct_from_layers(data)
+        assert calls == []
+        assert reference_construct(data) == rep and calls  # the counter does count
 
 
 class TestComodule:

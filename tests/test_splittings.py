@@ -239,6 +239,16 @@ def small_chi(n, d, p, count, seed, cap=200):
         seed += 1000
 
 
+def test_random_chi_support_refuses_more_keys_than_there_are():
+    # n = 2 with entries <= 2 has the 3 keys 0, eps_12 and 2 eps_12
+    support = random_chi_support(2, 2, 5, 3, seed=0, max_entry=2)
+    assert sorted(M.flat for M in support) == [(0,), (1,), (2,)]
+    with pytest.raises(ValueError, match="count 4 is over the 3 distinct keys"):
+        random_chi_support(2, 2, 5, 4, seed=0, max_entry=2)
+    with pytest.raises(ValueError, match="over the 8 distinct keys"):
+        random_chi_support(3, 1, 7, 9, seed=0, max_entry=1)
+
+
 class TestSplitCoproductOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("p", [0, 5, 7, 11])
