@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from math import comb, factorial, prod
 from operator import add
 
 from .arith import Residue, coerce_scalar, p_ary_digits
@@ -473,30 +474,64 @@ def _power(base, m, one):
     return result
 
 
-def _generator_coproduct(n, p, i, j):
-    """Delta(x_ij) on flat keys: the left factor's x_ab has its exponent at
-    _index(n, a, b), the right factor's N places further."""
+def _compositions(total, parts):
+    """Ordered non-negative integer tuples of length ``parts`` summing to
+    ``total``, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=1024)
+def _generator_power(n, p, ij, m):
+    """Delta(x_ij)^m, x_ij the ij-th pair, as (flat key, int weight) pairs by
+    the multinomial theorem; in characteristic p one p-ary digit at a time,
+    digit l's exponents times p^l (the freshman's dream): weights hold mod p."""
     N = n * (n - 1) // 2
-    ij = _index(n, i, j)
-    ones = [(N + ij,), (ij,)] + [(_index(n, i, k), N + _index(n, k, j)) for k in range(i + 1, j)]
-    return TensorElement(n, p, {tuple(int(pos in at) for pos in range(2 * N)): 1 for at in ones})
+    i, j = _pairs(n)[ij]
+    summands = [(ij,), (N + ij,)] + [(_index(n, i, k), N + _index(n, k, j)) for k in range(i + 1, j)]
+    out = [((0,) * (2 * N), 1)]
+    for l, digit in enumerate(p_ary_digits(m, p).digits if p else (m,)):
+        block = []
+        for parts in _compositions(digit, len(summands)):
+            key = [0] * (2 * N)
+            for at, c in zip(summands, parts):
+                for pos in at:
+                    key[pos] = c * p**l
+            block.append((tuple(key), factorial(digit) // prod(map(factorial, parts))))
+        out = _convolve(out, block).items()
+    return tuple(out)
+
+
+def _expansion_size(n, p, flat):
+    """The product of the sizes of _generator_power over the entries of M."""
+    size = 1
+    for (i, j), m in zip(_pairs(n), flat):
+        if m:
+            for digit in p_ary_digits(m, p).digits if p else (m,):
+                size *= comb(digit + j - i, j - i)
+    return size
 
 
 def coproduct(poly: Polynomial) -> TensorElement:
     """Algebra-map extension of the coproduct to an arbitrary polynomial.
 
-    Each term's image is a product of powers of generator coproducts; the
-    images, times their coefficients, are summed into one dict."""
+    Each term's image, a product of generator powers on int weights, is
+    summed times its coefficient into one dict, reduced into the field once."""
     n, p = poly.n, poly.p
     sums = {}
     get = sums.get
     for flat, c in poly._flat_items():
-        image = TensorElement.one(n, p)
-        for (i, j), m in zip(_pairs(n), flat):
+        image = None
+        for ij, m in enumerate(flat):
             if m:
-                image = image * _generator_coproduct(n, p, i, j) ** m
-        for k, v in image._flat_items():
-            sums[k] = get(k, 0) + v * c
+                power = _generator_power(n, p, ij, m)
+                image = power if image is None else _convolve(image, power).items()
+        for k, w in image or [((0,) * (n * (n - 1)), 1)]:
+            sums[k] = get(k, 0) + w * c
     return TensorElement._from_flat(n, p, sums)
 
 

@@ -25,6 +25,7 @@ from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError
 from .hopf import (
     ExponentMatrix,
     Polynomial,
+    _expansion_size,
     _index,
     _key,
     coproduct,
@@ -313,18 +314,34 @@ def tautological_layer(n, p):
     return layer
 
 
+# A term counts as n(n-1) + 8 exponents, its key and its overhead; the check
+# builds 1.5-3e7 a second (2.1 GHz Xeon) at 2-10 bytes each, so the bound is
+# 2-4 s and up to 500 MB of work, where 20 s would hold 1-3 GB.
+MAX_COMODULE_EXPONENTS = 5 * 10**7
+
+
 def verify_comodule(rep: Representation, use_splitting=False) -> Report:
     """Check chi(0) = Id, Delta(a_ij) = sum_k a_ik (x) a_kj, and
     eps(a_ij) = delta_ij, all as exact polynomial identities.
 
     With use_splitting the coproduct side is additionally recomputed through
-    the closed splitting formula and the two computations must agree.
+    the closed splitting formula and the two computations must agree.  Past
+    MAX_COMODULE_EXPONENTS, counted first, it raises CostBoundError.
     """
     report = Report()
     chi, pm = rep.chi, rep.poly_matrix
-    d = chi.d
-    if chi.get(ExponentMatrix.zero(chi.n)) != chi.identity_matrix():
-        report.add("chi-at-zero", "chi(0)", "identity matrix", chi.get(ExponentMatrix.zero(chi.n)))
+    n, p, d = chi.n, chi.p, chi.d
+    sizes = [[len(f.terms) for f in row] for row in pm.entries]
+    terms = sum(sum(row[k] for row in sizes) * sum(sizes[k]) for k in range(d))
+    for M, mat in chi.support.items():
+        size = _expansion_size(n, p, M.flat) + (use_splitting and _expansion_size(n, 0, M.flat))
+        terms += size * sum(1 for row in mat.entries for c in row if c)
+    cost = terms * (n * (n - 1) + 8)
+    if cost > MAX_COMODULE_EXPONENTS:
+        raise CostBoundError(f"the comodule check costs {cost} exponents ({terms} terms), "
+                             f"over the bound of {MAX_COMODULE_EXPONENTS}")
+    if chi.get(ExponentMatrix.zero(n)) != chi.identity_matrix():
+        report.add("chi-at-zero", "chi(0)", "identity matrix", chi.get(ExponentMatrix.zero(n)))
     rhs = matrix_product_tensor_side(pm)
     lhs = [[coproduct(pm.entries[a][b]) for b in range(d)] for a in range(d)]
     for a in range(d):
@@ -332,7 +349,7 @@ def verify_comodule(rep: Representation, use_splitting=False) -> Report:
             if lhs[a][b] != rhs[a][b]:
                 report.add("coproduct", f"entry ({a + 1}, {b + 1})",
                            "Delta(a_ij) = sum_k a_ik (x) a_kj", "mismatch")
-            delta = coerce_scalar(1 if a == b else 0, chi.p)
+            delta = coerce_scalar(1 if a == b else 0, p)
             if pm.entries[a][b].constant_term() != delta:
                 report.add("counit", f"entry ({a + 1}, {b + 1})", delta,
                            pm.entries[a][b].constant_term())

@@ -19,7 +19,7 @@ from functools import cache
 
 from .arith import coerce_scalar, matrix_multinomial
 from .errors import CostBoundError, ShapeError
-from .hopf import ExponentMatrix, TensorElement, variable_pairs
+from .hopf import ExponentMatrix, TensorElement, _compositions, variable_pairs
 
 __all__ = [
     "SplitVarId",
@@ -183,17 +183,6 @@ class Splitting:
     __repr__ = __str__
 
 
-def _compositions(total, parts):
-    """Ordered non-negative integer tuples of length ``parts`` summing to
-    ``total``, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @cache
 def _entry_vars(n):
     """Per pair (i, j) of variable_pairs(n), the variables s_ij^1 ..
@@ -295,27 +284,43 @@ def solve_yz(Y: ExponentMatrix, Z: ExponentMatrix) -> Splitting:
     return Splitting(n, assignment)
 
 
-# brute_solve_yz recurses once per split variable, n(n-1)(n+4)/6 of them:
-# 800 at n = 16 (0.27 s), 952 at n = 17 and 1122 at n = 18, past the default
-# limit of 1000 frames.
+@cache
+def _yz_plan(n):
+    """The variables of size n in lexicographic order, the variable indices of
+    each target (L_ij at its index in variable_pairs(n), R_ij N places
+    further) and the target indices of each variable."""
+    variables = tuple(all_split_vars(n))
+    feeds = tuple(tuple(t for t in _feeds(n)[v] if t < n * (n - 1)) for v in variables)
+    members = tuple(tuple(x for x, targets in enumerate(feeds) if t in targets) for t in range(n * (n - 1)))
+    return variables, members, feeds
+
+
+# brute_solve_yz branches once per variable that propagation leaves open, at
+# most n(n-1)(n+4)/6 of them: 800 at n = 16, 952 at n = 17 and 1122 at
+# n = 18, past the default recursion limit of 1000 frames.
 MAX_AUDIT_N = 16
-# An audit checks (bound+1)^N (Y, Z) pairs, N = n(n-1)/2.  The search stops
-# each variable at its first value past a goal, but a pair still costs more
-# as its goals grow, so the slowest accepted request is n = 2, --bound 4095
-# (6.9-8.4 s on a 2.1 GHz Xeon); n = 4, --bound 3 takes 1.5-1.7 s,
-# n = 3, --bound 15 takes 0.7-1.0 s, and n = 6, --bound 1 (2^15 pairs) 25-27 s.
+# An audit checks (bound+1)^N (Y, Z) pairs, N = n(n-1)/2.  Propagation
+# solves each pair without branching, so a pair costs about the same at any
+# bound, mostly in building its matrices and splittings.  In a fresh process
+# on a 2.1 GHz Xeon, n = 2, --bound 4095 takes 0.2-0.3 s, n = 4, --bound 3
+# 0.5 s and n = 5, --bound 1 0.3 s; n = 6, --bound 1 (2^15 pairs) would take
+# 6 s and n = 5, --bound 2 (3^10 pairs) 8 s.
 MAX_AUDIT_PAIRS = 4096
 
 
 def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
     """Exhaustive search for all splittings with entries <= bound satisfying
-    L-evaluation = Y and R-evaluation = Z.
+    L-evaluation = Y and R-evaluation = Z, in the lexicographic order of the
+    naive full product.
 
     The default bound is the largest entry of Y + Z (every variable appears in
-    some L or R with coefficient 1, so larger values cannot occur).  The
-    search walks the variables in lexicographic order with partial-sum
-    pruning; it enumerates the same set as the naive full product.  Sizes
-    above MAX_AUDIT_N are refused with CostBoundError.
+    some L or R with coefficient 1, so larger values cannot occur).  First a
+    target whose remaining goal is 0 sets its open variables to 0, and a
+    target with one open variable sets it to the remaining goal: the entries
+    are non-negative, so no other value can meet the target.  The variables
+    still open are then walked in lexicographic order with partial-sum
+    pruning, the last open variable of a target taking its remaining goal.
+    Sizes above MAX_AUDIT_N are refused with CostBoundError.
     """
     n = Y.n
     if Z.n != n:
@@ -324,47 +329,48 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
         raise CostBoundError(f"splitting search at n = {n} is over the bound of {MAX_AUDIT_N}")
     if bound is None:
         bound = (Y + Z).max_entry()
-    pairs = variable_pairs(n)
-    targets = {}
-    for i, j in pairs:
-        targets[("L", i, j)] = (l_expression(i, j, n), Y.entry(i, j))
-        targets[("R", i, j)] = (r_expression(i, j, n), Z.entry(i, j))
-    variables = all_split_vars(n)
-    # For each variable, the target sums it feeds; for each target, its last variable.
-    feeds = {v: [] for v in variables}
-    last_var = {}
-    for name, (expr, _) in targets.items():
-        for v in expr.summands:
-            feeds[v].append(name)
-            last_var[name] = max(last_var.get(name, v), v)
+    variables, members, feeds = _yz_plan(n)
+    remaining = list(Y.flat + Z.flat)
+    values = [None] * len(variables)
+    queue = list(range(len(members)))
+    while queue:
+        t = queue.pop()
+        goal, open_vars = remaining[t], [x for x in members[t] if values[x] is None]
+        if goal < 0 or goal and not open_vars:
+            return []
+        if len(open_vars) == 1 or not goal:
+            for x in open_vars:
+                if goal > bound:
+                    return []
+                values[x] = goal
+                for u in feeds[x]:
+                    remaining[u] -= goal
+                queue.extend(feeds[x])
 
+    free = [x for x, m in enumerate(values) if m is None]
+    closes = {}  # a target still open is closed by its last free variable
+    for t, xs in enumerate(members):
+        open_vars = [x for x in xs if values[x] is None]
+        if open_vars:
+            closes.setdefault(open_vars[-1], []).append(t)
     solutions = []
-    running = {name: 0 for name in targets}
-    assignment = {}
 
-    def search(idx):
-        if idx == len(variables):
-            solutions.append(Splitting(n, dict(assignment)))
+    def search(at):
+        if at == len(free):
+            solutions.append(Splitting._trusted(n, {variables[x]: m for x, m in enumerate(values) if m}))
             return
-        v = variables[idx]
-        # partial sums grow with m: past one goal, every larger m is too
-        top = min([bound] + [targets[name][1] - running[name] for name in feeds[v]])
-        for m in range(top + 1):
-            ok = True
-            for name in feeds[v]:
-                if last_var[name] == v and running[name] + m != targets[name][1]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for name in feeds[v]:
-                running[name] += m
-            if m:
-                assignment[v] = m
-            search(idx + 1)
-            for name in feeds[v]:
-                running[name] -= m
-            assignment.pop(v, None)
+        x = free[at]
+        targets = feeds[x]
+        choices = range(min([bound] + [remaining[t] for t in targets]) + 1)
+        for t in closes.get(x, ()):  # the only value that meets t, if in range
+            choices = range(max(choices.start, remaining[t]), min(choices.stop, remaining[t] + 1))
+        for m in choices:
+            values[x] = m
+            for t in targets:
+                remaining[t] -= m
+            search(at + 1)
+            for t in targets:
+                remaining[t] += m
 
     search(0)
     return solutions

@@ -252,6 +252,22 @@ class TestCostBounds:
         self.assert_refused(["audit-splittings", "--n", "6", "--bound", "1"], capsys,
                             f"audit-splittings needs 2^15 (Y, Z) pairs, over the bound of {MAX_AUDIT_PAIRS}")
 
+    def test_audit_at_the_largest_bound(self, capsys):
+        # propagation solves each pair at once; a scan up to the bound took 7-8 s
+        assert main(["audit-splittings", "--n", "2", "--bound", str(MAX_AUDIT_PAIRS - 1)]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", [["verify", "--comodule"], ["decompose"]])
+    def test_comodule_check_over_the_bound_refused(self, command, rep_path, capsys, monkeypatch):
+        cost = 4  # below what any chi table costs: chi(0) alone is a term of 6 + 8 exponents
+        monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost)
+        assert main([command[0], rep_path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the comodule check costs ")
+        assert captured.err.endswith(f" terms), over the bound of {cost}\n")
+        assert captured.err.count("\n") == 1
+
 
 class TestOtherCommands:
     def test_roundtrip_command(self, capsys):

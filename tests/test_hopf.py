@@ -22,6 +22,8 @@ from unirep.hopf import (
     variable_pairs,
 )
 from unirep.linalg import SquareMatrix
+from unirep.reps import ChiTable, Representation
+from unirep.samples import random_chi_support
 
 
 def x(n, p, i, j):
@@ -241,7 +243,7 @@ def reference_key_sum(a, b):
     return ExponentMatrix(a.n, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
 
 
-def reference_coproduct(poly):
+def pairwise_coproduct(poly):
     """The algebra-map extension summed as out + acc * c, term by term."""
     n, p = poly.n, poly.p
     out = TensorElement(n, p)
@@ -305,7 +307,7 @@ class TestKernelAgainstReference:
         for _ in range(8):
             n = rng.randint(2, 4)
             f = random_poly(rng, n, p, rng.randint(0, 5))
-            assert coproduct(f).terms == reference_coproduct(f).terms
+            assert coproduct(f).terms == pairwise_coproduct(f).terms
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_tensor_of(self, p):
@@ -330,6 +332,65 @@ class TestKernelAgainstReference:
         before = dict(f.terms)
         f * f, f + f, -f, f * 3, coproduct(f)
         assert f.terms == before
+
+
+# --- the TensorElement-product coproduct, kept as the oracle ------------------
+
+
+def generator_coproduct(n, p, i, j):
+    """Delta(x_ij) on flat keys: x_ab of the left factor at its index in
+    variable_pairs(n), of the right factor N places further."""
+    pairs = variable_pairs(n)
+    N, ij = len(pairs), pairs.index((i, j))
+    ones = [(N + ij,), (ij,)] + [(pairs.index((i, k)), N + pairs.index((k, j))) for k in range(i + 1, j)]
+    return TensorElement(n, p, {tuple(int(pos in at) for pos in range(2 * N)): 1 for at in ones})
+
+
+def reference_coproduct(poly):
+    """Each term's image as a TensorElement product of generator coproduct
+    powers, reduced into the field after every product."""
+    n, p = poly.n, poly.p
+    sums = {}
+    for key, c in poly.terms.items():
+        image = TensorElement.one(n, p)
+        for (i, j), m in key.positions():
+            image = image * generator_coproduct(n, p, i, j) ** m
+        for k, v in image.terms.items():
+            sums[k] = sums.get(k, 0) + v * c
+    return TensorElement(n, p, sums)
+
+
+class TestCoproductOracle:
+    """The coproduct from per-generator multinomial weights on ints against
+    the TensorElement products it replaced."""
+
+    @pytest.mark.parametrize("p", [0, 5, 7, 11])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_seeded_polynomials(self, n, p):
+        # p^l, p^l + 1 and 2p take the digit-by-digit expansion through
+        # zero digits, digits above 1 and exponents scaled by p^2
+        exponents = (1, p, p + 1, 2 * p, p * p, p * p + 1) if p else (1, 2, 3, 4)
+        rng = random.Random(10 * n + p)
+        pairs = variable_pairs(n)
+        polys = [Polynomial.zero(n, p), Polynomial.constant(n, p, 3)]
+        for _ in range(6 if pairs else 0):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                flat = [0] * len(pairs)
+                for at in rng.sample(range(len(pairs)), min(2, len(pairs))):
+                    flat[at] = rng.choice(exponents)
+                terms[matrix(n, flat)] = rng.randint(1, 20)
+            polys.append(Polynomial(n, p, terms))
+        for f in polys:
+            assert coproduct(f).terms == reference_coproduct(f).terms
+
+    @pytest.mark.parametrize("p", [0, 5, 7, 11])
+    def test_every_entry_of_chi_tables(self, p):
+        for n, count, seed in ((3, 4, p), (4, 3, p + 1)):
+            chi = ChiTable(n, p, 2, random_chi_support(n, 2, p, count, seed, max_entry=2))
+            for row in Representation(chi).poly_matrix.entries:
+                for f in row:
+                    assert coproduct(f).terms == reference_coproduct(f).terms
 
 
 class TestKeys:

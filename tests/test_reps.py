@@ -267,6 +267,39 @@ class TestComodule:
         assert any(f["check"] == "chi-at-zero" for f in report.findings)
 
 
+    @pytest.mark.parametrize("p, r, size", [(0, 6, 7), (5, 6, 4), (5, 25, 2)])
+    @pytest.mark.parametrize("use_splitting", [False, True])
+    def test_cost_bound_counts_terms_before_expanding(self, p, r, size, use_splitting, monkeypatch):
+        # a = 1 + 3 x_12^r at n = 2, d = 1: Delta(x_12^r) multiplies out r + 1
+        # pairs over Q and, over F_p, the product of (digit + 1) over the
+        # p-ary digits of r; the tensor side a (x) a has 2 * 2 term pairs, and
+        # the splitting formula 1 + (r + 1) splittings
+        chi = ChiTable(2, p, 1, {ExponentMatrix.zero(2): scalar_matrix([[1]], p),
+                                 ExponentMatrix.epsilon(2, 1, 2, r): scalar_matrix([[3]], p)})
+        rep = Representation(chi)
+        terms = 4 + 1 + size + (r + 2 if use_splitting else 0)
+        cost = terms * (2 + 8)
+        monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost)
+        verify_comodule(rep, use_splitting)
+
+        def expand(*args):
+            raise AssertionError("expanded before the bound was checked")
+
+        monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost - 1)
+        monkeypatch.setattr(reps, "coproduct", expand)
+        monkeypatch.setattr(reps, "matrix_product_tensor_side", expand)
+        with pytest.raises(CostBoundError, match=fr"costs {cost} exponents \({terms} terms\), "
+                                                 fr"over the bound of {cost - 1}$"):
+            verify_comodule(rep, use_splitting)
+
+    def test_cost_bound_keeps_decompose_from_expanding(self, monkeypatch):
+        rep = construct_from_layers(random_layer_data(3, 2, 7, 2, seed=0))
+        monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", 0)
+        with pytest.raises(CostBoundError, match="the comodule check costs"):
+            decompose_to_layers(rep)
+        assert decompose_to_layers(rep, check=False) == random_layer_data(3, 2, 7, 2, seed=0).trimmed()
+
+
 def non_representation():
     """x_12^2 alone off the diagonal: Phi(g)Phi(h) = Phi(gh) fails."""
     n, p, d = 3, 5, 2

@@ -181,6 +181,104 @@ class TestYZSolving:
             solve_yz(ExponentMatrix.zero(3), bad_z)
 
 
+# --- the variable-by-variable Y/Z search, kept as the oracle ----------------
+
+
+def reference_brute_solve_yz(Y, Z, bound=None):
+    """Every variable in lexicographic order, each value from 0 up to its
+    first overshoot, a target checked at its last variable."""
+    n = Y.n
+    if bound is None:
+        bound = (Y + Z).max_entry()
+    targets = {}
+    for i, j in variable_pairs(n):
+        targets[("L", i, j)] = (l_expression(i, j, n), Y.entry(i, j))
+        targets[("R", i, j)] = (r_expression(i, j, n), Z.entry(i, j))
+    variables = all_split_vars(n)
+    feeds = {v: [] for v in variables}
+    last_var = {}
+    for name, (expr, _) in targets.items():
+        for v in expr.summands:
+            feeds[v].append(name)
+            last_var[name] = max(last_var.get(name, v), v)
+    solutions = []
+    running = {name: 0 for name in targets}
+    assignment = {}
+
+    def search(idx):
+        if idx == len(variables):
+            solutions.append(Splitting(n, dict(assignment)))
+            return
+        v = variables[idx]
+        top = min([bound] + [targets[name][1] - running[name] for name in feeds[v]])
+        for m in range(top + 1):
+            if any(last_var[name] == v and running[name] + m != targets[name][1] for name in feeds[v]):
+                continue
+            for name in feeds[v]:
+                running[name] += m
+            if m:
+                assignment[v] = m
+            search(idx + 1)
+            for name in feeds[v]:
+                running[name] -= m
+            assignment.pop(v, None)
+
+    search(0)
+    return solutions
+
+
+class TestSearchOracle:
+    """The propagating search against the variable-by-variable one: the same
+    solutions in the same order."""
+
+    @staticmethod
+    def targets(n, rng, top):
+        hit = Splitting(n, {v: rng.randint(0, top) for v in all_split_vars(n)})
+        return hit.left_matrix(), hit.right_matrix()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bound", [None, 1, 2, 4])
+    def test_random_splitting_targets(self, n, bound):
+        rng = random.Random(10 * n + (bound or 0))
+        for _ in range(12):
+            y, z = self.targets(n, rng, 1 if n == 4 else 2)
+            expected = reference_brute_solve_yz(y, z, bound)
+            assert brute_solve_yz(y, z, bound) == expected
+            if bound is None or bound >= (y + z).max_entry():
+                assert expected  # the splitting that gave the targets is found
+
+    def test_seeded_sample_at_n_5(self):
+        rng = random.Random(5)
+        for _ in range(5):
+            y, z = self.targets(5, rng, 1)
+            for bound in (None, 1):
+                assert brute_solve_yz(y, z, bound) == reference_brute_solve_yz(y, z, bound)
+
+    def test_yz_shape_has_the_closed_form_only(self):
+        for y_vals, z_vals in (((1, 0, 2), (0, 3, 1)), ((2, 2, 2), (1, 0, 0))):
+            y, z = yz_matrices(4, y_vals, z_vals)
+            assert brute_solve_yz(y, z, 4) == reference_brute_solve_yz(y, z, 4) == [solve_yz(y, z)]
+
+    def test_goal_above_bound_refused(self):
+        # L_12 = s_12^2 alone must reach 3 with entries <= 2
+        y = ExponentMatrix.epsilon(2, 1, 2, 3)
+        z = ExponentMatrix.zero(2)
+        assert brute_solve_yz(y, z, bound=2) == reference_brute_solve_yz(y, z, bound=2) == []
+        assert brute_solve_yz(y, z, bound=3) == [Splitting(2, {s(1, 2, 2): 3})]
+
+    def test_two_targets_forcing_one_variable_refused(self):
+        # R_23 = s_13^2 + s_23^1 = 0 forces s_13^2 to 0, while L_12 = s_12^2 +
+        # s_13^2 = 2 with entries <= 1 needs s_13^2 = 1
+        y = ExponentMatrix.epsilon(3, 1, 2, 2)
+        z = ExponentMatrix.zero(3)
+        assert brute_solve_yz(y, z, bound=1) == reference_brute_solve_yz(y, z, bound=1) == []
+        assert brute_solve_yz(y, z, bound=2) == [Splitting(3, {s(1, 2, 2): 2})]
+
+    def test_negative_bound_leaves_only_the_empty_size(self):
+        assert brute_solve_yz(ExponentMatrix.zero(1), ExponentMatrix.zero(1), bound=-1) == [Splitting(1, {})]
+        assert brute_solve_yz(ExponentMatrix.zero(3), ExponentMatrix.zero(3), bound=-1) == []
+
+
 # --- the per-splitting split_coproduct, kept as the oracle -------------------
 
 
