@@ -485,7 +485,14 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=1024)
+def _digits(m, p):
+    """The p-ary digits of m, lowest first; (m,) in characteristic 0."""
+    return p_ary_digits(m, p).digits if p else (m,)
+
+
+# A benchmark coproduct pass looks up 84 distinct keys 6,700 times (98.7% hits,
+# a sixth of its time), a roundtrip pass 63 keys 2,400 times (97%).
+@lru_cache(maxsize=256)
 def _generator_power(n, p, ij, m):
     """Delta(x_ij)^m, x_ij the ij-th pair, as (flat key, int weight) pairs by
     the multinomial theorem; in characteristic p one p-ary digit at a time,
@@ -494,7 +501,7 @@ def _generator_power(n, p, ij, m):
     i, j = _pairs(n)[ij]
     summands = [(ij,), (N + ij,)] + [(_index(n, i, k), N + _index(n, k, j)) for k in range(i + 1, j)]
     out = [((0,) * (2 * N), 1)]
-    for l, digit in enumerate(p_ary_digits(m, p).digits if p else (m,)):
+    for l, digit in enumerate(_digits(m, p)):
         block = []
         for parts in _compositions(digit, len(summands)):
             key = [0] * (2 * N)
@@ -507,12 +514,11 @@ def _generator_power(n, p, ij, m):
 
 
 def _expansion_size(n, p, flat):
-    """The product of the sizes of _generator_power over the entries of M."""
+    """prod len(_generator_power): per digit, its compositions into j - i + 1."""
     size = 1
     for (i, j), m in zip(_pairs(n), flat):
-        if m:
-            for digit in p_ary_digits(m, p).digits if p else (m,):
-                size *= comb(digit + j - i, j - i)
+        for digit in _digits(m, p) if m else ():
+            size *= comb(digit + j - i, j - i)
     return size
 
 

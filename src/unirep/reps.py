@@ -315,9 +315,9 @@ def tautological_layer(n, p):
 
 
 # A term counts as n(n-1) + 8 exponents, its key and its overhead; the check
-# builds 1.5-3e7 a second (2.1 GHz Xeon) at 2-10 bytes each, so the bound is
-# 2-4 s and up to 500 MB of work, where 20 s would hold 1-3 GB.
-MAX_COMODULE_EXPONENTS = 5 * 10**7
+# builds 1.3-3e7 a second (2.1 GHz Xeon), so the bound is 10-23 s of work; it
+# holds about 2 bytes an exponent at n <= 5, but 8 at n = 60 (2.5 GB).
+MAX_COMODULE_EXPONENTS = 3 * 10**8
 
 
 def verify_comodule(rep: Representation, use_splitting=False) -> Report:
@@ -334,8 +334,8 @@ def verify_comodule(rep: Representation, use_splitting=False) -> Report:
     sizes = [[len(f.terms) for f in row] for row in pm.entries]
     terms = sum(sum(row[k] for row in sizes) * sum(sizes[k]) for k in range(d))
     for M, mat in chi.support.items():
-        size = _expansion_size(n, p, M.flat) + (use_splitting and _expansion_size(n, 0, M.flat))
-        terms += size * sum(1 for row in mat.entries for c in row if c)
+        terms += _expansion_size(n, p, M.flat) * sum(1 for row in mat.entries for c in row if c)
+        terms += use_splitting and _expansion_size(n, 0, M.flat)  # split_coproduct: once per M
     cost = terms * (n * (n - 1) + 8)
     if cost > MAX_COMODULE_EXPONENTS:
         raise CostBoundError(f"the comodule check costs {cost} exponents ({terms} terms), "

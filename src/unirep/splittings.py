@@ -286,9 +286,8 @@ def solve_yz(Y: ExponentMatrix, Z: ExponentMatrix) -> Splitting:
 
 @cache
 def _yz_plan(n):
-    """The variables of size n in lexicographic order, the variable indices of
-    each target (L_ij at its index in variable_pairs(n), R_ij N places
-    further) and the target indices of each variable."""
+    """The variables in lexicographic order, each target's variable indices
+    (L_ij at the index of (i, j), R_ij N places further), each variable's targets."""
     variables = tuple(all_split_vars(n))
     feeds = tuple(tuple(t for t in _feeds(n)[v] if t < n * (n - 1)) for v in variables)
     members = tuple(tuple(x for x, targets in enumerate(feeds) if t in targets) for t in range(n * (n - 1)))
@@ -300,11 +299,10 @@ def _yz_plan(n):
 # n = 18, past the default recursion limit of 1000 frames.
 MAX_AUDIT_N = 16
 # An audit checks (bound+1)^N (Y, Z) pairs, N = n(n-1)/2.  Propagation
-# solves each pair without branching, so a pair costs about the same at any
-# bound, mostly in building its matrices and splittings.  In a fresh process
-# on a 2.1 GHz Xeon, n = 2, --bound 4095 takes 0.2-0.3 s, n = 4, --bound 3
-# 0.5 s and n = 5, --bound 1 0.3 s; n = 6, --bound 1 (2^15 pairs) would take
-# 6 s and n = 5, --bound 2 (3^10 pairs) 8 s.
+# solves each pair without branching, at about the same cost at any bound.
+# Fresh process, 2.1 GHz Xeon: n = 2, --bound 4095 takes 0.2-0.3 s, n = 4,
+# --bound 3 0.5 s and n = 5, --bound 1 0.3 s; n = 6, --bound 1 (2^15 pairs)
+# would take 6 s and n = 5, --bound 2 (3^10 pairs) 8 s.
 MAX_AUDIT_PAIRS = 4096
 
 
@@ -314,13 +312,11 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
     naive full product.
 
     The default bound is the largest entry of Y + Z (every variable appears in
-    some L or R with coefficient 1, so larger values cannot occur).  First a
-    target whose remaining goal is 0 sets its open variables to 0, and a
-    target with one open variable sets it to the remaining goal: the entries
-    are non-negative, so no other value can meet the target.  The variables
-    still open are then walked in lexicographic order with partial-sum
-    pruning, the last open variable of a target taking its remaining goal.
-    Sizes above MAX_AUDIT_N are refused with CostBoundError.
+    some L or R with coefficient 1, so larger values cannot occur).  A target
+    whose remaining goal is 0 zeroes its open variables, one with a single
+    open variable sets it to the goal: entries are non-negative, so no other
+    value meets it.  What is left is walked in lexicographic order with
+    partial-sum pruning.  Sizes above MAX_AUDIT_N raise CostBoundError.
     """
     n = Y.n
     if Z.n != n:
@@ -346,7 +342,6 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
                 for u in feeds[x]:
                     remaining[u] -= goal
                 queue.extend(feeds[x])
-
     free = [x for x, m in enumerate(values) if m is None]
     closes = {}  # a target still open is closed by its last free variable
     for t, xs in enumerate(members):

@@ -268,16 +268,19 @@ class TestComodule:
 
 
     @pytest.mark.parametrize("p, r, size", [(0, 6, 7), (5, 6, 4), (5, 25, 2)])
+    @pytest.mark.parametrize("d, pairs", [(1, 4), (2, 18)])
     @pytest.mark.parametrize("use_splitting", [False, True])
-    def test_cost_bound_counts_terms_before_expanding(self, p, r, size, use_splitting, monkeypatch):
-        # a = 1 + 3 x_12^r at n = 2, d = 1: Delta(x_12^r) multiplies out r + 1
-        # pairs over Q and, over F_p, the product of (digit + 1) over the
-        # p-ary digits of r; the tensor side a (x) a has 2 * 2 term pairs, and
-        # the splitting formula 1 + (r + 1) splittings
-        chi = ChiTable(2, p, 1, {ExponentMatrix.zero(2): scalar_matrix([[1]], p),
-                                 ExponentMatrix.epsilon(2, 1, 2, r): scalar_matrix([[3]], p)})
+    def test_cost_bound_counts_terms_before_expanding(self, p, r, size, d, pairs, use_splitting, monkeypatch):
+        # chi(0) = Id and chi(r eps_12) = 3 in every entry at n = 2: Delta(x_12^r)
+        # multiplies out r + 1 pairs over Q and, over F_p, the product of
+        # (digit + 1) over the p-ary digits of r, once per nonzero entry; the
+        # tensor side sum_k a_ik (x) a_kj has 2 * 2 term pairs at d = 1 and
+        # 2 * (3 * 3) at d = 2 (a_ii = 1 + 3 x^r, a_ij = 3 x^r), and the
+        # splitting formula enumerates 1 + (r + 1) splittings, once per M
+        chi = ChiTable(2, p, d, {ExponentMatrix.zero(2): SquareMatrix.identity(d, coerce_scalar(1, p)),
+                                 ExponentMatrix.epsilon(2, 1, 2, r): scalar_matrix([[3] * d] * d, p)})
         rep = Representation(chi)
-        terms = 4 + 1 + size + (r + 2 if use_splitting else 0)
+        terms = pairs + d + d * d * size + (r + 2 if use_splitting else 0)
         cost = terms * (2 + 8)
         monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost)
         verify_comodule(rep, use_splitting)
