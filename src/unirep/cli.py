@@ -5,8 +5,8 @@ decompose (rep file -> layer file), roundtrip (seeded random construct +
 decompose), bch (print the series components and their Dynkin status), and
 audit-splittings (occurrence and uniqueness checks).
 
-Findings are emitted one JSON object per line with fields
-{check, location, expected, actual}.  Exit codes: 0 pass, 1 verification
+Findings and the summary lines are emitted one JSON object per line, each the
+four string fields of errors.finding.  Exit codes: 0 pass, 1 verification
 findings, 2 usage or hypothesis error.
 """
 
@@ -20,8 +20,8 @@ import sys
 
 from .arith import check_field
 from .bch import bch_components, dynkin_projection
-from .errors import CostBoundError, UnirepError
-from .hopf import ExponentMatrix
+from .errors import CostBoundError, UnirepError, finding
+from .hopf import _key
 from .io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
 from .reps import (
     audit_structure_lemmas,
@@ -66,10 +66,8 @@ def cmd_construct(args):
 def cmd_verify(args):
     rep = parse_rep_file(_read(args.repfile))
     findings = []
-    ran_any = False
     if args.comodule or not (args.pointwise or args.chi_relations or args.lemmas):
         findings.extend(verify_comodule(rep).findings)
-        ran_any = True
     if args.pointwise:
         if args.pointwise == "exhaustive":
             report = verify_group_law_pointwise(rep, mode="exhaustive")
@@ -84,14 +82,10 @@ def cmd_verify(args):
             report = verify_group_law_pointwise(rep, mode="sampled",
                                                 count=int(count), seed=args.seed)
         findings.extend(report.findings)
-        ran_any = True
     if args.chi_relations:
         findings.extend(verify_chi_relations(rep).findings)
-        ran_any = True
     if args.lemmas:
         findings.extend(audit_structure_lemmas(rep).findings)
-        ran_any = True
-    assert ran_any
     _emit(findings)
     return 1 if findings else 0
 
@@ -100,12 +94,9 @@ def cmd_decompose(args):
     rep = parse_rep_file(_read(args.repfile))
     data = decompose_to_layers(rep)
     _write_output(write_layer_file(data), args.output)
-    bound = max(rep.n, 2 * rep.d)
-    sys.stderr.write(json.dumps(
-        {"check": "decompose", "location": f"n={rep.n}, p={rep.p}, d={rep.d}",
-         "expected": f"p >= max(n, 2d) = {bound}", "actual": f"satisfied; {len(data.layers)} layers"},
-        sort_keys=True,
-    ) + "\n")
+    _emit([finding("decompose", f"n={rep.n}, p={rep.p}, d={rep.d}",
+                   f"p >= max(n, 2d) = {max(rep.n, 2 * rep.d)}",
+                   f"satisfied; {len(data.layers)} layers")], sys.stderr)
     return 0
 
 
@@ -117,13 +108,9 @@ def cmd_roundtrip(args):
     rep = construct_from_layers(data)
     recovered = decompose_to_layers(rep)
     exact = recovered == data
-    line = {
-        "check": "roundtrip",
-        "location": f"n={args.n}, d={args.d}, p={args.p}, layers={args.layers}, seed={args.seed}",
-        "expected": "exact layer recovery",
-        "actual": "exact layer recovery" if exact else "layer mismatch",
-    }
-    _emit([line])
+    _emit([finding("roundtrip",
+                   f"n={args.n}, d={args.d}, p={args.p}, layers={args.layers}, seed={args.seed}",
+                   "exact layer recovery", "exact layer recovery" if exact else "layer mismatch")])
     return 0 if exact else 1
 
 
@@ -133,24 +120,20 @@ def cmd_bch(args):
     for m, comp in enumerate(components, start=1):
         fixed = dynkin_projection(comp) == comp
         all_fixed = all_fixed and fixed
-        _emit([{"check": "bch", "location": f"P_{m}", "expected": "dynkin(P_m) = P_m",
-                "actual": f"{comp}" + ("" if fixed else " (projection differs)")}])
+        _emit([finding("bch", f"P_{m}", "dynkin(P_m) = P_m",
+                       f"{comp}" + ("" if fixed else " (projection differs)"))])
     return 0 if all_fixed else 1
 
 
 def _yz_pairs(n, bound):
-    y_pos = [(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
-    z_pos = [(1, j) for j in range(2, n + 1)]
-    for y_vals in itertools.product(range(bound + 1), repeat=len(y_pos)):
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(y_pos, y_vals):
-            rows[i - 1][j - 1] = v
-        y = ExponentMatrix(n, rows)
-        for z_vals in itertools.product(range(bound + 1), repeat=len(z_pos)):
-            rows = [[0] * n for _ in range(n)]
-            for (i, j), v in zip(z_pos, z_vals):
-                rows[i - 1][j - 1] = v
-            yield y, ExponentMatrix(n, rows)
+    """Every (Y, Z) with entries <= bound, Y off the top row and Z on it; the
+    top row's n - 1 pairs come first in the flat order."""
+    top, rest = n - 1, (n - 1) * (n - 2) // 2
+    values = range(bound + 1)
+    for ys in itertools.product(values, repeat=rest):
+        y = _key(n, (0,) * top + ys)
+        for zs in itertools.product(values, repeat=top):
+            yield y, _key(n, zs + (0,) * rest)
 
 
 def cmd_audit_splittings(args):
@@ -168,12 +151,9 @@ def cmd_audit_splittings(args):
         solutions = brute_solve_yz(y, z, bound=args.bound + 1)
         closed = solve_yz(y, z)
         if len(solutions) != 1 or solutions[0] != closed:
-            findings.append({
-                "check": "yz-uniqueness",
-                "location": f"Y={y}, Z={z}",
-                "expected": f"exactly one solution, equal to {closed}",
-                "actual": f"{len(solutions)} solutions",
-            })
+            findings.append(finding("yz-uniqueness", f"Y={y}, Z={z}",
+                                    f"exactly one solution, equal to {closed}",
+                                    f"{len(solutions)} solutions"))
     _emit(findings)
     return 1 if findings else 0
 

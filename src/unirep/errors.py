@@ -1,4 +1,11 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and the report-line constructor."""
+
+
+def finding(check, location, expected, actual):
+    """One report line: the check that failed, where, and what was expected
+    against what was found, each of the last three as a string."""
+    return {"check": check, "location": str(location),
+            "expected": str(expected), "actual": str(actual)}
 
 
 class UnirepError(Exception):

@@ -95,6 +95,8 @@ def _header_ints(header, extra=()):
         check_field(*out[:3])
     except ValueError as exc:
         raise ParseError(f"line 1: {exc}") from None
+    except CostBoundError as exc:
+        raise CostBoundError(f"line 1: {exc}") from None
     return out
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 
 from .arith import Residue, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
-from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError
+from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError, finding
 from .hopf import (
     ExponentMatrix,
     Polynomial,
@@ -80,10 +80,7 @@ class Report:
         return not self.findings
 
     def add(self, check, location, expected, actual):
-        self.findings.append(
-            {"check": check, "location": str(location),
-             "expected": str(expected), "actual": str(actual)}
-        )
+        self.findings.append(finding(check, location, expected, actual))
 
 
 def lie_bracket_pairs(rs, tu):
@@ -615,7 +612,8 @@ def _chi_power_items(chi: ChiTable):
 def verify_chi_relations(rep: Representation) -> Report:
     """Nilpotency of every chi(p^l eps_rs) and the bracket table
     [chi(p^l eps_rs), chi(p^m eps_tu)]: zero for l != m or vanishing Lie
-    bracket, chi(p^l [eps_rs, eps_tu]) otherwise."""
+    bracket, chi(p^l [eps_rs, eps_tu]) otherwise, also when a side of
+    [chi(p^l eps_ik), chi(p^l eps_kj)] is unsupported and chi(p^l eps_ij) is not."""
     chi = rep.chi
     p, d = chi.p, chi.d
     if p == 0:
@@ -635,6 +633,11 @@ def verify_chi_relations(rep: Representation) -> Report:
         if bracket != expected:
             report.add("chi-bracket", f"[chi(p^{l} eps_{rs}), chi(p^{m} eps_{tu})]",
                        SquareMatrix(expected), SquareMatrix(bracket))
+    for l, (i, j), a in powers:  # brackets with a zero side, which the pairs above miss
+        for k in range(i + 1, j):
+            if (i, k) not in layers[l] or (k, j) not in layers[l]:
+                report.add("chi-bracket", f"[chi(p^{l} eps_{(i, k)}), chi(p^{l} eps_{(k, j)})]",
+                           SquareMatrix(a), SquareMatrix(zero))
     return report
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .arith import coerce_scalar, matrix_multinomial
-from .errors import CostBoundError, ShapeError
+from .errors import CostBoundError, ShapeError, finding
 from .hopf import ExponentMatrix, TensorElement, _compositions, variable_pairs
 
 __all__ = [
@@ -389,42 +389,33 @@ def occurrence_report(n: int):
     for pos, expr in l_exprs.items():
         for v in expr.summands:
             if v in seen_l:
-                findings.append(
-                    {"check": "L-occurrence", "location": str(v),
-                     "expected": "at most once among all L", "actual": f"in L{seen_l[v]} and L{pos}"}
-                )
+                findings.append(finding("L-occurrence", v, "at most once among all L",
+                                        f"in L{seen_l[v]} and L{pos}"))
             seen_l[v] = pos
     seen_r = {}
     for pos, expr in r_exprs.items():
         for v in expr.summands:
             if v in seen_r:
-                findings.append(
-                    {"check": "R-occurrence", "location": str(v),
-                     "expected": "at most once among all R", "actual": f"in R{seen_r[v]} and R{pos}"}
-                )
+                findings.append(finding("R-occurrence", v, "at most once among all R",
+                                        f"in R{seen_r[v]} and R{pos}"))
             seen_r[v] = pos
 
     for v in all_split_vars(n):
         in_l, in_r = v in seen_l, v in seen_r
         if in_l == (v.k == 1):
-            findings.append(
-                {"check": "L-absence", "location": str(v),
-                 "expected": "absent from all L iff k = 1", "actual": f"k={v.k}, in L: {in_l}"}
-            )
+            findings.append(finding("L-absence", v, "absent from all L iff k = 1",
+                                    f"k={v.k}, in L: {in_l}"))
         if in_r == (v.j - v.i == v.k - 1):
-            findings.append(
-                {"check": "R-absence", "location": str(v),
-                 "expected": "absent from all R iff on the superdiagonal of S_k",
-                 "actual": f"(i,j,k)=({v.i},{v.j},{v.k}), in R: {in_r}"}
-            )
+            findings.append(finding("R-absence", v,
+                                    "absent from all R iff on the superdiagonal of S_k",
+                                    f"(i,j,k)=({v.i},{v.j},{v.k}), in R: {in_r}"))
 
     for lp, rp in itertools.product(pairs, pairs):
         common = set(l_exprs[lp].summands) & set(r_exprs[rp].summands)
         predicted = shared_variable(lp, rp, n)
         expected = {predicted} if predicted is not None else set()
         if common != expected:
-            findings.append(
-                {"check": "shared-variable", "location": f"L{lp} vs R{rp}",
-                 "expected": sorted(map(str, expected)), "actual": sorted(map(str, common))}
-            )
+            findings.append(finding("shared-variable", f"L{lp} vs R{rp}",
+                                    ", ".join(sorted(map(str, expected))),
+                                    ", ".join(sorted(map(str, common)))))
     return findings

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unirep.arith import (
+    MAX_D,
+    MAX_N,
     PAryDigits,
     Residue,
     check_field,
@@ -19,7 +21,7 @@ from unirep.arith import (
     scalar_to_str,
     sum_carries,
 )
-from unirep.errors import ConversionError, ModulusMismatchError, ShapeError
+from unirep.errors import ConversionError, CostBoundError, ModulusMismatchError, ShapeError
 
 
 class TestResidue:
@@ -55,6 +57,12 @@ class TestCheckField:
     def test_refuses(self, n, p, d):
         with pytest.raises(ValueError):
             check_field(n, p, d)
+
+    def test_size_bounds(self):
+        check_field(MAX_N, 0, MAX_D)
+        for n, d in ((MAX_N + 1, 1), (1, MAX_D + 1), (20000, 1), (2, 1000)):
+            with pytest.raises(CostBoundError):
+                check_field(n, 7, d)
 
 
 class TestCoercion:

@@ -1,23 +1,55 @@
 """End-to-end command-line behavior and exit codes."""
 
+import ast
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import unirep
-from unirep import bch, cli, reps
+from unirep import bch, cli, reps, splittings
+from unirep.arith import MAX_D, MAX_N
 from unirep.bch import MAX_BCH_DEGREE
 from unirep.cli import main
+from unirep.hopf import ExponentMatrix
 from unirep.io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
-from unirep.reps import MAX_EXHAUSTIVE_PAIRS, construct_from_layers
+from unirep.linalg import scalar_matrix
+from unirep.reps import MAX_EXHAUSTIVE_PAIRS, ChiTable, Representation, construct_from_layers
 from unirep.samples import random_layer_data
 from unirep.splittings import MAX_AUDIT_N, MAX_AUDIT_PAIRS
+
+
+FIELDS = {"check", "location", "expected", "actual"}
+
+
+def run_cli(argv):
+    """stdout, stderr and exit code of one cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def zero_side_rep():
+    """chi(eps_13) = chi(eps_23) = E12 with chi(eps_12) absent: the bracket
+    [chi(eps_12), chi(eps_23)] is 0 but chi(eps_13) is not."""
+    e12 = scalar_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 7)
+    identity = scalar_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 7)
+    return Representation(ChiTable(3, 7, 3, {
+        ExponentMatrix.zero(3): identity,
+        ExponentMatrix.epsilon(3, 2, 3): e12,
+        ExponentMatrix.epsilon(3, 1, 3): e12,
+    }))
 
 
 @pytest.fixture
@@ -73,6 +105,14 @@ class TestVerify:
         assert lines
         finding = json.loads(lines[0])
         assert set(finding) == {"check", "location", "expected", "actual"}
+
+    def test_chi_relations_find_a_bracket_with_a_zero_side(self, tmp_path, capsys):
+        path = tmp_path / "rep.txt"
+        path.write_text(write_rep_file(zero_side_rep()))
+        assert main(["verify", str(path), "--chi-relations"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "check": "chi-bracket", "location": "[chi(p^0 eps_(1, 2)), chi(p^0 eps_(2, 3))]",
+            "expected": "[0, 1, 0; 0, 0, 0; 0, 0, 0]", "actual": "[0, 0, 0; 0, 0, 0; 0, 0, 0]"}
 
     def test_bad_pointwise_flag(self, layer_file, tmp_path, capsys):
         path, data = layer_file
@@ -154,6 +194,36 @@ class TestFieldCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: line 1:")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command,header,message", [
+        (["verify"], {"format": "chi", "version": 1, "n": 20000, "p": 7, "d": 1},
+         f"n = 20000 is over the bound of {MAX_N}"),
+        (["verify", "--comodule"], {"format": "chi", "version": 1, "n": 2, "p": 7, "d": 1000},
+         f"d = 1000 is over the bound of {MAX_D}"),
+        (["verify", "--pointwise", "sampled:1"], {"format": "chi", "version": 1, "n": 2, "p": 7, "d": 1000},
+         f"d = 1000 is over the bound of {MAX_D}"),
+        (["decompose"], {"format": "poly", "version": 1, "n": MAX_N + 1, "p": 101, "d": 1},
+         f"n = {MAX_N + 1} is over the bound of {MAX_N}"),
+        (["construct"], {"format": "layers", "version": 1, "n": 2, "p": 7, "d": MAX_D + 1, "layers": 1},
+         f"d = {MAX_D + 1} is over the bound of {MAX_D}"),
+    ])
+    def test_header_over_the_size_bound_refused(self, command, header, message, tmp_path, capsys):
+        # refused before anything of size n^2 or d^2 is built
+        path = tmp_path / "in.txt"
+        path.write_text(json.dumps(header) + "\n")
+        start = time.perf_counter()
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"error: line 1: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", str(MAX_N + 1), "--d", "1", "--p", "101"], f"n = {MAX_N + 1} is over the bound of {MAX_N}"),
+        (["--n", "2", "--d", str(MAX_D + 1), "--p", "1031"], f"d = {MAX_D + 1} is over the bound of {MAX_D}"),
+    ])
+    def test_roundtrip_over_the_size_bound_refused(self, argv, message, capsys):
+        assert main(["roundtrip", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestLayerCountBound:
@@ -333,12 +403,13 @@ class TestBoundaryChecks:
         assert capsys.readouterr().out == ""
 
     def test_poly_body_far_short_of_its_header(self, tmp_path, capsys):
+        # the largest d the size bound accepts; d = 3000 is refused by that bound
         path = tmp_path / "poly.txt"
-        path.write_text(json.dumps({"format": "poly", "version": 1, "n": 3, "p": 7, "d": 3000}) + "\n")
+        path.write_text(json.dumps({"format": "poly", "version": 1, "n": 3, "p": 7, "d": MAX_D}) + "\n")
         assert main(["verify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == ("error: line 1: missing matrix entries "
-                       "[(1, 1), (1, 2), (1, 3), (1, 4), (1, 5)] and 8999995 more\n")
+                       f"[(1, 1), (1, 2), (1, 3), (1, 4), (1, 5)] and {MAX_D**2 - 5} more\n")
 
     def test_poly_body_missing_few_entries_lists_them(self, tmp_path, capsys):
         text = "\n".join([
@@ -373,15 +444,7 @@ class TestBoundaryChecks:
 
 
 class TestParserOnce:
-    def run(self, argv):
-        """stdout, stderr and exit code of one cli.main call."""
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
-        return out.getvalue(), err.getvalue(), code
+    run = staticmethod(run_cli)
 
     def test_calls_share_one_parser_and_match_fresh_ones(self, layer_file, tmp_path, monkeypatch):
         path, data = layer_file
@@ -410,3 +473,114 @@ def test_python_dash_m_runs_the_cli(capsys):
     proc = subprocess.run([sys.executable, "-m", "unirep", *argv], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+def reference_yz_pairs(n, bound):
+    """The row-built (Y, Z) pairs that cli._yz_pairs replaced, kept as its oracle."""
+    y_pos = [(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
+    z_pos = [(1, j) for j in range(2, n + 1)]
+    for y_vals in itertools.product(range(bound + 1), repeat=len(y_pos)):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(y_pos, y_vals):
+            rows[i - 1][j - 1] = v
+        y = ExponentMatrix(n, rows)
+        for z_vals in itertools.product(range(bound + 1), repeat=len(z_pos)):
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(z_pos, z_vals):
+                rows[i - 1][j - 1] = v
+            yield y, ExponentMatrix(n, rows)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_yz_pairs_match_the_row_built_ones(n):
+    for bound in range(3):
+        assert list(cli._yz_pairs(n, bound)) == list(reference_yz_pairs(n, bound)), (n, bound)
+
+
+class TestReportLines:
+    """Every report line a command writes, and every finding printed inside an
+    error line, is exactly the four fields of errors.finding, each a str."""
+
+    @staticmethod
+    def assert_finding(f):
+        assert set(f) == FIELDS and all(type(v) is str for v in f.values()), f
+
+    def count_lines(self, text):
+        lines = text.splitlines()
+        for line in lines:
+            self.assert_finding(json.loads(line))
+        return len(lines)
+
+    def check_embedded(self, err):
+        """The findings list printed inside one error line."""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        findings = ast.literal_eval(err[err.index(": [") + 2:])
+        assert findings
+        for f in findings:
+            self.assert_finding(f)
+
+    @pytest.fixture
+    def files(self, layer_file, tmp_path):
+        rep = construct_from_layers(layer_file[1])
+        failing = "\n".join([  # x_13 alone violates the coproduct
+            json.dumps({"format": "chi", "version": 1, "n": 3, "p": 7, "d": 1}),
+            json.dumps({"M": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "matrix": [["1"]]}),
+            json.dumps({"M": [[0, 0, 1], [0, 0, 0], [0, 0, 0]], "matrix": [["1"]]}),
+        ]) + "\n"
+        small = Representation(ChiTable(2, 5, 2, {  # chi(2 eps_12) breaks the group law
+            ExponentMatrix.zero(2): scalar_matrix([[1, 0], [0, 1]], 5),
+            ExponentMatrix.epsilon(2, 1, 2): scalar_matrix([[0, 1], [0, 0]], 5),
+            ExponentMatrix.epsilon(2, 1, 2, 2): scalar_matrix([[0, 1], [0, 0]], 5),
+        }))
+        texts = {"valid": write_rep_file(rep), "poly": write_rep_file(rep, body="poly"),
+                 "zero-side": write_rep_file(zero_side_rep()), "failing": failing,
+                 "small": write_rep_file(small)}
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        return paths
+
+    def test_verify(self, files):
+        flags = [[], ["--comodule"], ["--pointwise", "sampled:5"], ["--pointwise", "exhaustive"],
+                 ["--chi-relations"], ["--lemmas"],
+                 ["--comodule", "--pointwise", "sampled:5", "--chi-relations", "--lemmas"]]
+        written = {}
+        for (name, path), flag in itertools.product(files.items(), flags):
+            out, err, code = run_cli(["verify", str(path), *flag])
+            if code == 2:  # a refusal: one error line and no report
+                assert out == "" and err.startswith("error:") and err.count("\n") == 1
+                continue
+            assert err == "" and code == int(bool(out))
+            written[name] = written.get(name, 0) + self.count_lines(out)
+        assert written["valid"] == written["poly"] == 0
+        assert min(written[name] for name in ("zero-side", "failing", "small")) > 0
+
+    def test_construct_and_decompose(self, files, layer_file, tmp_path):
+        out, err, code = run_cli(["decompose", str(files["valid"])])
+        assert code == 0 and self.count_lines(err) == 1
+        out, err, code = run_cli(["decompose", str(files["failing"])])
+        assert code == 2 and out == ""
+        self.check_embedded(err)
+        bad = random_layer_data(3, 2, 7, 1, seed=1)
+        bad.layers[0][(1, 2)] = scalar_matrix([[1, 0], [0, 0]], 7)  # not nilpotent
+        path = tmp_path / "bad-layers.txt"
+        path.write_text(write_layer_file(bad))
+        out, err, code = run_cli(["construct", str(path)])
+        assert code == 2 and out == ""
+        self.check_embedded(err)
+
+    def test_roundtrip_and_bch(self):
+        out, err, code = run_cli(["roundtrip", "--n", "3", "--d", "2", "--p", "11", "--layers", "2"])
+        assert (code, err) == (0, "") and self.count_lines(out) == 1
+        out, err, code = run_cli(["bch", "--max-degree", "4"])
+        assert (code, err) == (0, "") and self.count_lines(out) == 4
+
+    def test_audit_splittings(self, monkeypatch):
+        monkeypatch.setattr(splittings, "shared_variable", lambda lp, rp, n: None)
+        monkeypatch.setattr(cli, "brute_solve_yz", lambda y, z, bound: [])
+        out, err, code = run_cli(["audit-splittings", "--n", "3", "--bound", "1"])
+        assert (code, err) == (1, "")
+        assert self.count_lines(out) > 0
+        assert {json.loads(line)["check"] for line in out.splitlines()} == {
+            "shared-variable", "yz-uniqueness"}

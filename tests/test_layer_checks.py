@@ -78,6 +78,12 @@ def reference_chi_relations(rep):
         if bracket != expected:
             report.add("chi-bracket", f"[chi(p^{l} eps_{rs}), chi(p^{m} eps_{tu})]",
                        expected, bracket)
+    for l, (i, j), mat in powers:
+        for k in range(i + 1, j):
+            sides = [chi.get(ExponentMatrix.epsilon(chi.n, a, b, chi.p**l)) for a, b in ((i, k), (k, j))]
+            if any(side.is_zero() for side in sides):
+                report.add("chi-bracket", f"[chi(p^{l} eps_{(i, k)}), chi(p^{l} eps_{(k, j)})]",
+                           mat, chi.zero_matrix())
     return report
 
 
@@ -301,6 +307,31 @@ def test_chi_bracket_finding_against_a_negated_image():
                 "[0, 0, 9; 0, 0, 0; 0, 0, 0]", "[0, 0, 10; 0, 0, 0; 0, 0, 0]")]
 
 
+E12_3 = [[int((a, b) == (0, 1)) for b in range(3)] for a in range(3)]
+I3 = [[int(a == b) for b in range(3)] for a in range(3)]
+
+
+def test_chi_bracket_finding_with_a_zero_side():
+    # chi(eps_12) is absent, so [chi(eps_12), chi(eps_23)] = 0, but chi(eps_13) = E12;
+    # no pair of supported powers has that bracket.  validate fails the same layer there.
+    rep = chi_rep(3, 7, {(): I3, ((2, 3, 1),): E12_3, ((1, 3, 1),): E12_3}, d=3)
+    assert verify_chi_relations(rep).findings == [
+        finding("chi-bracket", "[chi(p^0 eps_(1, 2)), chi(p^0 eps_(2, 3))]",
+                "[0, 1, 0; 0, 0, 0; 0, 0, 0]", "[0, 0, 0; 0, 0, 0; 0, 0, 0]")]
+    layer = {ij: scalar_matrix(E12_3, 7) for ij in ((2, 3), (1, 3))}
+    assert LieLayerData(3, 7, 3, [layer]).validate().findings == [
+        finding("layer-homomorphism", "layer 0, [(1, 2), (2, 3)]",
+                "bracket-compatible", "bracket mismatch")]
+
+
+def test_chi_bracket_finding_with_two_zero_sides_at_a_higher_layer():
+    # chi(p eps_13) alone: both sides of its one bracket are absent, one finding
+    rep = chi_rep(3, 5, {(): I3, ((1, 3, 5),): E12_3}, d=3)
+    assert verify_chi_relations(rep).findings == [
+        finding("chi-bracket", "[chi(p^1 eps_(1, 2)), chi(p^1 eps_(2, 3))]",
+                "[0, 1, 0; 0, 0, 0; 0, 0, 0]", "[0, 0, 0; 0, 0, 0; 0, 0, 0]")]
+
+
 def test_factorization_finding():
     # chi(eps_23) is absent, so the product for eps_12 + eps_23 is zero
     rep = chi_rep(3, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 1), (2, 3, 1)): E12})
@@ -346,6 +377,8 @@ def test_pinned_cases_match_the_oracle():
         chi_rep(2, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 5),): E21}),
         chi_rep(2, 5, {(): I2, ((1, 2, 1),): E12, ((1, 2, 3),): E12}),
         chi_rep(2, 5, {((1, 2, 1),): E12}),  # chi(0) absent
+        chi_rep(3, 7, {(): I3, ((2, 3, 1),): E12_3, ((1, 3, 1),): E12_3}, d=3),
+        chi_rep(3, 7, {(): I3, ((1, 2, 7),): E12_3, ((1, 3, 7),): E12_3}, d=3),
     ]
     for rep in cases:
         assert verify_chi_relations(rep).findings == reference_chi_relations(rep).findings

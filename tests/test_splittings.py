@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from unirep import splittings
 from unirep.errors import CostBoundError, ShapeError
 from unirep.hopf import ExponentMatrix, TensorElement, coproduct, variable_pairs
 from unirep.linalg import scalar_matrix
@@ -69,6 +70,23 @@ class TestOccurrenceReport:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_all_claims_hold(self, n):
         assert occurrence_report(n) == []
+
+    def test_findings_are_four_strings(self, monkeypatch):
+        # every L and every R is L_12, and the predicted shared variable is always s_12^1
+        l12 = l_expression(1, 2, 4)
+        monkeypatch.setattr(splittings, "l_expression", lambda i, j, n: l12)
+        monkeypatch.setattr(splittings, "r_expression", lambda i, j, n: l12)
+        monkeypatch.setattr(splittings, "shared_variable", lambda lp, rp, n: s(1, 2, 1))
+        findings = occurrence_report(4)
+        assert {f["check"] for f in findings} == {
+            "L-occurrence", "R-occurrence", "L-absence", "R-absence", "shared-variable"}
+        for f in findings:
+            assert set(f) == {"check", "location", "expected", "actual"}
+            assert all(type(v) is str for v in f.values()), f
+        shared = [f for f in findings if f["check"] == "shared-variable"]
+        assert len(shared) == 36 and shared[0] == {
+            "check": "shared-variable", "location": "L(1, 2) vs R(1, 2)",
+            "expected": "s_12^1", "actual": "s_12^2, s_13^2, s_14^2"}
 
 
 class TestEnumeration:
