@@ -85,15 +85,20 @@ class Residue:
         v = self._match(other)
         if v is NotImplemented:
             return NotImplemented
-        if v % self.p == 0:
-            raise ConversionError(f"division by {v} is not invertible mod {self.p}")
-        return Residue(self.value * pow(v, -1, self.p), self.p)
+        return Residue(self.value * _inverse(v, self.p), self.p)
 
     def __bool__(self):
         return self.value != 0
 
     def __str__(self):
         return str(self.value)
+
+
+def _inverse(v: int, p: int) -> int:
+    """The inverse of the int v mod p; ConversionError when p divides v."""
+    if v % p == 0:
+        raise ConversionError(f"division by {v} is not invertible mod {p}")
+    return pow(v, -1, p)
 
 
 # Caps the trial division in check_field at 46341 divisors; the exp/log

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import add, sub
 
-from .arith import Residue, coerce_scalar
+from .arith import _inverse
 from .errors import CostBoundError, SeriesTerminationError
+from .linalg import _identity_rows, _matmul, _series_rows, _wrap, _zip_rows
 
 GENERATORS = ("x", "y")
 
@@ -278,14 +280,17 @@ def denominator_audit(e: FreeElement, p: int) -> bool:
 def bch_evaluate(components, X, Y):
     """Substitute matrices X, Y for the generators in each component and sum.
 
-    In characteristic p each component must pass the denominator audit first.
-    Each word is cut into a head and a tail no longer than the head, and the
-    sum is taken as sum_head X_head @ (sum_tail c_w X_tail).  The product of
-    each distinct head or tail is formed once, from the product of its
-    prefix, and shared by every word that uses it.
+    X and Y are read once into rows of the field of X's first entry (ints
+    mod p, or Fractions with plain ints read as Fractions; an entry outside
+    it raises ModulusMismatchError), and the result's entries are built once,
+    d^2 Residues over F_p.  In characteristic p each component must pass the
+    denominator audit first.  Each word is cut into a head and a tail no
+    longer than the head, and the sum is taken as
+    sum_head X_head @ (sum_tail c_w X_tail).  The product of each distinct
+    head or tail is formed once, from the product of its prefix, and shared
+    by every word that uses it.
     """
-    sample = X.entries[0][0]
-    p = sample.p if isinstance(sample, Residue) else 0
+    p, one, x, y = _series_rows(X, Y)
     if p:
         for i, comp in enumerate(components):
             if not denominator_audit(comp, p):
@@ -298,20 +303,21 @@ def bch_evaluate(components, X, Y):
             cut = (len(w) + 1) // 2
             tails = halves.setdefault(w[:cut], {})
             tails[w[cut:]] = tails.get(w[cut:], 0) + c
-    gens = {"x": X, "y": Y}
-    products = {(): X.identity_like()}
+    gens = {"x": x, "y": y}
+    products = {(): _identity_rows(len(x), one)}
 
     def product(w):
         if w not in products:
-            products[w] = gens[w[0]] if len(w) == 1 else product(w[:-1]) @ gens[w[-1]]
+            products[w] = gens[w[0]] if len(w) == 1 else _matmul(product(w[:-1]), gens[w[-1]], p)
         return products[w]
 
-    result = X.zero_like()
+    result = zero = _zip_rows(sub, products[()], products[()])
     for head, tails in halves.items():
-        inner = X.zero_like()
+        inner = zero
         for tail, c in tails.items():
-            c = coerce_scalar(c, p)
+            if p:
+                c = c.numerator * _inverse(c.denominator, p) % p
             if c:
-                inner = inner + product(tail).scale(c)
-        result = result + (product(head) @ inner if head else inner)
-    return result
+                inner = [[s + c * t for s, t in zip(srow, trow)] for srow, trow in zip(inner, product(tail))]
+        result = _zip_rows(add, result, _matmul(product(head), inner, p) if head else inner)
+    return _wrap(result, p)

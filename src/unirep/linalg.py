@@ -4,9 +4,11 @@ Entries are either scalars (Fraction / Residue) or Polynomials, never mixed
 within one matrix.  When every entry of the operands is a Residue mod one p,
 products, sums and scalings run on the ints and build one Residue per output
 entry; any other matrix takes the entries' own arithmetic.  The exp/log
-series are truncated at the measured nilpotency index, so no division by k!
-for k >= index ever happens; this is what keeps every denominator coprime to
-the characteristic.
+series read their operand once into rows (`_series_rows`), walk its powers on
+them (`_series_walk`) and build the result's entries once, d^2 Residues over
+F_p.  The walk stops at the first zero power, so no division by k! for
+k >= index ever happens; this is what keeps every denominator coprime to the
+characteristic.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul, sub
 
-from .arith import Residue, coerce_scalar
+from .arith import Residue, _inverse, coerce_scalar
 from .errors import ModulusMismatchError, NotNilpotentError, SeriesTerminationError, ShapeError
 from .hopf import Polynomial
 
@@ -53,8 +55,7 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, d, one):
-        zero = one - one
-        return cls([[one if i == j else zero for j in range(d)] for i in range(d)])
+        return cls(_identity_rows(d, one))
 
     def identity_like(self):
         return SquareMatrix.identity(self.size, one_like(self.entries[0][0]))
@@ -73,9 +74,8 @@ class SquareMatrix:
         ints = _int_rows(self, other)
         if ints:
             p, a, b = ints
-            return _residues([list(map(op, ra, rb)) for ra, rb in zip(a, b)], p)
-        rows = zip(self.entries, other.entries)
-        return SquareMatrix([list(map(op, ra, rb)) for ra, rb in rows])
+            return _wrap(_zip_rows(op, a, b), p)
+        return SquareMatrix(_zip_rows(op, self.entries, other.entries))
 
     def __add__(self, other):
         return self._zip(other, add)
@@ -87,7 +87,7 @@ class SquareMatrix:
         ints = _int_rows(self)
         if ints:
             p, a = ints
-            return _residues([[-x for x in row] for row in a], p)
+            return _wrap([[-x for x in row] for row in a], p)
         return SquareMatrix([[-a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
@@ -95,7 +95,7 @@ class SquareMatrix:
         ints = _int_rows(self, other)
         if ints:
             p, a, b = ints
-            return _residues(_matmul(a, b, p), p)
+            return _wrap(_matmul(a, b, p), p)
         return SquareMatrix(_matmul(self.entries, other.entries))
 
     __mul__ = __matmul__
@@ -105,16 +105,15 @@ class SquareMatrix:
         v = _scalar_value(c, ints[0]) if ints else None
         if v is not None:
             p, a = ints
-            return _residues([[x * v for x in row] for row in a], p)
+            return _wrap([[x * v for x in row] for row in a], p)
         return SquareMatrix([[a * c for a in row] for row in self.entries])
 
     def __truediv__(self, k):
         ints = _int_rows(self)
         if ints and _scalar_value(k, ints[0]) is not None:
             p, a = ints
-            # dividing a Residue by k raises ConversionError when p | k
-            inverse = (Residue(1, p) / k).value
-            return _residues([[x * inverse for x in row] for row in a], p)
+            inverse = _inverse(_scalar_value(k, p), p)
+            return _wrap([[x * inverse for x in row] for row in a], p)
         return SquareMatrix([[a / k for a in row] for row in self.entries])
 
     def map_entries(self, fn):
@@ -152,6 +151,15 @@ def _matmul(a, b, p=None):
     return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
 
 
+def _zip_rows(op, a, b):
+    return [list(map(op, ra, rb)) for ra, rb in zip(a, b)]
+
+
+def _identity_rows(d, one):
+    zero = one - one
+    return [[one if i == j else zero for j in range(d)] for i in range(d)]
+
+
 def _field_rows(m, p):
     """The rows of m over the field of characteristic p: the ints of its
     Residues mod p, or its Fractions when p = 0.  Any other entry, such as a
@@ -174,7 +182,7 @@ def _bracket(a, b, p=None):
     ab, ba = _matmul(a, b, p), _matmul(b, a, p)
     if p:
         return [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(ab, ba)]
-    return [list(map(sub, r, s)) for r, s in zip(ab, ba)]
+    return _zip_rows(sub, ab, ba)
 
 
 def _negated(a, p=None):
@@ -224,12 +232,29 @@ def _scalar_value(c, p):
     return c if isinstance(c, int) else None
 
 
-def _residues(rows, p):
-    """The matrix of Residue(v, p) over square int rows, without SquareMatrix's
-    copy and shape check."""
+def _series_rows(*matrices):
+    """[p, the unit, the rows of each matrix], all in the ring of the first
+    entry: the ints of Residues mod p, or with p = 0 Polynomials as they are,
+    or else Fractions, plain ints read as Fractions.  An entry outside that
+    ring raises ModulusMismatchError, as in _field_rows."""
+    first = matrices[0].entries[0][0] if matrices[0].size else None
+    if isinstance(first, Polynomial):
+        return [0, one_like(first), *(m.entries for m in matrices)]
+    p = first.p if type(first) is Residue else 0
+    out = [p, 1 if p else Fraction(1)]
+    for m in matrices:
+        if not p and any(type(a) is int for row in m.entries for a in row):
+            m = m.map_entries(lambda a: Fraction(a) if type(a) is int else a)
+        out.append(_field_rows(m, p))
+    return out
+
+
+def _wrap(rows, p):
+    """The matrix over square rows, with Residue(v, p) for each entry v when
+    p > 0, without SquareMatrix's copy and shape check."""
     m = SquareMatrix.__new__(SquareMatrix)
     m.size = len(rows)
-    m.entries = [[Residue(v, p) for v in row] for row in rows]
+    m.entries = [[Residue(v, p) for v in row] for row in rows] if p else rows
     return m
 
 
@@ -247,28 +272,40 @@ def nilpotency_index(m: SquareMatrix, cap: int) -> int:
     raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
 
 
-def _powers(x: SquareMatrix, char_bound):
-    """x, x^2, ... up to the last nonzero power, each formed once.
+def _series_walk(x, char_bound, p=None):
+    """The rows x, x^2, ... up to the last nonzero power, each formed once by
+    _matmul(power, x, p).
 
     Over a domain a nilpotent d x d matrix has index <= d, so the walk is
     capped at min(char_bound, d).  A nonzero power at the cap raises before it
     is yielded, so no series term with a denominator divisible by the
     characteristic is ever formed.
     """
-    cap = x.size if char_bound is None else min(char_bound, x.size)
+    d = len(x)
+    cap = d if char_bound is None else min(char_bound, d)
     if cap < 1:
         raise ValueError("cap must be at least 1")
     power = x
     for k in range(1, cap + 1):
-        if power.is_zero():
+        if not any(map(any, power)):
             return
         if k == cap:
             break
         yield power
-        power = power @ x
-    if char_bound is not None and char_bound < x.size:
+        power = _matmul(power, x, p)
+    if char_bound is not None and char_bound < d:
         raise SeriesTerminationError(f"nilpotency index exceeds the characteristic bound {char_bound}")
     raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
+
+
+def _divided(rows, k, p=None):
+    """Rows of rows / k: times the inverse of k mod p when p > 0 (p | k
+    raises ConversionError, as Residue division does), else each entry's own
+    division."""
+    if p:
+        inverse = _inverse(k, p)
+        return [[x * inverse % p for x in row] for row in rows]
+    return [[x / k for x in row] for row in rows]
 
 
 def exp_nilpotent(x: SquareMatrix, char_bound=None) -> SquareMatrix:
@@ -277,22 +314,24 @@ def exp_nilpotent(x: SquareMatrix, char_bound=None) -> SquareMatrix:
     char_bound is p in characteristic p (the series must terminate before any
     denominator divisible by p) and None over the rationals.
     """
-    result = x.identity_like()
+    p, one, a = _series_rows(x)
+    result = _identity_rows(len(a), one)
     kfact = 1
-    for k, power in enumerate(_powers(x, char_bound), start=1):
+    for k, power in enumerate(_series_walk(a, char_bound, p), start=1):
         kfact *= k
-        result = result + power / kfact
-    return result
+        result = _zip_rows(add, result, _divided(power, kfact, p))
+    return _wrap(result, p)
 
 
 def log_unipotent(g: SquareMatrix, char_bound=None) -> SquareMatrix:
     """Truncated alternating series sum ((-1)^(k-1)/k) (g-1)^k."""
-    u = g - g.identity_like()
-    result = u.zero_like()
-    for k, power in enumerate(_powers(u, char_bound), start=1):
-        term = power / k
-        result = result + (term if k % 2 == 1 else -term)
-    return result
+    p, one, a = _series_rows(g)
+    identity = _identity_rows(len(a), one)
+    u = _zip_rows(sub, a, identity)
+    result = _zip_rows(sub, identity, identity)
+    for k, power in enumerate(_series_walk(u, char_bound, p), start=1):
+        result = _zip_rows(add if k % 2 == 1 else sub, result, _divided(power, k, p))
+    return _wrap(result, p)
 
 
 def commutator(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:

@@ -36,11 +36,12 @@ from .hopf import (
 from .linalg import (
     SquareMatrix,
     _bracket,
+    _divided,
     _field_rows,
     _is_nilpotent,
     _matmul,
     _negated,
-    _powers,
+    _series_walk,
     exp_nilpotent,
     log_unipotent,
 )
@@ -460,7 +461,8 @@ def construct_single_layer(layer, n, p, d) -> SquareMatrix:
 
 
 # The construct walk counts a node for each partial product it visits and for
-# each product it tries, at most one d x d product each.  Every supported M is
+# each product it tries, and, before they are formed, one for each product of
+# a pair's layers: at most one d x d product each.  Every supported M is
 # a visited node, so the bound caps the support, and with it memory, as well.
 # Random layers of roundtrip --n 40 --d 3 take about 28,000 nodes and 4 s in
 # all; --d 4 takes about 414,000, and its comodule check in decompose then
@@ -491,16 +493,23 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
         report = data.validate()
         if not report.ok:
             raise HypothesisError(f"layer data invariants fail: {report.findings}")
+    nodes = 0
+
+    def charge(count):
+        nonlocal nodes
+        nodes += count
+        if nodes > MAX_CONSTRUCT_NODES:
+            raise CostBoundError(f"constructing chi takes over {MAX_CONSTRUCT_NODES} nodes")
+
     one = [[int(a == b) for b in range(d)] for a in range(d)]
     branches = []  # (flat index of the pair, its nonzero (r, chi(r eps_ij)) with r >= 1)
     for i in range(n - 1, 0, -1):
         for j in range(i + 1, n + 1):
-            options = _root_subgroup(data, i, j, one)
+            options = _root_subgroup(data, i, j, one, charge)
             if options:
                 branches.append((_index(n, i, j), options))
     size = n * (n - 1) // 2
     support = {}
-    nodes = 0
     stack = [(0, one, None)]  # (depth, partial product, chosen as (index, r, rest))
     while stack:
         k, partial, chosen = stack.pop()
@@ -512,9 +521,7 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
             support[_key(n, tuple(flat))] = partial
             continue
         index, options = branches[k]
-        nodes += 1 + len(options)
-        if nodes > MAX_CONSTRUCT_NODES:
-            raise CostBoundError(f"constructing chi takes over {MAX_CONSTRUCT_NODES} nodes")
+        charge(1 + len(options))
         stack.append((k + 1, partial, chosen))
         for r, rows in options:
             product = _skip_zero_product(partial, rows, p)
@@ -526,11 +533,13 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
     }))
 
 
-def _root_subgroup(data: LieLayerData, i, j, one):
+def _root_subgroup(data: LieLayerData, i, j, one, charge):
     """The nonzero (r, rows of chi(r eps_ij)) for r >= 1: the products
     X_0^{r_0} / r_0! ... X_m^{r_m} / r_m!, left to right, over the digits r_l
-    of r.  The powers are exp_nilpotent's, so a nonzero power at the cap
-    min(d, p) raises as it does there.  ``one`` is the rows of the identity."""
+    of r.  The powers come from exp_nilpotent's walk, so a nonzero power at
+    the cap min(d, p) raises as it does there.  ``one`` is the rows of the
+    identity; each layer's products are passed to ``charge`` before they are
+    formed."""
     p = data.p
     out = [(0, one)]
     for l, layer in enumerate(data.layers):
@@ -539,14 +548,10 @@ def _root_subgroup(data: LieLayerData, i, j, one):
             continue
         terms = [(0, one)]
         kfact = 1
-        for k, power in enumerate(_powers(image, p or None), start=1):
+        for k, power in enumerate(_series_walk(_field_rows(image, p), p or None, p), start=1):
             kfact *= k
-            rows = _field_rows(power, p)
-            if p:
-                inverse = pow(kfact, -1, p)
-                terms.append((k * p**l, [[x * inverse % p for x in row] for row in rows]))
-            else:
-                terms.append((k, [[x / kfact for x in row] for row in rows]))
+            terms.append((k * p**l, _divided(power, kfact, p)))
+        charge(len(out) * len(terms))
         out = [(r + s, _skip_zero_product(a, b, p)) for r, a in out for s, b in terms]
         out = [(r, a) for r, a in out if any(map(any, a))]
     return out[1:]

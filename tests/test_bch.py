@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from unirep.arith import coerce_scalar
+from unirep.arith import Residue, coerce_scalar
 from unirep.bch import (
     FreeElement,
     bch_components,
@@ -19,8 +19,8 @@ from unirep.bch import (
     left_nested_expand,
     log_product_series,
 )
-from unirep.errors import SeriesTerminationError
-from unirep.linalg import exp_nilpotent, log_unipotent
+from unirep.errors import ModulusMismatchError, SeriesTerminationError
+from unirep.linalg import SquareMatrix, exp_nilpotent, log_unipotent, scalar_matrix
 from unirep.samples import random_strict_upper
 
 
@@ -250,6 +250,36 @@ class TestEvaluation:
             ]
             assert bch_evaluate(comps, x, y) == reference_evaluate(comps, x, y, p)
 
+    @pytest.mark.parametrize("p", [0, 2, 3, 13])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_per_word_chains_by_size(self, d, p):
+        rng = random.Random(1000 * d + p)
+        denominators = tuple(q for q in (1, 2, 3, 4, 5) if p == 0 or q % p)
+        for _ in range(3):
+            x = random_strict_upper(d, p, rng)
+            y = random_strict_upper(d, p, rng)
+            comps = [
+                F({(): Fraction(rng.randint(1, 9), rng.choice(denominators))}),
+                random_element(rng, lengths=range(1, d + 2), count=rng.randint(1, 12),
+                               denominators=denominators),
+            ]
+            assert bch_evaluate(comps, x, y) == reference_evaluate(comps, x, y, p)
+
+    def test_plain_int_entries_are_rationals(self):
+        comps = bch_components(3)
+        ints = [[0, 1, 2], [0, 0, 3], [0, 0, 0]], [[0, 5, 0], [0, 0, 1], [0, 0, 0]]
+        lhs = bch_evaluate(comps, *map(SquareMatrix, ints))
+        assert lhs == bch_evaluate(comps, *(scalar_matrix(m, 0) for m in ints))
+        assert all(type(v) is Fraction for row in lhs.entries for v in row)
+
+    @pytest.mark.parametrize("ps", [(7, 0), (7, 11), (0, 7)])
+    def test_operands_in_two_fields_raise(self, ps):
+        rng = random.Random(3)
+        x, y = (random_strict_upper(3, p, rng) for p in ps)
+        with pytest.raises(ModulusMismatchError,
+                           match=f"is not in the field of characteristic {ps[0]}$"):
+            bch_evaluate(bch_components(2), x, y)
+
     def test_degree_8_matches_log_of_product(self):
         # criterion 5 at degree 8: 9 x 9 over F_11
         p = 11
@@ -260,3 +290,38 @@ class TestEvaluation:
             y = random_strict_upper(9, p, rng)
             lhs = bch_evaluate(comps, x, y)
             assert lhs == log_unipotent(exp_nilpotent(x, p) @ exp_nilpotent(y, p), p)
+
+
+class TestResidueCount:
+    """Over F_p the series and BCH evaluation run on int rows and build one
+    Residue per output entry, however many steps they take."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        post_init = Residue.__post_init__
+
+        def counted(self):
+            count[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Residue, "__post_init__", counted)
+        return count
+
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_d_squared_per_call(self, built, d, p):
+        rng = random.Random(d * p)
+        comps = bch_components(max(d - 1, 1))
+        x, y = random_strict_upper(d, p, rng), random_strict_upper(d, p, rng)
+        g = exp_nilpotent(x, p)
+        calls = (
+            lambda: exp_nilpotent(x, p),
+            lambda: exp_nilpotent(x),
+            lambda: log_unipotent(g, p),
+            lambda: bch_evaluate(comps, x, y),
+        )
+        for call in calls:
+            built[0] = 0
+            call()
+            assert built[0] == d * d

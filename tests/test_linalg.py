@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -92,6 +93,31 @@ class TestExpLog:
         with pytest.raises(NotNilpotentError):
             exp_nilpotent(SquareMatrix.identity(2, Fraction(1)))
 
+    def test_plain_int_entries_are_rationals(self):
+        # int entries used to be divided as floats: [1.0, 1.0, 0.5; ...]
+        n = SquareMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        e = exp_nilpotent(n)
+        assert e == scalar_matrix([[1, 1, Fraction(1, 2)], [0, 1, 1], [0, 0, 1]], 0)
+        assert all(type(v) is Fraction for row in e.entries for v in row)
+        g = SquareMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        x = log_unipotent(g)
+        assert x == scalar_matrix([[0, 1, Fraction(-1, 2)], [0, 0, 1], [0, 0, 0]], 0)
+        assert all(type(v) is Fraction for row in x.entries for v in row)
+        assert log_unipotent(SquareMatrix([[1, Fraction(1, 2)], [0, 1]])) == scalar_matrix(
+            [[0, Fraction(1, 2)], [0, 0]], 0)
+
+    @pytest.mark.parametrize("entries", [
+        [[Residue(0, 7), Fraction(1)], [Residue(0, 7), Residue(0, 7)]],
+        [[Residue(0, 7), Residue(1, 11)], [Residue(0, 7), Residue(0, 7)]],
+        [[Residue(0, 7), 1], [Residue(0, 7), Residue(0, 7)]],
+        [[Fraction(0), Residue(1, 7)], [Fraction(0), Fraction(0)]],
+    ])
+    def test_entries_outside_one_field_raise(self, entries):
+        m = SquareMatrix(entries)
+        for fn in (exp_nilpotent, log_unipotent):
+            with pytest.raises(ModulusMismatchError, match="is not in the field of characteristic"):
+                fn(m)
+
     def test_no_p_denominator_when_index_small(self):
         # index d <= p never touches 1/p, so entries are honest residues
         p = 5
@@ -139,17 +165,65 @@ def reference_log(g, char_bound=None):
     return result
 
 
+def reference_walk(x, char_bound):
+    """x, x^2, ... through SquareMatrix operators, stopping at the first zero
+    power or raising at the cap before that power is yielded."""
+    cap = x.size if char_bound is None else min(char_bound, x.size)
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    power = x
+    for k in range(1, cap + 1):
+        if power.is_zero():
+            return
+        if k == cap:
+            break
+        yield power
+        power = power @ x
+    if char_bound is not None and char_bound < x.size:
+        raise SeriesTerminationError(f"nilpotency index exceeds the characteristic bound {char_bound}")
+    raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
+
+
+def reference_walk_exp(x, char_bound=None):
+    """The one-pass series over SquareMatrix operators: it divides as it
+    walks, so p | k! raises before a later nonzero power at the cap does."""
+    result = x.identity_like()
+    kfact = 1
+    for k, power in enumerate(reference_walk(x, char_bound), start=1):
+        kfact *= k
+        result = result + power / kfact
+    return result
+
+
+def reference_walk_log(g, char_bound=None):
+    u = g - g.identity_like()
+    result = u.zero_like()
+    for k, power in enumerate(reference_walk(u, char_bound), start=1):
+        term = power / k
+        result = result + (term if k % 2 == 1 else -term)
+    return result
+
+
 def outcome(fn, *args):
     """The result as its string, or the error's type and message."""
     try:
         return str(fn(*args))
-    except (NotNilpotentError, SeriesTerminationError, ValueError) as exc:
+    except (NotNilpotentError, SeriesTerminationError, ValueError, ConversionError,
+            ModulusMismatchError) as exc:
         return type(exc), str(exc)
 
 
-def series_inputs(p, rng):
+def jordan_block(d, p):
+    return scalar_matrix([[int(j == i + 1) for j in range(d)] for i in range(d)], p)
+
+
+def series_inputs(p, rng, full_unbounded=False):
     """Nilpotent, conjugated-nilpotent and non-nilpotent d x d matrices over
-    F_p (Q when p = 0), with char bounds that pass and fail."""
+    F_p (Q when p = 0), with char bounds that pass and fail.  Over F_p the
+    nilpotent ones also come without a bound, so with d > p the index can
+    pass p and the series meets p | k!; so do the non-nilpotent ones when
+    ``full_unbounded``, where the two-pass series raises NotNilpotentError
+    first and the one-pass series raises ConversionError first."""
     bounds = (None,) if p == 0 else (p, 2, 1)
     for d in range(1, 7):
         nilpotent = random_strict_upper(d, p, rng)
@@ -159,6 +233,11 @@ def series_inputs(p, rng):
         for x in (nilpotent, s @ nilpotent @ s_inv, full):
             for bound in bounds:
                 yield x, bound
+        if p:
+            for x in (nilpotent, s @ jordan_block(d, p) @ s_inv, jordan_block(d, p)):
+                yield x, None
+            if full_unbounded:
+                yield full, None
 
 
 class TestSeriesOracle:
@@ -188,6 +267,27 @@ class TestSeriesOracle:
             assert exp_nilpotent(x, bound) == g
         else:
             assert log_g[0] is SeriesTerminationError
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_the_one_pass_operator_series(self, p, seed):
+        rng = random.Random(50 + seed)
+        for x, bound in series_inputs(p, rng, full_unbounded=True):
+            assert outcome(exp_nilpotent, x, bound) == outcome(reference_walk_exp, x, bound)
+            g = x + x.identity_like()
+            assert outcome(log_unipotent, g, bound) == outcome(reference_walk_log, g, bound)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_p_divides_k_factorial_raises(self, p):
+        for d in range(1, 8):
+            x = jordan_block(d, p)
+            g = x + x.identity_like()
+            exp_out, log_out = outcome(exp_nilpotent, x, None), outcome(log_unipotent, g, None)
+            if d <= p:  # the index d keeps every k < p
+                assert isinstance(exp_out, str) and isinstance(log_out, str)
+            else:  # exp meets p! and log meets p before the powers end
+                assert exp_out == (ConversionError, f"division by {factorial(p)} is not invertible mod {p}")
+                assert log_out == (ConversionError, f"division by {p} is not invertible mod {p}")
 
     def test_messages(self):
         n = scalar_matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], 3)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -215,6 +216,31 @@ class TestClosedFormOracle:
         assert MAX_CONSTRUCT_NODES >= 10**5
         monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 3)
         with pytest.raises(CostBoundError, match="over 3 nodes"):
+            construct_from_layers(data)
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_root_subgroup_products_count_before_they_are_formed(self, monkeypatch, validate):
+        # one pair with four layers of polynomials in one 16 x 16 nilpotent:
+        # its 15,504 digit-tuple products took about 9 s before anything was
+        # counted; now the third layer's 2,312 are refused before they are formed
+        data = random_layer_data(2, 16, 37, 4, seed=0)
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 1000)
+        start = time.perf_counter()
+        with pytest.raises(CostBoundError, match="over 1000 nodes"):
+            construct_from_layers(data, validate=validate)
+        assert time.perf_counter() - start < 0.5
+
+    def test_root_subgroup_products_share_the_walk_budget(self, monkeypatch):
+        data = random_layer_data(2, 8, 17, 4, seed=0)
+        assert len(construct_from_layers(data).chi.support) == 330
+        # 1,320 products in the pair's layers, then 1 + 329 nodes in the walk
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 1320 + 330)
+        assert len(construct_from_layers(data).chi.support) == 330
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 1320 + 329)
+        with pytest.raises(CostBoundError):
+            construct_from_layers(data)
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 1319)
+        with pytest.raises(CostBoundError):
             construct_from_layers(data)
 
     def test_node_budget_on_the_command_line(self, monkeypatch, capsys):
