@@ -531,14 +531,19 @@ def coproduct(poly: Polynomial) -> TensorElement:
     sums = {}
     get = sums.get
     for flat, c in poly._flat_items():
-        image = None
-        for ij, m in enumerate(flat):
-            if m:
-                power = _generator_power(n, p, ij, m)
-                image = power if image is None else _convolve(image, power).items()
-        for k, w in image or [((0,) * (n * (n - 1)), 1)]:
+        for k, w in _monomial_coproduct(n, p, flat):
             sums[k] = get(k, 0) + w * c
     return TensorElement._from_flat(n, p, sums)
+
+
+def _monomial_coproduct(n, p, flat):
+    """Delta(x^M) for flat exponents M, as (flat 2N key, int weight) pairs."""
+    image = None
+    for ij, m in enumerate(flat):
+        if m:
+            power = _generator_power(n, p, ij, m)
+            image = power if image is None else _convolve(image, power).items()
+    return image or (((0,) * (n * (n - 1)), 1),)
 
 
 def counit(poly: Polynomial):

@@ -48,19 +48,22 @@ def _is_square(rows, size):
             and all(isinstance(r, list) and len(r) == size for r in rows))
 
 
-def _matrix_from_strings(rows, d, p, lineno):
+def _scalar(s, p, lineno, parsed):
+    """scalar_from_str once per distinct value; the immutable scalars in ``parsed`` are shared."""
+    try:
+        return parsed[s]
+    except (KeyError, TypeError):  # new, or an unhashable JSON list or object
+        try:
+            parsed[s] = scalar_from_str(s, p)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"line {lineno}: bad scalar {s!r}: {exc}") from None
+    return parsed[s]
+
+
+def _matrix_from_strings(rows, d, p, lineno, parsed):
     if not _is_square(rows, d):
         raise ParseError(f"line {lineno}: matrix is not {d} x {d}")
-    out = []
-    for row in rows:
-        parsed = []
-        for s in row:
-            try:
-                parsed.append(scalar_from_str(s, p))
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"line {lineno}: bad scalar {s!r}: {exc}") from None
-        out.append(parsed)
-    return SquareMatrix(out)
+    return SquareMatrix([[_scalar(s, p, lineno, parsed) for s in row] for row in rows])
 
 
 def _exponent_from_rows(rows, n, lineno):
@@ -138,6 +141,7 @@ def parse_rep_file(text: str) -> Representation:
     if body not in ("chi", "poly"):
         raise ParseError(f"line 1: unknown format {header.get('format')!r}")
     n, p, d = _header_ints(header)
+    parsed = {}
     if body == "chi":
         support = {}
         for lineno, line in enumerate(lines[1:], start=2):
@@ -145,7 +149,7 @@ def parse_rep_file(text: str) -> Representation:
             M = _exponent_from_rows(obj.get("M"), n, lineno)
             if M in support:
                 raise ParseError(f"line {lineno}: duplicate exponent matrix")
-            support[M] = _matrix_from_strings(obj.get("matrix"), d, p, lineno)
+            support[M] = _matrix_from_strings(obj.get("matrix"), d, p, lineno, parsed)
         return Representation(ChiTable(n, p, d, support))
     entries = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -161,11 +165,7 @@ def parse_rep_file(text: str) -> Representation:
             raise ParseError(f"line {lineno}: terms must be a list of objects")
         for t in listed:
             M = _exponent_from_rows(t.get("M"), n, lineno)
-            try:
-                c = scalar_from_str(t.get("c"), p)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"line {lineno}: bad scalar {t.get('c')!r}: {exc}") from None
-            terms[M] = c
+            terms[M] = _scalar(t.get("c"), p, lineno, parsed)
         entries[(a, b)] = Polynomial(n, p, terms)
     if len(entries) != d * d:
         # each body line is one distinct in-range entry, so entries are missing
@@ -206,6 +206,7 @@ def parse_layer_file(text: str) -> LieLayerData:
     if count > MAX_LAYERS:
         raise CostBoundError(f"line 1: {count} layers is over the bound of {MAX_LAYERS}")
     layers = [dict() for _ in range(count)]
+    parsed = {}
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_line(line, lineno)
         l, i, j = obj.get("layer"), obj.get("i"), obj.get("j")
@@ -215,5 +216,5 @@ def parse_layer_file(text: str) -> LieLayerData:
             raise ParseError(f"line {lineno}: pair ({i}, {j}) out of range")
         if (i, j) in layers[l]:
             raise ParseError(f"line {lineno}: duplicate layer entry")
-        layers[l][(i, j)] = _matrix_from_strings(obj.get("matrix"), d, p, lineno)
+        layers[l][(i, j)] = _matrix_from_strings(obj.get("matrix"), d, p, lineno, parsed)
     return LieLayerData(n, p, d, layers)

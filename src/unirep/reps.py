@@ -26,11 +26,11 @@ from .hopf import (
     ExponentMatrix,
     Polynomial,
     _expansion_size,
+    _field_sums,
     _index,
     _key,
-    coproduct,
+    _monomial_coproduct,
     frobenius_substitute,
-    matrix_product_tensor_side,
     variable_pairs,
 )
 from .linalg import (
@@ -184,13 +184,18 @@ def extract_chi(pm: SquareMatrix, n=None, p=None) -> ChiTable:
 
 
 class Representation:
-    """A chi table together with its assembled polynomial matrix."""
+    """A chi table; its polynomial matrix is assembled when first read."""
 
-    __slots__ = ("chi", "poly_matrix")
+    __slots__ = ("chi", "_poly_matrix")
 
     def __init__(self, chi: ChiTable):
         self.chi = chi
-        self.poly_matrix = assemble(chi)
+
+    @property
+    def poly_matrix(self) -> SquareMatrix:
+        if not hasattr(self, "_poly_matrix"):
+            self._poly_matrix = assemble(self.chi)
+        return self._poly_matrix
 
     @classmethod
     def from_poly_matrix(cls, pm, n=None, p=None):
@@ -314,58 +319,81 @@ def tautological_layer(n, p):
 
 # A term counts as n(n-1) + 8 exponents, its key and its overhead; the check
 # builds 1.3-3e7 a second (2.1 GHz Xeon), so the bound is 10-23 s of work; it
-# holds about 2 bytes an exponent at n <= 5, but 8 at n = 60 (2.5 GB).
+# holds one entry at a time, 4.5 bytes an exponent at n = 60 (1.4 GB).
 MAX_COMODULE_EXPONENTS = 3 * 10**8
 
 
 def verify_comodule(rep: Representation, use_splitting=False) -> Report:
-    """Check chi(0) = Id, Delta(a_ij) = sum_k a_ik (x) a_kj, and
-    eps(a_ij) = delta_ij, all as exact polynomial identities.
+    """Check chi(0) = Id and, on the chi table read through coerce_scalar,
+    Delta(a_ij) = sum_k a_ik (x) a_kj and eps(a_ij) = delta_ij: for each (a, b)
+
+        sum_M chi(M)_ab Delta(x^M) = sum_k sum_{M1, M2} chi(M1)_ak chi(M2)_kb x^M1 (x) x^M2
+
+    and chi(0)_ab = delta_ab, one entry at a time, each Delta(x^M) expanded once.
 
     With use_splitting the coproduct side is additionally recomputed through
     the closed splitting formula and the two computations must agree.  Past
     MAX_COMODULE_EXPONENTS, counted first, it raises CostBoundError.
     """
     report = Report()
-    chi, pm = rep.chi, rep.poly_matrix
+    chi = rep.chi
     n, p, d = chi.n, chi.p, chi.d
-    sizes = [[len(f.terms) for f in row] for row in pm.entries]
-    terms = sum(sum(row[k] for row in sizes) * sum(sizes[k]) for k in range(d))
+    cells = [[[] for _ in range(d)] for _ in range(d)]  # (flat key, chi(M)_ab) where nonzero
+    terms = 0
     for M, mat in chi.support.items():
-        terms += _expansion_size(n, p, M.flat) * sum(1 for row in mat.entries for c in row if c)
+        size = _expansion_size(n, p, M.flat)
+        for a, row in enumerate(mat.entries):
+            for b, c in enumerate(row):
+                c = coerce_scalar(c, p)
+                if c:
+                    cells[a][b].append((M.flat, c.value if p else c))
+                    terms += size
         terms += use_splitting and _expansion_size(n, 0, M.flat)  # split_coproduct: once per M
+    terms += sum(sum(map(len, col)) * sum(map(len, row)) for col, row in zip(zip(*cells), cells))
     cost = terms * (n * (n - 1) + 8)
     if cost > MAX_COMODULE_EXPONENTS:
         raise CostBoundError(f"the comodule check costs {cost} exponents ({terms} terms), "
                              f"over the bound of {MAX_COMODULE_EXPONENTS}")
-    if chi.get(ExponentMatrix.zero(n)) != chi.identity_matrix():
-        report.add("chi-at-zero", "chi(0)", "identity matrix", chi.get(ExponentMatrix.zero(n)))
-    rhs = matrix_product_tensor_side(pm)
-    lhs = [[coproduct(pm.entries[a][b]) for b in range(d)] for a in range(d)]
+    unit = chi.get(ExponentMatrix.zero(n))
+    if unit != chi.identity_matrix():
+        report.add("chi-at-zero", "chi(0)", "identity matrix", unit)
+    image = functools.cache(functools.partial(_monomial_coproduct, n, p))
+    via_split = use_splitting and split_coproduct(chi)
+    split = Report()  # reported after every entry's own findings
     for a in range(d):
         for b in range(d):
-            if lhs[a][b] != rhs[a][b]:
+            sums = {}
+            get = sums.get
+            for flat, c in cells[a][b]:
+                for key, w in image(flat):
+                    sums[key] = get(key, 0) + w * c
+            if via_split and via_split[a][b].terms != dict(_field_sums(sums, p)):
+                split.add("split-coproduct", f"entry ({a + 1}, {b + 1})",
+                          "splitting formula agrees with direct coproduct", "mismatch")
+            for k in range(d):
+                right = cells[k][b]
+                for f, c in cells[a][k]:
+                    for g, e in right:
+                        key = f + g
+                        sums[key] = get(key, 0) - c * e
+            if _field_sums(sums, p):
                 report.add("coproduct", f"entry ({a + 1}, {b + 1})",
                            "Delta(a_ij) = sum_k a_ik (x) a_kj", "mismatch")
-            delta = coerce_scalar(1 if a == b else 0, p)
-            if pm.entries[a][b].constant_term() != delta:
-                report.add("counit", f"entry ({a + 1}, {b + 1})", delta,
-                           pm.entries[a][b].constant_term())
-    if use_splitting:
-        via_split = split_coproduct(chi)
-        for a in range(d):
-            for b in range(d):
-                if via_split[a][b] != lhs[a][b]:
-                    report.add("split-coproduct", f"entry ({a + 1}, {b + 1})",
-                               "splitting formula agrees with direct coproduct", "mismatch")
+            delta, counit = coerce_scalar(int(a == b), p), coerce_scalar(unit.entries[a][b], p)
+            if counit != delta:
+                report.add("counit", f"entry ({a + 1}, {b + 1})", delta, counit)
+    report.findings += split.findings
     return report
 
 
 # U_3(F_5) has 125^2 = 15625 pairs and checks in 0.23-0.36 s at d = 3 on a
 # 2.1 GHz Xeon, so the bound is some 20 s of work; U_4(F_5) has 5^12 pairs.
-# It caps the N of sampled:N as well, and Phi is kept per point only when the
-# group is small enough for the exhaustive check.
+# Phi is kept per point only when the group is small enough for this check.
 MAX_EXHAUSTIVE_PAIRS = 10**6
+
+# sampled:N times a pair's work (three Phi, Phi(g) Phi(h), gh, the draws): a
+# unit took 0.08-0.23 us over ten shapes, so the bound is 6-19 s of work.
+MAX_SAMPLED_WORK = 8 * 10**7
 
 
 def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=None, seed=0) -> Report:
@@ -373,9 +401,9 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
 
     mode 'exhaustive' iterates every ordered pair of group elements; mode
     'sampled' draws ``count`` seeded pairs, 100 when count is None.  Either
-    refuses with CostBoundError before evaluating anything when there are more
-    than MAX_EXHAUSTIVE_PAIRS pairs.  A point is the flat tuple of its entries
-    above the diagonal, and Phi(g) = sum_M g^M chi(M) mod p.
+    refuses with CostBoundError before evaluating anything past its bound,
+    MAX_EXHAUSTIVE_PAIRS or MAX_SAMPLED_WORK.  A point is the flat tuple of
+    its entries above the diagonal, and Phi(g) = sum_M g^M chi(M) mod p.
     """
     report = Report()
     chi = rep.chi
@@ -393,12 +421,13 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
         points = list(itertools.product(range(p), repeat=len(pairs)))
         stream = itertools.product(points, repeat=2)
     elif mode == "sampled":
-        if count is not None and count > MAX_EXHAUSTIVE_PAIRS:
-            raise CostBoundError(f"sampled check of {count} pairs is over the bound of {MAX_EXHAUSTIVE_PAIRS}")
-        if count is None:
-            count = 100
-        elif count < 0:
+        count = 100 if count is None else count
+        if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
+        weight = len(chi.support) * (len(pairs) + d * d) + d**3 // 4 + n**3 // 6 + 100
+        if count * weight > MAX_SAMPLED_WORK:
+            raise CostBoundError(f"sampled check of {count} pairs costs {count * weight} "
+                                 f"({weight} a pair), over the bound of {MAX_SAMPLED_WORK}")
         rng = random.Random(seed)
         stream = (  # drawn one pair at a time, as they are checked
             (tuple(rng.randrange(p) for _ in pairs), tuple(rng.randrange(p) for _ in pairs))
@@ -406,13 +435,17 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
         )
     else:
         raise HypothesisError(f"unknown pointwise mode {mode!r}")
-    support = {M.flat: _field_rows(mat, p) for M, mat in chi.support.items()}
-    cells = [[rows[a][b] for rows in support.values()] for a in range(d) for b in range(d)]
+    plan = ([], [], [])  # the constant keys, the one-variable keys, the rest
+    for M, mat in chi.support.items():
+        plan[min(len(M.flat) - M.flat.count(0), 2)].append((M.flat, _field_rows(mat, p)))
+    cells = [[rows[a][b] for _, rows in itertools.chain(*plan)] for a in range(d) for b in range(d)]
+    singles = [next((k, e) for k, e in enumerate(flat) if e) for flat, _ in plan[1]]
     index = {ij: k for k, ij in enumerate(pairs)}
     inner = [[(index[i, m], index[m, j]) for m in range(i + 1, j)] for i, j in pairs]
 
     def phi(point):
-        values = [math.prod(map(pow, point, M, itertools.repeat(p))) % p for M in support]
+        values = [1] * len(plan[0]) + [pow(point[k], e, p) for k, e in singles]
+        values += [math.prod(map(pow, point, M, itertools.repeat(p))) % p for M, _ in plan[2]]
         flat = [sum(map(mul, values, cell)) % p for cell in cells]
         return [flat[a * d:(a + 1) * d] for a in range(d)]
 

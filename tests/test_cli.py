@@ -21,7 +21,14 @@ from unirep.cli import main
 from unirep.hopf import ExponentMatrix
 from unirep.io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
 from unirep.linalg import scalar_matrix
-from unirep.reps import MAX_EXHAUSTIVE_PAIRS, ChiTable, Representation, construct_from_layers
+from unirep.reps import (
+    MAX_EXHAUSTIVE_PAIRS,
+    MAX_SAMPLED_WORK,
+    ChiTable,
+    Representation,
+    construct_from_layers,
+    frobenius_twist_rep,
+)
 from unirep.samples import random_layer_data
 from unirep.splittings import MAX_AUDIT_N, MAX_AUDIT_PAIRS
 
@@ -261,17 +268,28 @@ class TestCostBounds:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @staticmethod
+    def pair_weight(rep_path):
+        """A sampled pair's weight: |S| (v + d^2) + d^3 // 4 + n^3 // 6 + 100, v = n(n-1)/2."""
+        rep = parse_rep_file(Path(rep_path).read_text())
+        n, d = rep.n, rep.d
+        return len(rep.chi.support) * (n * (n - 1) // 2 + d * d) + d**3 // 4 + n**3 // 6 + 100
+
     @pytest.mark.parametrize("count", [MAX_EXHAUSTIVE_PAIRS + 1, 50000000])
     def test_sampled_pairs_over_the_bound_refused(self, count, rep_path, capsys):
+        weight = self.pair_weight(rep_path)
         self.assert_refused(["verify", rep_path, "--pointwise", f"sampled:{count}"], capsys,
-                            f"sampled check of {count} pairs is over the bound of {MAX_EXHAUSTIVE_PAIRS}")
+                            f"sampled check of {count} pairs costs {count * weight} "
+                            f"({weight} a pair), over the bound of {MAX_SAMPLED_WORK}")
 
     def test_sampled_pairs_at_the_bound_pass(self, rep_path, capsys, monkeypatch):
-        monkeypatch.setattr(reps, "MAX_EXHAUSTIVE_PAIRS", 30)
+        weight = self.pair_weight(rep_path)
+        monkeypatch.setattr(reps, "MAX_SAMPLED_WORK", 30 * weight)
         assert main(["verify", rep_path, "--pointwise", "sampled:30"]) == 0
         assert capsys.readouterr().err == ""
         self.assert_refused(["verify", rep_path, "--pointwise", "sampled:31"], capsys,
-                            "sampled check of 31 pairs is over the bound of 30")
+                            f"sampled check of 31 pairs costs {31 * weight} ({weight} a pair), "
+                            f"over the bound of {30 * weight}")
 
     @pytest.mark.parametrize("m", [MAX_BCH_DEGREE + 1, 1000])
     def test_bch_degree_over_the_bound_refused(self, m, capsys):
@@ -441,6 +459,56 @@ class TestBoundaryChecks:
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2:") and "Traceback" not in err
+
+
+class TestLazyPolynomialMatrix:
+    """construct with a chi body, verify and decompose read the chi table and
+    never assemble the polynomial matrix; construct --format poly and the
+    twist do.  Their outputs match tests/data/cli_outputs.json, written by the
+    same commands while every Representation still assembled its matrix."""
+
+    @staticmethod
+    def run(argv, calls, assembles):
+        before = len(calls)
+        out, err, code = run_cli(argv)
+        assert (len(calls) > before) == assembles, argv
+        return [out, err, code]
+
+    def test_outputs_and_assembly(self, tmp_path, monkeypatch):
+        calls = []
+        assemble = reps.assemble
+        monkeypatch.setattr(reps, "assemble", lambda chi: calls.append(chi) or assemble(chi))
+        verify = ["--comodule", "--pointwise", "sampled:20", "--chi-relations", "--lemmas"]
+        got = {}
+        for name, data in (("n3-d2-p7", random_layer_data(3, 2, 7, 2, seed=1)),
+                           ("n4-d3-p11", random_layer_data(4, 3, 11, 1, seed=5))):
+            layers, rep = tmp_path / f"{name}.layers", tmp_path / f"{name}.rep"
+            layers.write_text(write_layer_file(data))
+            got[f"{name} construct"] = self.run(["construct", str(layers), "-o", str(rep)], calls, False)
+            got[f"{name} construct"].append(rep.read_text())
+            got[f"{name} construct poly"] = self.run(["construct", str(layers), "--format", "poly"],
+                                                     calls, True)
+            got[f"{name} verify"] = self.run(["verify", str(rep), *verify], calls, False)
+            got[f"{name} decompose"] = self.run(["decompose", str(rep)], calls, False)
+            before = len(calls)
+            got[f"{name} twist"] = write_rep_file(frobenius_twist_rep(construct_from_layers(data)))
+            assert len(calls) > before
+        bad = tmp_path / "bad.rep"
+        bad.write_text(write_rep_file(Representation(ChiTable(3, 7, 2, {
+            ExponentMatrix.zero(3): scalar_matrix([[1, 0], [0, 1]], 7),
+            ExponentMatrix.epsilon(3, 1, 3): scalar_matrix([[0, 1], [0, 0]], 7),
+            ExponentMatrix.epsilon(3, 1, 2, 2): scalar_matrix([[0, 3], [0, 0]], 7),
+        }))))
+        got["bad verify"] = self.run(["verify", str(bad), *verify], calls, False)
+        got["bad decompose"] = self.run(["decompose", str(bad)], calls, False)
+        golden = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+        assert got == golden
+
+    def test_poly_matrix_is_read_only(self):
+        rep = construct_from_layers(random_layer_data(3, 2, 7, 1, seed=0))
+        with pytest.raises(AttributeError):
+            rep.poly_matrix = None
+        assert rep.poly_matrix is rep.poly_matrix  # assembled once
 
 
 class TestParserOnce:

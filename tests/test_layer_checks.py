@@ -388,11 +388,9 @@ def test_pinned_cases_match_the_oracle():
 # --- the field of every entry is checked where the rows are read --------------
 
 def with_chi(support, n, p, d=2):
-    """A Representation over ``support`` as given; Representation(chi) would
-    refuse residues mod another prime while it assembles the polynomials."""
-    rep = Representation.__new__(Representation)
-    rep.chi = ChiTable(n, p, d, support)
-    return rep
+    """A Representation over ``support`` as given: nothing reads its entries
+    until a check does, since the polynomial matrix is assembled lazily."""
+    return Representation(ChiTable(n, p, d, support))
 
 
 def test_validate_refuses_images_mod_another_prime():
@@ -417,7 +415,7 @@ def test_chi_checks_refuse_entries_mod_another_prime(check):
     for support in (all_mod_q, mixed):
         with pytest.raises(ModulusMismatchError):
             check(with_chi(support, n, p))
-    # rationals in a mod-p table assemble, but are not read as residues
+    # rationals in a mod-p table coerce into F_p, but are not read as residues
     rationals = Representation(ChiTable(n, p, 2, {zero: scalar_matrix(I2, 0),
                                                    eps: scalar_matrix(E12, 0)}))
     with pytest.raises(ModulusMismatchError):

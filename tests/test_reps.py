@@ -5,13 +5,27 @@ import json
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from unirep import cli, linalg, reps
+from unirep import cli, hopf, linalg, reps
 from unirep.arith import Residue, coerce_scalar, p_ary_digits
-from unirep.errors import CostBoundError, HypothesisError, NotNilpotentError, UnirepError
-from unirep.hopf import ExponentMatrix, Polynomial, frobenius_substitute, variable_pairs
+from unirep.errors import (
+    CostBoundError,
+    HypothesisError,
+    ModulusMismatchError,
+    NotNilpotentError,
+    UnirepError,
+)
+from unirep.hopf import (
+    ExponentMatrix,
+    Polynomial,
+    coproduct,
+    frobenius_substitute,
+    matrix_product_tensor_side,
+    variable_pairs,
+)
 from unirep.io import write_rep_file
 from unirep.linalg import SquareMatrix, scalar_matrix
 from unirep.reps import (
@@ -34,6 +48,7 @@ from unirep.reps import (
     verify_group_law_pointwise,
 )
 from unirep.samples import _embed, random_layer_data, random_strict_upper
+from unirep.splittings import split_coproduct
 
 
 def poly(n, p, exponents):
@@ -315,8 +330,8 @@ class TestComodule:
             raise AssertionError("expanded before the bound was checked")
 
         monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost - 1)
-        monkeypatch.setattr(reps, "coproduct", expand)
-        monkeypatch.setattr(reps, "matrix_product_tensor_side", expand)
+        monkeypatch.setattr(reps, "_monomial_coproduct", expand)
+        monkeypatch.setattr(reps, "split_coproduct", expand)
         with pytest.raises(CostBoundError, match=fr"costs {cost} exponents \({terms} terms\), "
                                                  fr"over the bound of {cost - 1}$"):
             verify_comodule(rep, use_splitting)
@@ -405,6 +420,29 @@ class TestGroupLawPointwise:
         }))
         with pytest.raises(CostBoundError):
             verify_group_law_pointwise(rep, mode="exhaustive")
+
+    def test_sampled_bound_weighs_the_pair_work(self, monkeypatch):
+        # 50,000 pairs on this d = 2 rep of U_4(F_11) take about 1.3 s, so
+        # 10^6 would take some 26 s: refused before the first draw
+        class Drawn(Exception):
+            pass
+
+        def draw(seed):
+            raise Drawn
+
+        rep = construct_from_layers(random_layer_data(4, 2, 11, 1, seed=1))
+        heavy = construct_from_layers(random_layer_data(3, 6, 13, 3, seed=0))
+        monkeypatch.setattr(reps.random, "Random", draw)
+        with pytest.raises(CostBoundError, match=r"^sampled check of 1000000 pairs costs "):
+            verify_group_law_pointwise(rep, mode="sampled", count=10**6)
+        for count in (None, 20, 100000):
+            with pytest.raises(Drawn):
+                verify_group_law_pointwise(rep, mode="sampled", count=count)
+        # a larger support and d weigh more: 10,000 pairs here took about 21 s
+        with pytest.raises(CostBoundError):
+            verify_group_law_pointwise(heavy, mode="sampled", count=10**4)
+        with pytest.raises(Drawn):
+            verify_group_law_pointwise(heavy, mode="sampled", count=10**3)
 
     def test_char_zero_exhaustive_is_an_error(self):
         data = LieLayerData(3, 0, 3, [tautological_layer(3, 0)])
@@ -537,6 +575,126 @@ class TestPointwiseOracle:
                 tracemalloc.stop()
 
         assert peak(2000) - peak(200) < 200_000
+
+
+# --- the comodule check on the polynomial matrix, kept as the oracle ----------
+
+def reference_verify_comodule(rep, use_splitting=False):
+    """Findings of the comodule check it replaces: Delta of each entry of the
+    assembled polynomial matrix against the tensor side of the whole matrix,
+    all d^2 entries of both sides held and compared as TensorElements."""
+    report = Report()
+    chi, pm = rep.chi, rep.poly_matrix
+    n, p, d = chi.n, chi.p, chi.d
+    if chi.get(ExponentMatrix.zero(n)) != chi.identity_matrix():
+        report.add("chi-at-zero", "chi(0)", "identity matrix", chi.get(ExponentMatrix.zero(n)))
+    rhs = matrix_product_tensor_side(pm)
+    lhs = [[coproduct(pm.entries[a][b]) for b in range(d)] for a in range(d)]
+    for a in range(d):
+        for b in range(d):
+            if lhs[a][b] != rhs[a][b]:
+                report.add("coproduct", f"entry ({a + 1}, {b + 1})",
+                           "Delta(a_ij) = sum_k a_ik (x) a_kj", "mismatch")
+            delta = coerce_scalar(1 if a == b else 0, p)
+            if pm.entries[a][b].constant_term() != delta:
+                report.add("counit", f"entry ({a + 1}, {b + 1})", delta,
+                           pm.entries[a][b].constant_term())
+    if use_splitting:
+        via_split = split_coproduct(chi)
+        for a in range(d):
+            for b in range(d):
+                if via_split[a][b] != lhs[a][b]:
+                    report.add("split-coproduct", f"entry ({a + 1}, {b + 1})",
+                               "splitting formula agrees with direct coproduct", "mismatch")
+    return report.findings
+
+
+def comodule_cases():
+    """(name, rep): valid reps for p = 5, 7, 11, 13 with 1-3 layers and p = 0,
+    each with one entry changed, one key's matrix replaced and one key
+    dropped; chi(0) missing or with a broken counit."""
+    rng = random.Random(17)
+    shapes = {1: (4, 3), 2: (3, 3), 3: (3, 2)}  # (n, d) by the layer count
+    valid = [(f"p{p}-layers{layers}", construct_from_layers(random_layer_data(
+                 *shapes[layers], p, layers, seed=k)))
+             for k, (p, layers) in enumerate(itertools.product((5, 7, 11, 13), (1, 2, 3)))]
+    valid += [(f"p0-n{n}-d{d}", construct_from_layers(random_layer_data(n, d, 0, 1, seed=n)))
+              for n, d in ((3, 2), (4, 3))]
+    cases = list(valid)
+    for name, rep in valid:
+        n, p, d = rep.n, rep.p, rep.d
+        zero = ExponentMatrix.zero(n)
+        keys = sorted(rep.chi.support, key=ExponentMatrix.sort_key)
+        M = rng.choice(keys[1:])
+        rows = [list(row) for row in rep.chi.support[M].entries]
+        a, b = rng.randrange(d), rng.randrange(d)
+        rows[a][b] = rows[a][b] + rng.randrange(1, p or 7)
+        cases.append((f"{name}/entry", corrupted(rep, M, rows)))
+        key = zero
+        for i, j in variable_pairs(n):
+            key = key + ExponentMatrix.epsilon(n, i, j, rng.randrange(3))
+        cases.append((f"{name}/key", corrupted(rep, key, random_strict_upper(d, p, rng, True).entries)))
+        dropped = {K: mat for K, mat in rep.chi.support.items() if K != rng.choice(keys[1:])}
+        cases.append((f"{name}/dropped", Representation(ChiTable(n, p, d, dropped))))
+        unit = [[int(a == b) for b in range(d)] for a in range(d)]
+        unit[0][d - 1] = 3
+        cases.append((f"{name}/counit", corrupted(rep, zero, unit)))
+        missing = {K: mat for K, mat in rep.chi.support.items() if K != zero}
+        cases.append((f"{name}/no-unit", Representation(ChiTable(n, p, d, missing))))
+    return cases
+
+
+class TestComoduleOracle:
+    """verify_comodule reads the chi table; the check on the polynomial matrix
+    that it replaced stays the oracle, on whole findings lists."""
+
+    @pytest.mark.parametrize("name,rep", comodule_cases())
+    def test_findings_match(self, name, rep):
+        for use_splitting in (False, True):
+            got = verify_comodule(rep, use_splitting).findings
+            assert got == reference_verify_comodule(rep, use_splitting), (name, use_splitting)
+        assert "/" in name or not got  # the uncorrupted reps pass
+
+    def test_plain_int_entries(self):
+        e12 = ExponentMatrix.epsilon(2, 1, 2)
+        rep = Representation(ChiTable(2, 7, 2, {ExponentMatrix.zero(2): SquareMatrix([[1, 0], [0, 1]]),
+                                                 e12: SquareMatrix([[0, 7], [0, 0]])}))
+        expected = [{"check": "chi-at-zero", "location": "chi(0)",
+                     "expected": "identity matrix", "actual": "[1, 0; 0, 1]"}]
+        assert verify_comodule(rep).findings == reference_verify_comodule(rep) == expected
+
+    def test_fraction_entry(self):
+        half = SquareMatrix([[1, 0], [0, Fraction(1, 2)]])
+        rep = Representation(ChiTable(2, 7, 2, {ExponentMatrix.zero(2): half}))
+        findings = verify_comodule(rep).findings
+        assert findings == reference_verify_comodule(rep)
+        assert [(f["check"], f["location"], f["actual"]) for f in findings] == [
+            ("chi-at-zero", "chi(0)", "[1, 0; 0, 1/2]"),
+            ("coproduct", "entry (2, 2)", "mismatch"),
+            ("counit", "entry (2, 2)", "4")]
+
+    def test_entries_mod_another_prime_refused(self):
+        rep = Representation(ChiTable(2, 7, 2, {
+            ExponentMatrix.zero(2): scalar_matrix([[1, 0], [0, 1]], 7),
+            ExponentMatrix.epsilon(2, 1, 2): scalar_matrix([[0, 1], [0, 0]], 11)}))
+        for check in (verify_comodule, reference_verify_comodule):
+            with pytest.raises(ModulusMismatchError):
+                check(rep)
+
+    def test_memory_holds_one_entry(self):
+        rep = construct_from_layers(random_layer_data(40, 3, 41, 1, seed=0))
+        rep.poly_matrix  # the replaced check found it assembled
+
+        def peak(check):
+            hopf._generator_power.cache_clear()
+            tracemalloc.start()
+            try:
+                assert check(rep) == []
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda rep: verify_comodule(rep).findings) <= peak(reference_verify_comodule) / 2
 
 
 class TestDecomposition:
