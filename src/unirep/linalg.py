@@ -139,16 +139,33 @@ class SquareMatrix:
 
 
 def _matmul(a, b, p=None):
-    """Rows of the product of the row lists a (r x k) and b (k x c), k >= 1.
-
-    With p the entries are ints and every output entry is reduced into
-    [0, p).  Without it they are ring elements, and each output entry is
-    a_i1 b_1j + a_i2 b_2j + ... added left to right.
-    """
-    cols = list(zip(*b))
-    if p:
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
-    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+    """Rows of the product of the row lists a (r x k) and b (k x c), k >= 1,
+    each a new list.  Ring elements (p None) are summed left to right.  Over
+    a field, ints mod p > 0 or Fractions at p = 0, each row of a takes its own
+    method: an int row more than half nonzero takes the dot product with each
+    column of b, any other row adds x b_k over its nonzero x = a_ik and the
+    nonzero rows b_k (Gustavson, ACM TOMS 4(3), 1978)."""
+    if p is None:
+        cols = list(zip(*b))
+        return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+    cols = nonzero = None
+    zero = [0 if p else Fraction(0)] * len(b[0])
+    out = []
+    for row in a:
+        zeros = row.count(0)
+        if p and 2 * zeros < len(row):
+            cols = cols or list(zip(*b))
+            out.append([sum(map(mul, row, col)) % p for col in cols])
+            continue
+        acc = None
+        if zeros < len(row):
+            nonzero = nonzero or [(k, brow) for k, brow in enumerate(b) if any(brow)]
+            for k, brow in nonzero:
+                x = row[k]
+                if x:
+                    acc = [x * y for y in brow] if acc is None else [s + x * y for s, y in zip(acc, brow)]
+        out.append(zero[:] if acc is None else [s % p for s in acc] if p else acc)
+    return out
 
 
 def _zip_rows(op, a, b):
@@ -183,12 +200,6 @@ def _bracket(a, b, p=None):
     if p:
         return [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(ab, ba)]
     return _zip_rows(sub, ab, ba)
-
-
-def _negated(a, p=None):
-    if p:
-        return [[-x % p for x in row] for row in a]
-    return [[-x for x in row] for row in a]
 
 
 def _is_nilpotent(a, cap, p=None):
@@ -234,12 +245,12 @@ def _scalar_value(c, p):
 
 def _series_rows(*matrices):
     """[p, the unit, the rows of each matrix], all in the ring of the first
-    entry: the ints of Residues mod p, or with p = 0 Polynomials as they are,
-    or else Fractions, plain ints read as Fractions.  An entry outside that
-    ring raises ModulusMismatchError, as in _field_rows."""
+    entry: the ints of Residues mod p, or with p None Polynomials as they are,
+    or else with p = 0 Fractions, plain ints read as Fractions.  An entry
+    outside that ring raises ModulusMismatchError, as in _field_rows."""
     first = matrices[0].entries[0][0] if matrices[0].size else None
     if isinstance(first, Polynomial):
-        return [0, one_like(first), *(m.entries for m in matrices)]
+        return [None, one_like(first), *(m.entries for m in matrices)]
     p = first.p if type(first) is Residue else 0
     out = [p, 1 if p else Fraction(1)]
     for m in matrices:

@@ -40,7 +40,6 @@ from .linalg import (
     _field_rows,
     _is_nilpotent,
     _matmul,
-    _negated,
     _series_walk,
     exp_nilpotent,
     log_unipotent,
@@ -101,7 +100,7 @@ def _bracket_image(images, rs, tu, p):
     for ij, sign in lie_bracket_pairs(rs, tu):
         img = images.get(ij)
         if img is not None:
-            return img if sign > 0 else _negated(img, p)
+            return img if sign > 0 else [[-x % p if p else -x for x in row] for row in img]
     return None
 
 
@@ -258,16 +257,18 @@ class LieLayerData:
         the basis, nilpotent basis images, and cross-layer commutation."""
         report = Report()
         p, d = self.p, self.d
-        pairs = variable_pairs(self.n)
         layers = [{ij: _field_rows(mat, p) for ij, mat in layer.items()} for layer in self.layers]
+        present = [sorted(images) for images in layers]  # row-major, as variable_pairs
         zero = [[0] * d for _ in range(d)]
         for l, images in enumerate(layers):
-            for i, j in pairs:
-                img = images.get((i, j))
-                if img is not None and not _is_nilpotent(img, d, p):
+            for i, j in present[l]:
+                if not _is_nilpotent(images[i, j], d, p):
                     report.add("layer-nilpotency", f"layer {l}, eps_{i}{j}",
                                "nilpotent image", "not nilpotent")
-            for rs, tu in itertools.combinations(pairs, 2):
+            # a pair can fail only if both images, or its bracket's image, are present
+            candidates = set(itertools.combinations(present[l], 2))
+            candidates.update(((i, k), (k, j)) for i, j in images for k in range(i + 1, j))
+            for rs, tu in sorted(candidates):
                 a, b = images.get(rs), images.get(tu)
                 lhs = zero if a is None or b is None else _bracket(a, b, p)
                 rhs = _bracket_image(images, rs, tu, p) or zero
@@ -275,9 +276,9 @@ class LieLayerData:
                     report.add("layer-homomorphism", f"layer {l}, [{rs}, {tu}]",
                                "bracket-compatible", "bracket mismatch")
         for la, lb in itertools.combinations(range(len(layers)), 2):
-            for rs, tu in itertools.product(pairs, pairs):
-                a, b = layers[la].get(rs), layers[lb].get(tu)
-                if a is not None and b is not None and _matmul(a, b, p) != _matmul(b, a, p):
+            for rs, tu in itertools.product(present[la], present[lb]):
+                a, b = layers[la][rs], layers[lb][tu]
+                if _matmul(a, b, p) != _matmul(b, a, p):
                     report.add("cross-layer-commutation",
                                f"layers {la}/{lb}, eps_{rs} vs eps_{tu}",
                                "commuting images", "nonzero commutator")
@@ -439,6 +440,7 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
     for M, mat in chi.support.items():
         plan[min(len(M.flat) - M.flat.count(0), 2)].append((M.flat, _field_rows(mat, p)))
     cells = [[rows[a][b] for _, rows in itertools.chain(*plan)] for a in range(d) for b in range(d)]
+    cells = [cell if any(cell) else None for cell in cells]  # None: zero in every chi(M)
     singles = [next((k, e) for k, e in enumerate(flat) if e) for flat, _ in plan[1]]
     index = {ij: k for k, ij in enumerate(pairs)}
     inner = [[(index[i, m], index[m, j]) for m in range(i + 1, j)] for i, j in pairs]
@@ -446,7 +448,7 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
     def phi(point):
         values = [1] * len(plan[0]) + [pow(point[k], e, p) for k, e in singles]
         values += [math.prod(map(pow, point, M, itertools.repeat(p))) % p for M, _ in plan[2]]
-        flat = [sum(map(mul, values, cell)) % p for cell in cells]
+        flat = [0 if cell is None else sum(map(mul, values, cell)) % p for cell in cells]
         return [flat[a * d:(a + 1) * d] for a in range(d)]
 
     if small:
@@ -557,7 +559,7 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
         charge(1 + len(options))
         stack.append((k + 1, partial, chosen))
         for r, rows in options:
-            product = _skip_zero_product(partial, rows, p)
+            product = _matmul(partial, rows, p)
             if any(map(any, product)):
                 stack.append((k + 1, product, (index, r, chosen)))
     scalar = functools.cache(functools.partial(Residue, p=p) if p else Fraction)  # immutable, so shared
@@ -585,26 +587,9 @@ def _root_subgroup(data: LieLayerData, i, j, one, charge):
             kfact *= k
             terms.append((k * p**l, _divided(power, kfact, p)))
         charge(len(out) * len(terms))
-        out = [(r + s, _skip_zero_product(a, b, p)) for r, a in out for s, b in terms]
+        out = [(r + s, _matmul(a, b, p)) for r, a in out for s, b in terms]
         out = [(r, a) for r, a in out if any(map(any, a))]
     return out[1:]
-
-
-def _skip_zero_product(a, b, p):
-    """Rows of a b that add a_ik times row k of b only where a_ik and that row
-    are nonzero (Gustavson, ACM TOMS 4(3), 1978), reduced mod p when p > 0.
-    Rows with no such term share one zero row."""
-    rows = [(k, row) for k, row in enumerate(b) if any(row)]
-    zero = [0] * len(b[0])
-    out = []
-    for arow in a:
-        acc = None
-        for k, brow in rows:
-            x = arow[k]
-            if x:
-                acc = [x * y for y in brow] if acc is None else [s + x * y for s, y in zip(acc, brow)]
-        out.append(zero if acc is None else [s % p for s in acc] if p else acc)
-    return out
 
 
 def decompose_to_layers(rep: Representation, check=True) -> LieLayerData:
@@ -731,8 +716,9 @@ def audit_structure_lemmas(rep: Representation) -> Report:
                        "Gamma(r)^-1 prod chi(p^t eps_ij)^{r_t}", "mismatch")
 
     singles = chi.single_position_items()
+    carries = functools.cache(sum_carries)  # decided once per distinct (r, s)
     for (r, ij, _), (s, uv, _) in itertools.product(singles, singles):
-        if sum_carries(r, s, p):  # ChiTable keeps no zero matrix in its support
+        if carries(r, s, p):  # ChiTable keeps no zero matrix in its support
             report.add("carrying", f"chi({r} eps_{ij}) and chi({s} eps_{uv})",
                        "at least one zero when r + s carries mod p", "both nonzero")
     return report

@@ -3,6 +3,7 @@ replaced: LieLayerData.validate, verify_chi_relations, audit_structure_lemmas.""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,35 @@ def test_checks_match_the_squarematrix_bodies():
                 compared += 1
                 with_findings += bool(got)
     assert compared > 1000 and with_findings > compared // 3
+
+
+def test_validate_on_sparse_images_matches_the_full_walk():
+    """Images at a random few pairs, so that brackets often have one side or
+    the target missing, or both sides present and the target missing."""
+    compared = with_findings = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        n, d, p = rng.choice([(3, 2, 5), (4, 2, 0), (4, 3, 7), (5, 2, 11)])
+        pairs = variable_pairs(n)
+        layers = [{ij: SquareMatrix([[random_scalar(p, rng) if b > a or rng.random() < 0.1
+                                      else coerce_scalar(0, p) for b in range(d)] for a in range(d)])
+                   for ij in rng.sample(pairs, rng.randrange(len(pairs) + 1))}
+                  for _ in range(rng.randrange(1, 4))]
+        data = LieLayerData(n, p, d, layers)
+        got = data.validate().findings
+        assert got == reference_validate(data).findings, seed
+        compared += 1
+        with_findings += bool(got)
+    assert with_findings > compared // 2
+
+
+def test_validate_cost_follows_the_images():
+    # the walk over every pair of basis elements took about 15 s on this input
+    data = LieLayerData(60, 61, 3, [{} for _ in range(8)])
+    start = time.perf_counter()
+    assert data.validate().ok
+    assert construct_from_layers(data) == construct_from_layers(data, validate=False)
+    assert time.perf_counter() - start < 1.0
 
 
 # --- each finding kind, pinned ------------------------------------------------

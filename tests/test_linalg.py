@@ -1,11 +1,16 @@
 """Exact matrices and the truncated exponential / logarithm."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unirep import reps
 from unirep.arith import Residue, coerce_scalar
 from unirep.errors import (
     ConversionError,
@@ -15,16 +20,18 @@ from unirep.errors import (
     ShapeError,
 )
 from unirep.hopf import Polynomial
+from unirep.io import write_rep_file
 from unirep.linalg import (
     SquareMatrix,
+    _matmul,
     commutator,
     exp_nilpotent,
     log_unipotent,
     nilpotency_index,
     scalar_matrix,
 )
-from unirep.reps import generic_element
-from unirep.samples import random_invertible, random_strict_upper
+from unirep.reps import construct_from_layers, generic_element
+from unirep.samples import random_invertible, random_layer_data, random_strict_upper
 
 
 class TestSquareMatrix:
@@ -432,3 +439,75 @@ class TestResidueKernel:
         with pytest.raises(TypeError):
             a @ b
 
+
+# --- the zero-skipping field kernel against the dense body it replaced --------
+
+def reference_int_matmul(a, b, p):
+    """The dense body _matmul had on field rows: every output entry the dot
+    product of a row and a column, reduced mod p when p > 0."""
+    cols = list(zip(*b))
+    if p:
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+DENSITIES = (0, 0.1, 0.5, 0.9, 1)
+FIELD_PRIMES = (0, 2, 5, 13, 2**31 - 1)
+
+
+def random_field_rows(r, c, p, density, rng):
+    """r x c rows over F_p (ints) or Q (Fractions, p = 0), each entry nonzero
+    with probability ``density``."""
+    def nonzero():
+        if p:
+            return rng.randrange(1, p)
+        return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 20), rng.randrange(1, 7))
+
+    zero = 0 if p else Fraction(0)
+    return [[nonzero() if rng.random() < density else zero for _ in range(c)] for _ in range(r)]
+
+
+class TestFieldKernel:
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7), st.sampled_from(DENSITIES),
+           st.sampled_from(DENSITIES), st.sampled_from(FIELD_PRIMES), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_dense_body(self, r, k, c, da, db, p, rng):
+        a, b = random_field_rows(r, k, p, da, rng), random_field_rows(k, c, p, db, rng)
+        out = _matmul(a, b, p)
+        assert out == reference_int_matmul(a, b, p)
+        assert len(out) == r and all(len(row) == c for row in out)
+        if p:
+            assert all(type(v) is int and 0 <= v < p for row in out for v in row)
+        else:
+            assert all(type(v) is Fraction for row in out for v in row)
+
+    @pytest.mark.parametrize("p", FIELD_PRIMES)
+    def test_no_row_is_shared(self, p):
+        rng = random.Random(p % 1000)
+        for density in DENSITIES:
+            for r, k, c in ((1, 1, 1), (3, 2, 4), (5, 5, 5), (6, 3, 2)):
+                a, b = random_field_rows(r, k, p, density, rng), random_field_rows(k, c, p, density, rng)
+                out = _matmul(a, b, p)
+                before = [[row[:] for row in m] for m in (a, b, out)]
+                for i in range(r):
+                    out[i][0] = -1
+                    assert out[:i] + out[i + 1:] == before[2][:i] + before[2][i + 1:]
+                    assert (a, b) == (before[0], before[1])
+                    out[i][0] = before[2][i][0]
+
+    def test_series_over_q_stays_in_fractions(self):
+        x = SquareMatrix([[Fraction(0), Fraction(1, 2), Fraction(0)],
+                          [Fraction(0), Fraction(0), Fraction(3)],
+                          [Fraction(0), Fraction(0), Fraction(0)]])
+        for m in (exp_nilpotent(x), log_unipotent(exp_nilpotent(x))):
+            assert all(type(v) is Fraction for row in m.entries for v in row)
+        assert log_unipotent(exp_nilpotent(x)) == x
+
+    @pytest.mark.parametrize("p", [0, 11, 13])
+    def test_construct_is_byte_identical_under_the_dense_body(self, p, monkeypatch):
+        shapes = [(n, d, L) for n in (2, 3, 4) for d in (2, 3, 4, 6) for L in (1, 2, 3)
+                  if (p == 0 and L == 1) or (p and p >= max(n, d))]
+        datas = [random_layer_data(n, d, p, L, seed) for (n, d, L), seed in itertools.product(shapes, range(3))]
+        fast = [write_rep_file(construct_from_layers(data)) for data in datas]
+        monkeypatch.setattr(reps, "_matmul", reference_int_matmul)
+        assert fast == [write_rep_file(construct_from_layers(data)) for data in datas]
