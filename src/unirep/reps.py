@@ -12,6 +12,7 @@ maps with nilpotent images assembles into the representation
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -318,13 +319,40 @@ def tautological_layer(n, p):
     return layer
 
 
+def _regime(n, p, d):
+    """'Q' at p = 0; 'layers' for p >= max(n, 2d), where the layers determine a
+    representation; 'construct' for p >= max(n, d), where their exponentials end."""
+    if p == 0:
+        return "Q"
+    return "layers" if p >= max(n, 2 * d) else "construct" if p >= max(n, d) else None
+
+
+def _certificate(rep: Representation):
+    """rep's layers if they validate and rebuild rep, else None.  For p >= max(n, 2d),
+    or p = 0 with one layer, that is exactly when rep is a comodule: valid layers
+    construct one, and by the paper's main theorem a comodule is the construction
+    of its layers chi(p^l eps_ij).  Any refusal (a walk past its bound) is None."""
+    with contextlib.suppress(UnirepError):
+        data = decompose_to_layers(rep, check=False)
+        if data.validate().ok and construct_from_layers(data, validate=False).chi == rep.chi:
+            return data
+
+
+def verify_comodule(rep: Representation, use_splitting=False) -> Report:
+    """Check the comodule axioms: empty at once for a table that its own layers
+    rebuild (_certificate), else, and with use_splitting, _comodule_findings."""
+    if not use_splitting and _certificate(rep) is not None:
+        return Report()
+    return _comodule_findings(rep, use_splitting)
+
+
 # A term counts as n(n-1) + 8 exponents, its key and its overhead; the check
 # builds 1.3-3e7 a second (2.1 GHz Xeon), so the bound is 10-23 s of work; it
 # holds one entry at a time, 4.5 bytes an exponent at n = 60 (1.4 GB).
 MAX_COMODULE_EXPONENTS = 3 * 10**8
 
 
-def verify_comodule(rep: Representation, use_splitting=False) -> Report:
+def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
     """Check chi(0) = Id and, on the chi table read through coerce_scalar,
     Delta(a_ij) = sum_k a_ik (x) a_kj and eps(a_ij) = delta_ij: for each (a, b)
 
@@ -409,33 +437,8 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
     report = Report()
     chi = rep.chi
     n, p, d = chi.n, chi.p, chi.d
-    if p == 0:
-        raise HypothesisError("pointwise verification needs a positive characteristic")
+    stream = _pointwise_pairs(chi, mode, count, seed)
     pairs = variable_pairs(n)
-    small = p ** (2 * len(pairs)) <= MAX_EXHAUSTIVE_PAIRS
-    if mode == "exhaustive":
-        if not small:
-            raise CostBoundError(
-                f"exhaustive check of U_{n}(F_{p}) needs {p}^{2 * len(pairs)} pairs, "
-                f"over the bound of {MAX_EXHAUSTIVE_PAIRS}; use sampled:N"
-            )
-        points = list(itertools.product(range(p), repeat=len(pairs)))
-        stream = itertools.product(points, repeat=2)
-    elif mode == "sampled":
-        count = 100 if count is None else count
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        weight = len(chi.support) * (len(pairs) + d * d) + d**3 // 4 + n**3 // 6 + 100
-        if count * weight > MAX_SAMPLED_WORK:
-            raise CostBoundError(f"sampled check of {count} pairs costs {count * weight} "
-                                 f"({weight} a pair), over the bound of {MAX_SAMPLED_WORK}")
-        rng = random.Random(seed)
-        stream = (  # drawn one pair at a time, as they are checked
-            (tuple(rng.randrange(p) for _ in pairs), tuple(rng.randrange(p) for _ in pairs))
-            for _ in range(count)
-        )
-    else:
-        raise HypothesisError(f"unknown pointwise mode {mode!r}")
     plan = ([], [], [])  # the constant keys, the one-variable keys, the rest
     for M, mat in chi.support.items():
         plan[min(len(M.flat) - M.flat.count(0), 2)].append((M.flat, _field_rows(mat, p)))
@@ -451,7 +454,7 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
         flat = [0 if cell is None else sum(map(mul, values, cell)) % p for cell in cells]
         return [flat[a * d:(a + 1) * d] for a in range(d)]
 
-    if small:
+    if p ** (2 * len(pairs)) <= MAX_EXHAUSTIVE_PAIRS:
         phi = functools.cache(phi)
 
     def product(g, h):
@@ -469,6 +472,33 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
     return report
 
 
+def _pointwise_pairs(chi: ChiTable, mode, count=None, seed=0):
+    """The pointwise check's pairs (g, h) of flat points, refused before any is made."""
+    n, p, d = chi.n, chi.p, chi.d
+    if p == 0:
+        raise HypothesisError("pointwise verification needs a positive characteristic")
+    pairs = variable_pairs(n)
+    if mode == "exhaustive":
+        if p ** (2 * len(pairs)) > MAX_EXHAUSTIVE_PAIRS:
+            raise CostBoundError(f"exhaustive check of U_{n}(F_{p}) needs {p}^{2 * len(pairs)} "
+                                 f"pairs, over the bound of {MAX_EXHAUSTIVE_PAIRS}; use sampled:N")
+        return itertools.product(itertools.product(range(p), repeat=len(pairs)), repeat=2)
+    if mode == "sampled":
+        count = 100 if count is None else count
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        weight = len(chi.support) * (len(pairs) + d * d) + d**3 // 4 + n**3 // 6 + 100
+        if count * weight > MAX_SAMPLED_WORK:
+            raise CostBoundError(f"sampled check of {count} pairs costs {count * weight} "
+                                 f"({weight} a pair), over the bound of {MAX_SAMPLED_WORK}")
+        rng = random.Random(seed)
+        return (  # drawn one pair at a time, as they are checked
+            (tuple(rng.randrange(p) for _ in pairs), tuple(rng.randrange(p) for _ in pairs))
+            for _ in range(count)
+        )
+    raise HypothesisError(f"unknown pointwise mode {mode!r}")
+
+
 def construct_single_layer(layer, n, p, d) -> SquareMatrix:
     """The polynomial matrix e^{phi(log g)} for one layer phi.
 
@@ -476,7 +506,7 @@ def construct_single_layer(layer, n, p, d) -> SquareMatrix:
     phi(log g) must be nilpotent of index <= min(d, p) as a polynomial matrix,
     which is verified, not assumed.
     """
-    if p and p < max(n, d):
+    if _regime(n, p, d) is None:
         raise HypothesisError(f"construction needs p >= max(n, d) = {max(n, d)}, got p = {p}")
     g = generic_element(n, p)
     log_g = log_unipotent(g, p or None)
@@ -500,8 +530,7 @@ def construct_single_layer(layer, n, p, d) -> SquareMatrix:
 # a pair's layers: at most one d x d product each.  Every supported M is
 # a visited node, so the bound caps the support, and with it memory, as well.
 # Random layers of roundtrip --n 40 --d 3 take about 28,000 nodes and 4 s in
-# all; --d 4 takes about 414,000, and its comodule check in decompose then
-# needs 2.3 GB.
+# all, --d 4 about 414,000.  Past d = 3 a node weighs d^2 / 9, its product's cost.
 MAX_CONSTRUCT_NODES = 2 * 10**5
 
 
@@ -520,7 +549,7 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
     product, and refused with CostBoundError past MAX_CONSTRUCT_NODES nodes.
     """
     n, p, d = data.n, data.p, data.d
-    if p and p < max(n, d):
+    if _regime(n, p, d) is None:
         raise HypothesisError(f"construction needs p >= max(n, d) = {max(n, d)}, got p = {p}")
     if p == 0 and len(data.layers) > 1:
         raise HypothesisError("characteristic zero admits a single layer only")
@@ -528,12 +557,12 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
         report = data.validate()
         if not report.ok:
             raise HypothesisError(f"layer data invariants fail: {report.findings}")
-    nodes = 0
+    nodes = 0  # in ninths of a d = 3 node
 
     def charge(count):
         nonlocal nodes
-        nodes += count
-        if nodes > MAX_CONSTRUCT_NODES:
+        nodes += count * max(d * d, 9)
+        if nodes > 9 * MAX_CONSTRUCT_NODES:
             raise CostBoundError(f"constructing chi takes over {MAX_CONSTRUCT_NODES} nodes")
 
     one = [[int(a == b) for b in range(d)] for a in range(d)]
@@ -597,18 +626,17 @@ def decompose_to_layers(rep: Representation, check=True) -> LieLayerData:
 
     Requires p >= max(n, 2d) in positive characteristic (characteristic zero
     uses the single layer l = 0).  With ``check`` the comodule axioms and the
-    extracted layer invariants are verified.
+    extracted layer invariants are verified, by _certificate when it passes.
     """
     chi = rep.chi
     n, p, d = chi.n, chi.p, chi.d
-    if p and p < max(n, 2 * d):
-        raise HypothesisError(
-            f"decomposition needs p >= max(n, 2d) = {max(n, 2 * d)}, got p = {p}"
-        )
-    if check:
-        report = verify_comodule(rep)
-        if not report.ok:
-            raise UnirepError(f"input fails the comodule axioms: {report.findings}")
+    if _regime(n, p, d) not in ("Q", "layers"):
+        raise HypothesisError(f"decomposition needs p >= max(n, 2d) = {max(n, 2 * d)}, got p = {p}")
+    if check and (certified := _certificate(rep)) is not None:
+        return certified
+    report = _comodule_findings(rep) if check else Report()
+    if not report.ok:
+        raise UnirepError(f"input fails the comodule axioms: {report.findings}")
     layers = []
     for l, ij, mat in _chi_power_items(chi):
         layers.extend({} for _ in range(l + 1 - len(layers)))
@@ -670,7 +698,7 @@ def audit_structure_lemmas(rep: Representation) -> Report:
     obstruction."""
     chi = rep.chi
     n, p, d = chi.n, chi.p, chi.d
-    if p == 0 or p < 2 * d:
+    if _regime(1, p, d) != "layers":  # p > 0 and p >= 2d; the audits do not involve n
         raise HypothesisError(f"structure audits need p >= 2d = {2 * d}, got p = {p}")
     report = Report()
     rows = {M: _field_rows(mat, p) for M, mat in chi.support.items()}
@@ -756,10 +784,9 @@ def layer_morphism_equivalence(T, src: Representation, dst: Representation) -> R
     """Compare the direct morphism check against the per-layer intertwining
     criterion; the two must agree."""
     for rep in (src, dst):
-        if rep.p and rep.p < max(rep.n, 2 * rep.d):
-            raise HypothesisError(
-                f"layer criterion needs p >= max(n, 2d) = {max(rep.n, 2 * rep.d)}, got p = {rep.p}"
-            )
+        if _regime(rep.n, rep.p, rep.d) not in ("Q", "layers"):
+            raise HypothesisError(f"layer criterion needs p >= max(n, 2d) = "
+                                  f"{max(rep.n, 2 * rep.d)}, got p = {rep.p}")
     rows = _as_rows(T)
     full = check_morphism(T, src, dst)
     src_layers = decompose_to_layers(src)

@@ -349,6 +349,14 @@ class TestCostBounds:
     def test_comodule_check_over_the_bound_refused(self, command, rep_path, capsys, monkeypatch):
         cost = 4  # below what any chi table costs: chi(0) alone is a term of 6 + 8 exponents
         monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost)
+        # a valid table is rebuilt from its layers, so the bound is never consulted
+        assert main([command[0], rep_path, *command[1:]]) == 0
+        assert "error" not in capsys.readouterr().err
+        rep = parse_rep_file(Path(rep_path).read_text())
+        rows = [list(row) for row in rep.chi.identity_matrix().entries]
+        rows[0][-1] += 1  # chi(0) is not Id: the symbolic check runs, and meets the bound
+        rep.chi.support[ExponentMatrix.zero(rep.n)] = scalar_matrix(rows, rep.p)
+        Path(rep_path).write_text(write_rep_file(rep))
         assert main([command[0], rep_path, *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

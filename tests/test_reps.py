@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -248,13 +249,17 @@ class TestClosedFormOracle:
     def test_root_subgroup_products_share_the_walk_budget(self, monkeypatch):
         data = random_layer_data(2, 8, 17, 4, seed=0)
         assert len(construct_from_layers(data).chi.support) == 330
-        # 1,320 products in the pair's layers, then 1 + 329 nodes in the walk
-        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 1320 + 330)
+        # 1,320 products in the pair's layers, then 1 + 329 nodes in the walk,
+        # each weighing 8^2 / 9 of a d = 3 node
+        def nodes(count):
+            return math.ceil(count * 64 / 9)
+
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", nodes(1320 + 330))
         assert len(construct_from_layers(data).chi.support) == 330
-        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 1320 + 329)
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", nodes(1320 + 329))
         with pytest.raises(CostBoundError):
             construct_from_layers(data)
-        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 1319)
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", nodes(1319))
         with pytest.raises(CostBoundError):
             construct_from_layers(data)
 
@@ -337,11 +342,17 @@ class TestComodule:
             verify_comodule(rep, use_splitting)
 
     def test_cost_bound_keeps_decompose_from_expanding(self, monkeypatch):
-        rep = construct_from_layers(random_layer_data(3, 2, 7, 2, seed=0))
+        data = random_layer_data(3, 2, 7, 2, seed=0).trimmed()
+        rep = construct_from_layers(data)
         monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", 0)
+        # a valid table is rebuilt from its layers, so the bound is never consulted
+        assert decompose_to_layers(rep) == decompose_to_layers(rep, check=False) == data
+        rows = [list(row) for row in rep.chi.identity_matrix().entries]
+        rows[0][-1] += 1  # chi(0) is not Id: the symbolic check runs, and meets the bound
+        rep.chi.support[ExponentMatrix.zero(3)] = SquareMatrix(rows)
         with pytest.raises(CostBoundError, match="the comodule check costs"):
             decompose_to_layers(rep)
-        assert decompose_to_layers(rep, check=False) == random_layer_data(3, 2, 7, 2, seed=0).trimmed()
+        assert decompose_to_layers(rep, check=False) == data
 
 
 def non_representation():
