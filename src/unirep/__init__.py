@@ -42,8 +42,6 @@ from .hopf import (
     TensorElement,
     coproduct,
     counit,
-    frobenius_substitute,
-    matrix_product_tensor_side,
     tensor_of,
     variable_pairs,
 )
@@ -65,11 +63,9 @@ from .reps import (
     audit_structure_lemmas,
     check_morphism,
     construct_from_layers,
-    construct_single_layer,
     decompose_to_layers,
     extract_chi,
     frobenius_twist_rep,
-    generic_element,
     layer_morphism_equivalence,
     tautological_layer,
     verify_chi_relations,

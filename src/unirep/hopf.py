@@ -28,8 +28,6 @@ __all__ = [
     "TensorElement",
     "coproduct",
     "counit",
-    "frobenius_substitute",
-    "matrix_product_tensor_side",
     "tensor_of",
 ]
 
@@ -551,53 +549,10 @@ def counit(poly: Polynomial):
     return poly.constant_term()
 
 
-def frobenius_substitute(obj, e: int):
-    """Replace every variable x_ij by x_ij^e, e an int >= 1 (else
-    ValueError); scalars are untouched.
-
-    Accepts a Polynomial, a TensorElement, or a square matrix of polynomials.
-    """
-    if hasattr(obj, "scale_exponents"):
-        return obj.scale_exponents(e)
-    return obj.map_entries(lambda f: f.scale_exponents(e))
-
-
-def _add_tensor(sums, f, g):
-    """Add the terms of f (x) g into sums, keyed by left flat + right flat."""
-    gs = g._flat_items()
-    get = sums.get
-    for kf, cf in f._flat_items():
-        for kg, cg in gs:
-            key = kf + kg
-            sums[key] = get(key, 0) + cf * cg
-
-
 def tensor_of(f: Polynomial, g: Polynomial) -> TensorElement:
-    """The elementary tensor f (x) g, expanded into the monomial-tensor basis."""
+    """The elementary tensor f (x) g, expanded into the monomial-tensor basis:
+    the key of each pair of terms is left flat + right flat, so none collide."""
     f._check(g)
-    sums = {}
-    _add_tensor(sums, f, g)
-    return TensorElement._from_flat(f.n, f.p, sums)
-
-
-def matrix_product_tensor_side(a):
-    """The d x d grid with (i, j) entry sum_k a_ik (x) a_kj.
-
-    ``a`` is a square matrix with polynomial entries; the result is a list of
-    lists of TensorElement.
-    """
-    d = a.size
-    sample = a.entries[0][0]
-    n, p = sample.n, sample.p
-    grid = [[{} for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for k in range(d):
-            left = a.entries[i][k]
-            if not left:
-                continue
-            for j in range(d):
-                right = a.entries[k][j]
-                if right:
-                    left._check(right)
-                    _add_tensor(grid[i][j], left, right)
-    return [[TensorElement._from_flat(n, p, cell) for cell in row] for row in grid]
+    gs = g._flat_items()
+    return TensorElement._from_flat(f.n, f.p, {kf + kg: cf * cg for kf, cf in f._flat_items()
+                                               for kg, cg in gs})

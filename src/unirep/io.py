@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import json
 
-from .arith import check_field, scalar_from_str, scalar_to_str
+from .arith import check_field, coerce_scalar, scalar_from_str, scalar_to_str
 from .errors import CostBoundError, ParseError, ShapeError
-from .hopf import ExponentMatrix, Polynomial, variable_pairs
+from .hopf import ExponentMatrix, variable_pairs
 from .linalg import SquareMatrix
-from .reps import ChiTable, LieLayerData, Representation
+from .reps import ChiTable, LieLayerData, Representation, _coerced
 
 __all__ = [
     "write_rep_file",
@@ -118,12 +118,12 @@ def write_rep_file(rep: Representation, body="chi") -> str:
                 {"M": _exponent_rows(M), "matrix": _matrix_to_strings(mat)}, sort_keys=True
             ))
     else:
+        items = _coerced(rep.chi).items()
         for a in range(rep.d):
             for b in range(rep.d):
-                poly = rep.poly_matrix.entries[a][b]
                 terms = [
-                    {"M": _exponent_rows(M), "c": scalar_to_str(c)}
-                    for M, c in sorted(poly.terms.items(), key=lambda kv: kv[0].sort_key())
+                    {"M": _exponent_rows(M), "c": scalar_to_str(mat.entries[a][b])}
+                    for M, mat in items if mat.entries[a][b]
                 ]
                 lines.append(json.dumps(
                     {"row": a + 1, "col": b + 1, "terms": terms}, sort_keys=True
@@ -151,7 +151,9 @@ def parse_rep_file(text: str) -> Representation:
                 raise ParseError(f"line {lineno}: duplicate exponent matrix")
             support[M] = _matrix_from_strings(obj.get("matrix"), d, p, lineno, parsed)
         return Representation(ChiTable(n, p, d, support))
-    entries = {}
+    entries = set()
+    support = {}  # rows of chi(M), filled one term at a time; a later term of a cell wins
+    zero = coerce_scalar(0, p)
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_line(line, lineno)
         a, b = obj.get("row"), obj.get("col")
@@ -159,14 +161,15 @@ def parse_rep_file(text: str) -> Representation:
             raise ParseError(f"line {lineno}: row/col out of range")
         if (a, b) in entries:
             raise ParseError(f"line {lineno}: duplicate entry ({a}, {b})")
-        terms = {}
+        entries.add((a, b))
         listed = obj.get("terms", [])
         if not (isinstance(listed, list) and all(isinstance(t, dict) for t in listed)):
             raise ParseError(f"line {lineno}: terms must be a list of objects")
         for t in listed:
             M = _exponent_from_rows(t.get("M"), n, lineno)
-            terms[M] = _scalar(t.get("c"), p, lineno, parsed)
-        entries[(a, b)] = Polynomial(n, p, terms)
+            if M not in support:
+                support[M] = [[zero] * d for _ in range(d)]
+            support[M][a - 1][b - 1] = _scalar(t.get("c"), p, lineno, parsed)
     if len(entries) != d * d:
         # each body line is one distinct in-range entry, so entries are missing
         pairs = itertools.product(range(1, d + 1), repeat=2)
@@ -174,8 +177,7 @@ def parse_rep_file(text: str) -> Representation:
         more = d * d - len(entries) - len(missing)
         raise ParseError(f"line {len(lines)}: missing matrix entries {missing}"
                          + (f" and {more} more" if more else ""))
-    pm = SquareMatrix([[entries[(a, b)] for b in range(1, d + 1)] for a in range(1, d + 1)])
-    return Representation.from_poly_matrix(pm, n, p)
+    return Representation(ChiTable(n, p, d, {M: SquareMatrix(rows) for M, rows in support.items()}))
 
 
 def write_layer_file(data: LieLayerData) -> str:

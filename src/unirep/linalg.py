@@ -4,11 +4,11 @@ Entries are either scalars (Fraction / Residue) or Polynomials, never mixed
 within one matrix.  When every entry of the operands is a Residue mod one p,
 products, sums and scalings run on the ints and build one Residue per output
 entry; any other matrix takes the entries' own arithmetic.  The exp/log
-series read their operand once into rows (`_series_rows`), walk its powers on
-them (`_series_walk`) and build the result's entries once, d^2 Residues over
-F_p.  The walk stops at the first zero power, so no division by k! for
-k >= index ever happens; this is what keeps every denominator coprime to the
-characteristic.
+series take F_p or Q entries only: they read their operand once into rows
+(`_series_rows`), walk its powers on them (`_series_walk`) and build the
+result's entries once, d^2 Residues over F_p.  The walk stops at the first
+zero power, so no division by k! for k >= index ever happens; this is what
+keeps every denominator coprime to the characteristic.
 """
 
 from __future__ import annotations
@@ -244,13 +244,11 @@ def _scalar_value(c, p):
 
 
 def _series_rows(*matrices):
-    """[p, the unit, the rows of each matrix], all in the ring of the first
-    entry: the ints of Residues mod p, or with p None Polynomials as they are,
-    or else with p = 0 Fractions, plain ints read as Fractions.  An entry
-    outside that ring raises ModulusMismatchError, as in _field_rows."""
+    """[p, the unit, the rows of each matrix], all in the field of the first
+    entry: the ints of Residues mod p, or else with p = 0 Fractions, plain
+    ints read as Fractions.  An entry outside that field, a Polynomial
+    included, raises ModulusMismatchError, as in _field_rows."""
     first = matrices[0].entries[0][0] if matrices[0].size else None
-    if isinstance(first, Polynomial):
-        return [None, one_like(first), *(m.entries for m in matrices)]
     p = first.p if type(first) is Residue else 0
     out = [p, 1 if p else Fraction(1)]
     for m in matrices:
@@ -283,7 +281,7 @@ def nilpotency_index(m: SquareMatrix, cap: int) -> int:
     raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
 
 
-def _series_walk(x, char_bound, p=None):
+def _series_walk(x, char_bound, p):
     """The rows x, x^2, ... up to the last nonzero power, each formed once by
     _matmul(power, x, p).
 
@@ -309,10 +307,10 @@ def _series_walk(x, char_bound, p=None):
     raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
 
 
-def _divided(rows, k, p=None):
+def _divided(rows, k, p):
     """Rows of rows / k: times the inverse of k mod p when p > 0 (p | k
-    raises ConversionError, as Residue division does), else each entry's own
-    division."""
+    raises ConversionError, as Residue division does), else the Fractions'
+    own division."""
     if p:
         inverse = _inverse(k, p)
         return [[x * inverse % p for x in row] for row in rows]

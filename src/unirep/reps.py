@@ -31,7 +31,6 @@ from .hopf import (
     _index,
     _key,
     _monomial_coproduct,
-    frobenius_substitute,
     variable_pairs,
 )
 from .linalg import (
@@ -42,8 +41,6 @@ from .linalg import (
     _is_nilpotent,
     _matmul,
     _series_walk,
-    exp_nilpotent,
-    log_unipotent,
 )
 from .splittings import split_coproduct
 
@@ -54,11 +51,9 @@ __all__ = [
     "LieLayerData",
     "extract_chi",
     "assemble",
-    "generic_element",
     "tautological_layer",
     "verify_comodule",
     "verify_group_law_pointwise",
-    "construct_single_layer",
     "construct_from_layers",
     "decompose_to_layers",
     "verify_chi_relations",
@@ -166,6 +161,17 @@ def assemble(chi: ChiTable) -> SquareMatrix:
     return SquareMatrix(entries)
 
 
+def _coerced(chi: ChiTable) -> ChiTable:
+    """chi with every entry through coerce_scalar, taken cell by cell over the
+    support as assemble takes them, so that the same entry raises first."""
+    p, d = chi.p, chi.d
+    items = list(chi.support.items())
+    cells = [[coerce_scalar(mat.entries[a][b], p) for _, mat in items]
+             for a in range(d) for b in range(d)]
+    return ChiTable(chi.n, p, d, {M: SquareMatrix(flat[a * d:(a + 1) * d] for a in range(d))
+                                  for (M, _), flat in zip(items, zip(*cells))})
+
+
 def extract_chi(pm: SquareMatrix, n=None, p=None) -> ChiTable:
     """Read the coefficient family off a polynomial matrix; assembly round-trips."""
     sample = pm.entries[0][0]
@@ -196,10 +202,6 @@ class Representation:
         if not hasattr(self, "_poly_matrix"):
             self._poly_matrix = assemble(self.chi)
         return self._poly_matrix
-
-    @classmethod
-    def from_poly_matrix(cls, pm, n=None, p=None):
-        return cls(extract_chi(pm, n, p))
 
     @property
     def n(self):
@@ -291,20 +293,6 @@ class LieLayerData:
             and (self.n, self.p, self.d) == (other.n, other.p, other.d)
             and self.layers == other.layers
         )
-
-
-def generic_element(n, p) -> SquareMatrix:
-    """The generic group element: 1 on the diagonal, the variable x_ij above."""
-    entries = [
-        [
-            Polynomial.one(n, p) if i == j
-            else Polynomial.variable(n, p, i + 1, j + 1) if j > i
-            else Polynomial.zero(n, p)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return SquareMatrix(entries)
 
 
 def tautological_layer(n, p):
@@ -497,32 +485,6 @@ def _pointwise_pairs(chi: ChiTable, mode, count=None, seed=0):
             for _ in range(count)
         )
     raise HypothesisError(f"unknown pointwise mode {mode!r}")
-
-
-def construct_single_layer(layer, n, p, d) -> SquareMatrix:
-    """The polynomial matrix e^{phi(log g)} for one layer phi.
-
-    Requires p >= max(n, d) in positive characteristic; the symbolic exponent
-    phi(log g) must be nilpotent of index <= min(d, p) as a polynomial matrix,
-    which is verified, not assumed.
-    """
-    if _regime(n, p, d) is None:
-        raise HypothesisError(f"construction needs p >= max(n, d) = {max(n, d)}, got p = {p}")
-    g = generic_element(n, p)
-    log_g = log_unipotent(g, p or None)
-    zero_poly = Polynomial.zero(n, p)
-    exponent_rows = [[zero_poly for _ in range(d)] for _ in range(d)]
-    for (i, j), img in layer.items():
-        f = log_g.entries[i - 1][j - 1]
-        if not f:
-            continue
-        for a in range(d):
-            for b in range(d):
-                c = img.entries[a][b]
-                if c:
-                    exponent_rows[a][b] = exponent_rows[a][b] + f * c
-    exponent = SquareMatrix(exponent_rows)
-    return exp_nilpotent(exponent, p or None)
 
 
 # The construct walk counts a node for each partial product it visits and for
@@ -753,11 +715,13 @@ def audit_structure_lemmas(rep: Representation) -> Report:
 
 
 def frobenius_twist_rep(rep: Representation) -> Representation:
-    """Raise every variable to its p-th power; the result is again a
-    representation whose layers are the input's shifted up by one."""
+    """Raise every variable to its p-th power, chi'(p M) = chi(M); the result
+    is again a representation whose layers are the input's shifted up by one."""
     if rep.p == 0:
         raise HypothesisError("the twist needs a positive characteristic")
-    return Representation.from_poly_matrix(frobenius_substitute(rep.poly_matrix, rep.p))
+    chi = _coerced(rep.chi)
+    return Representation(ChiTable(chi.n, chi.p, chi.d,
+                                   {M.scale(chi.p): mat for M, mat in chi.support.items()}))
 
 
 def _as_rows(T):

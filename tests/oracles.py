@@ -1,0 +1,162 @@
+"""The polynomial-matrix route, kept in the tests as the oracle of the chi
+table that replaced it.
+
+The library computes with the chi table only.  These are the slow paths it
+used before, on polynomial matrices and SquareMatrix operators: the one-pass
+exp/log series, the generic element and the per-layer construction, the
+tensor side of the comodule axioms, and the poly-format writer, reader and
+Frobenius twist through ``assemble`` and ``extract_chi``.  Each is defined
+here once and imported by the tests that compare against it.
+"""
+
+import itertools
+import json
+
+from unirep import io
+from unirep.errors import HypothesisError, NotNilpotentError, ParseError, SeriesTerminationError
+from unirep.hopf import Polynomial, TensorElement, tensor_of
+from unirep.linalg import SquareMatrix
+from unirep.reps import Representation, _regime, assemble, extract_chi
+
+
+# --- the one-pass exp/log series over SquareMatrix operators -----------------
+
+def reference_walk(x, char_bound):
+    """x, x^2, ... through SquareMatrix operators, stopping at the first zero
+    power or raising at the cap before that power is yielded."""
+    cap = x.size if char_bound is None else min(char_bound, x.size)
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    power = x
+    for k in range(1, cap + 1):
+        if power.is_zero():
+            return
+        if k == cap:
+            break
+        yield power
+        power = power @ x
+    if char_bound is not None and char_bound < x.size:
+        raise SeriesTerminationError(f"nilpotency index exceeds the characteristic bound {char_bound}")
+    raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
+
+
+def reference_walk_exp(x, char_bound=None):
+    """The one-pass series over SquareMatrix operators: it divides as it
+    walks, so p | k! raises before a later nonzero power at the cap does."""
+    result = x.identity_like()
+    kfact = 1
+    for k, power in enumerate(reference_walk(x, char_bound), start=1):
+        kfact *= k
+        result = result + power / kfact
+    return result
+
+
+def reference_walk_log(g, char_bound=None):
+    u = g - g.identity_like()
+    result = u.zero_like()
+    for k, power in enumerate(reference_walk(u, char_bound), start=1):
+        term = power / k
+        result = result + (term if k % 2 == 1 else -term)
+    return result
+
+
+# --- the per-layer construction on polynomial matrices -----------------------
+
+def generic_element(n, p) -> SquareMatrix:
+    """The generic group element: 1 on the diagonal, the variable x_ij above."""
+    return SquareMatrix([
+        [Polynomial.one(n, p) if i == j
+         else Polynomial.variable(n, p, i + 1, j + 1) if j > i
+         else Polynomial.zero(n, p)
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def construct_single_layer(layer, n, p, d) -> SquareMatrix:
+    """The polynomial matrix e^{phi(log g)} for one layer phi.
+
+    Requires p >= max(n, d) in positive characteristic; the symbolic exponent
+    phi(log g) must be nilpotent of index <= min(d, p) as a polynomial matrix,
+    which is verified, not assumed.
+    """
+    if _regime(n, p, d) is None:
+        raise HypothesisError(f"construction needs p >= max(n, d) = {max(n, d)}, got p = {p}")
+    log_g = reference_walk_log(generic_element(n, p), p or None)
+    exponent = [[Polynomial.zero(n, p) for _ in range(d)] for _ in range(d)]
+    for (i, j), img in layer.items():
+        f = log_g.entries[i - 1][j - 1]
+        for a, b in itertools.product(range(d), repeat=2):
+            c = img.entries[a][b]
+            if f and c:
+                exponent[a][b] = exponent[a][b] + f * c
+    return reference_walk_exp(SquareMatrix(exponent), p or None)
+
+
+# --- the comodule axioms on the polynomial matrix ----------------------------
+
+def matrix_product_tensor_side(a):
+    """The d x d grid with (i, j) entry sum_k a_ik (x) a_kj, as TensorElements,
+    for a square matrix ``a`` with polynomial entries."""
+    d, sample = a.size, a.entries[0][0]
+    return [[sum((tensor_of(a.entries[i][k], a.entries[k][j]) for k in range(d)),
+                 TensorElement.zero(sample.n, sample.p))
+             for j in range(d)] for i in range(d)]
+
+
+# --- the poly format and the twist through the polynomial matrix -------------
+
+def reference_write_poly(rep):
+    """write_rep_file(rep, "poly") from the assembled polynomial matrix."""
+    pm = assemble(rep.chi)
+    lines = [json.dumps({"format": "poly", "version": io.FORMAT_VERSION,
+                         "n": rep.n, "p": rep.p, "d": rep.d}, sort_keys=True)]
+    for a in range(rep.d):
+        for b in range(rep.d):
+            terms = [{"M": [list(r) for r in M.rows], "c": io.scalar_to_str(c)}
+                     for M, c in sorted(pm.entries[a][b].terms.items(), key=lambda kv: kv[0].sort_key())]
+            lines.append(json.dumps({"row": a + 1, "col": b + 1, "terms": terms}, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_rep_file(text):
+    """parse_rep_file as it read a poly body: each line's terms into a
+    Polynomial, the d x d matrix of them through extract_chi.  Any other file,
+    and every error up to a poly body, is parse_rep_file's own."""
+    lines = [l for l in text.splitlines() if l.strip()]
+    if not lines or io._load_line(lines[0], 1).get("format") != "poly":
+        return io.parse_rep_file(text)
+    n, p, d = io._header_ints(io._load_line(lines[0], 1))
+    parsed = {}
+    entries = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        obj = io._load_line(line, lineno)
+        a, b = obj.get("row"), obj.get("col")
+        if not (type(a) is int and type(b) is int and 1 <= a <= d and 1 <= b <= d):
+            raise ParseError(f"line {lineno}: row/col out of range")
+        if (a, b) in entries:
+            raise ParseError(f"line {lineno}: duplicate entry ({a}, {b})")
+        terms = {}
+        listed = obj.get("terms", [])
+        if not (isinstance(listed, list) and all(isinstance(t, dict) for t in listed)):
+            raise ParseError(f"line {lineno}: terms must be a list of objects")
+        for t in listed:
+            M = io._exponent_from_rows(t.get("M"), n, lineno)
+            terms[M] = io._scalar(t.get("c"), p, lineno, parsed)
+        entries[(a, b)] = Polynomial(n, p, terms)
+    if len(entries) != d * d:
+        pairs = itertools.product(range(1, d + 1), repeat=2)
+        missing = list(itertools.islice((ab for ab in pairs if ab not in entries), io.MISSING_SHOWN))
+        more = d * d - len(entries) - len(missing)
+        raise ParseError(f"line {len(lines)}: missing matrix entries {missing}"
+                         + (f" and {more} more" if more else ""))
+    pm = SquareMatrix([[entries[(a, b)] for b in range(1, d + 1)] for a in range(1, d + 1)])
+    return Representation(extract_chi(pm, n, p))
+
+
+def reference_twist(rep):
+    """frobenius_twist_rep as x -> x^p on every entry of the assembled matrix."""
+    if rep.p == 0:
+        raise HypothesisError("the twist needs a positive characteristic")
+    pm = assemble(rep.chi).map_entries(lambda f: f.scale_exponents(rep.p))
+    return Representation(extract_chi(pm))

@@ -470,16 +470,16 @@ class TestBoundaryChecks:
 
 
 class TestLazyPolynomialMatrix:
-    """construct with a chi body, verify and decompose read the chi table and
-    never assemble the polynomial matrix; construct --format poly and the
-    twist do.  Their outputs match tests/data/cli_outputs.json, written by the
-    same commands while every Representation still assembled its matrix."""
+    """construct (with a chi or a poly body), verify, decompose and the twist
+    read the chi table and never assemble the polynomial matrix.  Their
+    outputs match tests/data/cli_outputs.json, written by the same commands
+    while every Representation still assembled its matrix."""
 
     @staticmethod
-    def run(argv, calls, assembles):
+    def run(argv, calls):
         before = len(calls)
         out, err, code = run_cli(argv)
-        assert (len(calls) > before) == assembles, argv
+        assert len(calls) == before, argv
         return [out, err, code]
 
     def test_outputs_and_assembly(self, tmp_path, monkeypatch):
@@ -492,25 +492,24 @@ class TestLazyPolynomialMatrix:
                            ("n4-d3-p11", random_layer_data(4, 3, 11, 1, seed=5))):
             layers, rep = tmp_path / f"{name}.layers", tmp_path / f"{name}.rep"
             layers.write_text(write_layer_file(data))
-            got[f"{name} construct"] = self.run(["construct", str(layers), "-o", str(rep)], calls, False)
+            got[f"{name} construct"] = self.run(["construct", str(layers), "-o", str(rep)], calls)
             got[f"{name} construct"].append(rep.read_text())
             got[f"{name} construct poly"] = self.run(["construct", str(layers), "--format", "poly"],
-                                                     calls, True)
-            got[f"{name} verify"] = self.run(["verify", str(rep), *verify], calls, False)
-            got[f"{name} decompose"] = self.run(["decompose", str(rep)], calls, False)
-            before = len(calls)
+                                                     calls)
+            got[f"{name} verify"] = self.run(["verify", str(rep), *verify], calls)
+            got[f"{name} decompose"] = self.run(["decompose", str(rep)], calls)
             got[f"{name} twist"] = write_rep_file(frobenius_twist_rep(construct_from_layers(data)))
-            assert len(calls) > before
         bad = tmp_path / "bad.rep"
         bad.write_text(write_rep_file(Representation(ChiTable(3, 7, 2, {
             ExponentMatrix.zero(3): scalar_matrix([[1, 0], [0, 1]], 7),
             ExponentMatrix.epsilon(3, 1, 3): scalar_matrix([[0, 1], [0, 0]], 7),
             ExponentMatrix.epsilon(3, 1, 2, 2): scalar_matrix([[0, 3], [0, 0]], 7),
         }))))
-        got["bad verify"] = self.run(["verify", str(bad), *verify], calls, False)
-        got["bad decompose"] = self.run(["decompose", str(bad)], calls, False)
+        got["bad verify"] = self.run(["verify", str(bad), *verify], calls)
+        got["bad decompose"] = self.run(["decompose", str(bad)], calls)
         golden = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
         assert got == golden
+        assert calls == []  # the twist and the writers above included
 
     def test_poly_matrix_is_read_only(self):
         rep = construct_from_layers(random_layer_data(3, 2, 7, 1, seed=0))

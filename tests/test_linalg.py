@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from unirep import reps
 from unirep.arith import Residue, coerce_scalar
+from unirep.bch import bch_components, bch_evaluate
 from unirep.errors import (
     ConversionError,
     ModulusMismatchError,
@@ -30,8 +31,10 @@ from unirep.linalg import (
     nilpotency_index,
     scalar_matrix,
 )
-from unirep.reps import construct_from_layers, generic_element
+from unirep.reps import construct_from_layers
 from unirep.samples import random_invertible, random_layer_data, random_strict_upper
+
+from oracles import generic_element, reference_walk_exp, reference_walk_log
 
 
 class TestSquareMatrix:
@@ -172,45 +175,6 @@ def reference_log(g, char_bound=None):
     return result
 
 
-def reference_walk(x, char_bound):
-    """x, x^2, ... through SquareMatrix operators, stopping at the first zero
-    power or raising at the cap before that power is yielded."""
-    cap = x.size if char_bound is None else min(char_bound, x.size)
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    power = x
-    for k in range(1, cap + 1):
-        if power.is_zero():
-            return
-        if k == cap:
-            break
-        yield power
-        power = power @ x
-    if char_bound is not None and char_bound < x.size:
-        raise SeriesTerminationError(f"nilpotency index exceeds the characteristic bound {char_bound}")
-    raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
-
-
-def reference_walk_exp(x, char_bound=None):
-    """The one-pass series over SquareMatrix operators: it divides as it
-    walks, so p | k! raises before a later nonzero power at the cap does."""
-    result = x.identity_like()
-    kfact = 1
-    for k, power in enumerate(reference_walk(x, char_bound), start=1):
-        kfact *= k
-        result = result + power / kfact
-    return result
-
-
-def reference_walk_log(g, char_bound=None):
-    u = g - g.identity_like()
-    result = u.zero_like()
-    for k, power in enumerate(reference_walk(u, char_bound), start=1):
-        term = power / k
-        result = result + (term if k % 2 == 1 else -term)
-    return result
-
-
 def outcome(fn, *args):
     """The result as its string, or the error's type and message."""
     try:
@@ -263,17 +227,29 @@ class TestSeriesOracle:
     @pytest.mark.parametrize("n", range(2, 6))
     @pytest.mark.parametrize("p", [0, 2, 3, 7])
     def test_generic_element_log_and_its_exp(self, n, p):
+        # the library's series take field entries only; the tests' two
+        # polynomial series, one pass and two, agree and invert each other
         g = generic_element(n, p)
         bound = p or None
-        log_g = outcome(log_unipotent, g, bound)
+        log_g = outcome(reference_walk_log, g, bound)
         assert log_g == outcome(reference_log, g, bound)
         if isinstance(log_g, str):
-            x = log_unipotent(g, bound)
-            assert log_unipotent(g, bound) == reference_log(g, bound)
-            assert outcome(exp_nilpotent, x, bound) == outcome(reference_exp, x, bound)
-            assert exp_nilpotent(x, bound) == g
+            x = reference_walk_log(g, bound)
+            assert x == reference_log(g, bound)
+            assert outcome(reference_walk_exp, x, bound) == outcome(reference_exp, x, bound)
+            assert reference_walk_exp(x, bound) == g
         else:
             assert log_g[0] is SeriesTerminationError
+
+    @pytest.mark.parametrize("p", [0, 7])
+    def test_polynomial_matrices_refused(self, p):
+        g = generic_element(3, p)
+        x = g - g.identity_like()
+        components = bch_components(2)
+        for fn, args in ((exp_nilpotent, (x, p or None)), (log_unipotent, (g, p or None)),
+                         (bch_evaluate, (components, x, x))):
+            with pytest.raises(ModulusMismatchError, match="is not in the field of characteristic 0"):
+                fn(*args)
 
     @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 11])
     @pytest.mark.parametrize("seed", range(4))

@@ -35,12 +35,12 @@ EXPORTS = {
     "SquareMatrix", "TensorElement", "UnirepError", "all_split_vars", "assemble",
     "audit_structure_lemmas", "bch_components", "bch_evaluate", "bracket_expand",
     "bracket_normalize", "brute_solve_yz", "check_morphism", "coerce_scalar", "commutator",
-    "construct_from_layers", "construct_single_layer", "coproduct", "counit",
+    "construct_from_layers", "coproduct", "counit",
     "decompose_to_layers", "denominator_audit", "dynkin_projection", "enumerate_splittings",
-    "exp_nilpotent", "extract_chi", "frobenius_substitute", "frobenius_twist_rep",
-    "gamma_factor", "generic_element", "homogeneous_component", "l_expression",
+    "exp_nilpotent", "extract_chi", "frobenius_twist_rep",
+    "gamma_factor", "homogeneous_component", "l_expression",
     "layer_morphism_equivalence", "left_nested_expand", "log_product_series", "log_unipotent",
-    "matrix_multinomial", "matrix_product_tensor_side", "multinomial", "nilpotency_index",
+    "matrix_multinomial", "multinomial", "nilpotency_index",
     "occurrence_report", "p_ary_digits", "parse_layer_file", "parse_rep_file", "r_expression",
     "random_chi_support", "random_invertible", "random_layer_data", "random_strict_upper",
     "scalar_from_str", "scalar_matrix", "scalar_to_str", "shared_variable", "solve_yz",
