@@ -1,31 +1,37 @@
 """Baker-Campbell-Hausdorff machinery in the free algebra on two generators.
 
 Elements are rational linear combinations of words in the alphabet {x, y}.
-The homogeneous components P_m of log(e^x e^y) come from a dynamic program
-over word prefixes that end at a block boundary.  The Dynkin projection sends
-a length-n word to 1/n times its left-nested commutator and fixes every P_m;
-it expands all words of one length at once, peeling off last letters so that
-words which end alike share one expansion of their prefixes.  Coefficients
-stay rational until a matrix evaluation, which first audits denominators
-against p and then shares the matrix products of word halves across all
-words.
+Inside the series and the Dynkin projection, the words of one length L are a
+dense list of 2^L entries, a word's index being its letters read as bits
+(x = 0, y = 1, first letter highest), so the list is in sorted word order and
+tuple words are built only for a FreeElement.  The homogeneous components P_m
+of log(e^x e^y) come from a dynamic program over word prefixes that end at a
+block boundary.  The Dynkin projection sends a length-n word to 1/n times its
+left-nested commutator and fixes every P_m; it expands all words of one
+length at once, one pass over the list per letter.  Coefficients stay
+rational until a matrix evaluation, which first audits denominators against
+p and then shares the matrix products of word halves across all words.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, product
 from math import comb, factorial, lcm
 from operator import add, sub
+from types import MappingProxyType
 
 from .arith import _inverse
 from .errors import CostBoundError, SeriesTerminationError
 from .linalg import _identity_rows, _matmul, _series_rows, _wrap, _zip_rows
 
 GENERATORS = ("x", "y")
+_BITS = str.maketrans("xy", "01")
 
 # `bch --max-degree m` in a fresh process on 2 vCPUs of a Xeon, Python 3.11:
-# m = 14 / 15 / 16 / 17 take 1.1 / 2.3 / 5.0 / 12.6 s and 32 / 56 / 79 / 195 MB,
-# some 2.3x per degree, so m = 18 would be about 28 s, past a budget of 20 s.
+# m = 14 / 15 / 16 / 17 take 0.27 / 0.51 / 0.86 / 2.2 s and 28 / 44 / 63 / 138 MB,
+# some 2x the time and 1.7x the memory per degree.  The bound was set when
+# m = 18 would have taken about 28 s; raising it is a change of its own.
 MAX_BCH_DEGREE = 17
 
 __all__ = [
@@ -137,6 +143,8 @@ def log_product_series(max_degree: int) -> FreeElement:
     A vector is packed into one integer, entry k in bits [k*width, (k+1)*width).
     An entry sums at most 2^(len(w)-1) ways to cut w into blocks, each at
     most len(w)!, so it fits in width bits and no shift or sum carries over.
+    Appending x^a y^b to every prefix of length L writes the slice of level
+    L + a + b that starts at index 2^b - 1 with stride 2^(a+b).
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -144,23 +152,24 @@ def log_product_series(max_degree: int) -> FreeElement:
         raise CostBoundError(f"series to degree {max_degree} is over the bound of {MAX_BCH_DEGREE}")
     width = (factorial(max_degree) << max_degree).bit_length()
     mask = (1 << width) - 1
-    levels = [{(): 1}] + [{} for _ in range(max_degree)]
+    levels = [[1]] + [[0] * (2 << length) for length in range(max_degree)]
     out = {}
     for length, level in enumerate(levels):
         if length:
             denom = lcm(*range(1, length + 1))
-            for w, vec in level.items():
-                num = sum((-1) ** (k - 1) * (denom // k) * (vec >> (k * width) & mask)
-                          for k in range(1, length + 1))
-                if num:
-                    out[w] = Fraction(num, denom * factorial(length))
+            nums = [0] * len(level)
+            for k in range(1, length + 1):
+                c, shift = (-1) ** (k - 1) * (denom // k), k * width
+                nums = [n + c * (v >> shift & mask) for n, v in zip(nums, level)]
+            scale = denom * factorial(length)
+            words = product(GENERATORS, repeat=length)
+            out.update((w, Fraction(n, scale)) for w, n in zip(words, nums) if n)
         for total in range(1, max_degree - length + 1):
-            target = levels[length + total]
+            target, step = levels[length + total], 1 << total
             for a in range(total + 1):
-                block = ("x",) * a + ("y",) * (total - a)
-                weight = comb(length + total, total) * comb(total, a)
-                for w, vec in level.items():
-                    target[w + block] = target.get(w + block, 0) + (weight * vec << width)
+                block = (1 << (total - a)) - 1
+                weight = comb(length + total, total) * comb(total, a) << width
+                target[block::step] = [t + weight * v for t, v in zip(target[block::step], level)]
     return FreeElement._trusted(out)
 
 
@@ -170,14 +179,15 @@ _component_cache = {}
 def bch_components(max_degree: int):
     """(P_1, ..., P_max_degree), the homogeneous slices of log(e^x e^y).
 
-    The tuple is cached per max_degree, so it is immutable: a caller cannot
-    change what later calls return.
+    The tuple is cached per max_degree, so it and each component's terms
+    mapping are read-only: a caller cannot change through them what later
+    calls return.
     """
     if max_degree not in _component_cache:
         slices = [{} for _ in range(max_degree)]
         for w, c in log_product_series(max_degree).terms.items():
             slices[len(w) - 1][w] = c
-        _component_cache[max_degree] = tuple(FreeElement._trusted(terms) for terms in slices)
+        _component_cache[max_degree] = tuple(FreeElement._trusted(MappingProxyType(t)) for t in slices)
     return _component_cache[max_degree]
 
 
@@ -196,28 +206,33 @@ def left_nested_expand(letters, coeff=1) -> FreeElement:
     return acc * coeff
 
 
-def _left_nested_sum(terms):
-    """sum of c * (left-nested bracket of w) over {w: c} with words of one
-    length, grouped by last letter: the bracket of u a is [bracket of u, a]."""
-    if len(next(iter(terms))) == 1:
-        return terms
-    groups = {}
-    for w, c in terms.items():
-        groups.setdefault(w[-1], {})[w[:-1]] = c
-    out = {}
-    for a, group in groups.items():
-        for u, c in _left_nested_sum(group).items():
-            if c:
-                out[u + (a,)] = out.get(u + (a,), 0) + c
-                out[(a,) + u] = out.get((a,) + u, 0) - c
-    return out
+def _left_nested_sum(v):
+    """theta(v) for a dense vector v over the words of one length L, indexed
+    as in log_product_series, where theta(w) is w's left-nested bracket.
+
+    For j = L-1, ..., 0, entry q 2^j + s of T_j is the coefficient of the
+    word q in the sum over u of v[u 2^j + s] theta(u), for q and u of L - j
+    letters and s of j letters.  T_(L-1) = v since theta(a) = a, and T_0 =
+    theta(v).  As theta(u a) = theta(u) a - a theta(u), the step to T_(j-1)
+    keeps every entry in place and subtracts the entries whose bit j-1 is
+    clear, followed by those whose bit j-1 is set.
+    """
+    n, b = len(v), len(v) // 4
+    while b:
+        starts = range(0, n, 2 * b)
+        moved = chain(chain.from_iterable(v[i:i + b] for i in starts),
+                      chain.from_iterable(v[i + b:i + 2 * b] for i in starts))
+        v = list(map(sub, v, moved))
+        b //= 2
+    return v
 
 
 def dynkin_projection(e: FreeElement) -> FreeElement:
     """c * w  ->  (c/len(w)) * (left-nested bracket of w), expanded.
 
-    Words of one length share a common denominator, so their brackets are
-    summed over the integers.
+    Words of one length L share a common denominator, so their brackets are
+    summed over the integers, on a dense vector of 2^L entries: each length
+    present costs about L 2^L steps, however few its words.
     """
     by_length = {}
     for w, c in e.terms.items():
@@ -227,10 +242,12 @@ def dynkin_projection(e: FreeElement) -> FreeElement:
     out = {}
     for length, terms in by_length.items():
         denom = lcm(*(c.denominator for c in terms.values()))
-        scaled = {w: c.numerator * (denom // c.denominator) for w, c in terms.items()}
-        for w, v in _left_nested_sum(scaled).items():
-            if v:
-                out[w] = Fraction(v, denom * length)
+        v = [0] * (1 << length)
+        for w, c in terms.items():
+            v[int("".join(w).translate(_BITS), 2)] = c.numerator * (denom // c.denominator)
+        scale = denom * length
+        out.update((w, Fraction(c, scale))
+                   for w, c in zip(product(GENERATORS, repeat=length), _left_nested_sum(v)) if c)
     return FreeElement._trusted(out)
 
 
@@ -301,8 +318,8 @@ def bch_evaluate(components, X, Y):
     for comp in components:
         for w, c in comp.terms.items():
             cut = (len(w) + 1) // 2
-            tails = halves.setdefault(w[:cut], {})
-            tails[w[cut:]] = tails.get(w[cut:], 0) + c
+            tails, tail = halves.setdefault(w[:cut], {}), w[cut:]
+            tails[tail] = tails[tail] + c if tail in tails else c
     gens = {"x": x, "y": y}
     products = {(): _identity_rows(len(x), one)}
 

@@ -86,8 +86,11 @@ def _load_line(line, lineno):
 
 
 def _header_ints(header, extra=()):
-    """The header's n, p, d and then its ``extra`` fields; (n, p, d) must pass
-    check_field."""
+    """The header's n, p, d and then its ``extra`` fields; the version must be
+    FORMAT_VERSION and (n, p, d) must pass check_field."""
+    version = header.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(f"line 1: unsupported version {version!r}, expected {FORMAT_VERSION}")
     out = []
     for key in ("n", "p", "d") + extra:
         v = header.get(key)

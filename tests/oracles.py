@@ -1,18 +1,22 @@
-"""The polynomial-matrix route, kept in the tests as the oracle of the chi
-table that replaced it.
+"""The slow paths the library replaced, kept in the tests as their oracles.
 
 The library computes with the chi table only.  These are the slow paths it
 used before, on polynomial matrices and SquareMatrix operators: the one-pass
 exp/log series, the generic element and the per-layer construction, the
 tensor side of the comodule axioms, and the poly-format writer, reader and
-Frobenius twist through ``assemble`` and ``extract_chi``.  Each is defined
-here once and imported by the tests that compare against it.
+Frobenius twist through ``assemble`` and ``extract_chi``.  The BCH series
+and the Dynkin projection's left-nested sum are kept here as they were on
+dicts keyed by tuple words, before they moved to dense word-indexed lists.
+Each is defined here once and imported by the tests that compare against it.
 """
 
 import itertools
 import json
+from fractions import Fraction
+from math import comb, factorial, lcm
 
 from unirep import io
+from unirep.bch import FreeElement
 from unirep.errors import HypothesisError, NotNilpotentError, ParseError, SeriesTerminationError
 from unirep.hopf import Polynomial, TensorElement, tensor_of
 from unirep.linalg import SquareMatrix
@@ -160,3 +164,64 @@ def reference_twist(rep):
         raise HypothesisError("the twist needs a positive characteristic")
     pm = assemble(rep.chi).map_entries(lambda f: f.scale_exponents(rep.p))
     return Representation(extract_chi(pm))
+
+
+# --- the dict-keyed BCH series and left-nested sum ----------------------------
+
+def reference_log_product_series(max_degree):
+    """log_product_series with one dict per word length: the same packed
+    vectors over k, updated word by word."""
+    width = (factorial(max_degree) << max_degree).bit_length()
+    mask = (1 << width) - 1
+    levels = [{(): 1}] + [{} for _ in range(max_degree)]
+    out = {}
+    for length, level in enumerate(levels):
+        if length:
+            denom = lcm(*range(1, length + 1))
+            for w, vec in level.items():
+                num = sum((-1) ** (k - 1) * (denom // k) * (vec >> (k * width) & mask)
+                          for k in range(1, length + 1))
+                if num:
+                    out[w] = Fraction(num, denom * factorial(length))
+        for total in range(1, max_degree - length + 1):
+            target = levels[length + total]
+            for a in range(total + 1):
+                block = ("x",) * a + ("y",) * (total - a)
+                weight = comb(length + total, total) * comb(total, a)
+                for w, vec in level.items():
+                    target[w + block] = target.get(w + block, 0) + (weight * vec << width)
+    return FreeElement(out)
+
+
+def reference_left_nested_sum(terms):
+    """sum of c * (left-nested bracket of w) over {w: c} with words of one
+    length, grouped by last letter: the bracket of u a is [bracket of u, a]."""
+    if len(next(iter(terms))) == 1:
+        return terms
+    groups = {}
+    for w, c in terms.items():
+        groups.setdefault(w[-1], {})[w[:-1]] = c
+    out = {}
+    for a, group in groups.items():
+        for u, c in reference_left_nested_sum(group).items():
+            if c:
+                out[u + (a,)] = out.get(u + (a,), 0) + c
+                out[(a,) + u] = out.get((a,) + u, 0) - c
+    return out
+
+
+def reference_dynkin_projection(e):
+    """dynkin_projection through the dict-keyed left-nested sum."""
+    by_length = {}
+    for w, c in e.terms.items():
+        if len(w) == 0:
+            raise ValueError("the projection is undefined on degree-0 terms")
+        by_length.setdefault(len(w), {})[w] = c
+    out = {}
+    for length, terms in by_length.items():
+        denom = lcm(*(c.denominator for c in terms.values()))
+        scaled = {w: c.numerator * (denom // c.denominator) for w, c in terms.items()}
+        for w, v in reference_left_nested_sum(scaled).items():
+            if v:
+                out[w] = Fraction(v, denom * length)
+    return FreeElement(out)

@@ -23,6 +23,8 @@ from unirep.errors import ModulusMismatchError, SeriesTerminationError
 from unirep.linalg import SquareMatrix, exp_nilpotent, log_unipotent, scalar_matrix
 from unirep.samples import random_strict_upper
 
+from oracles import reference_dynkin_projection, reference_log_product_series
+
 
 def F(terms):
     return FreeElement(terms)
@@ -134,7 +136,53 @@ class TestGoldenComponents:
         comps = bch_components(3)
         with pytest.raises(TypeError):
             comps[0] = None
+        with pytest.raises(TypeError):
+            comps[0].terms[("x",)] = 5
+        with pytest.raises(TypeError):
+            del comps[2].terms[("x", "x", "y")]
         assert bch_components(3)[0] == F({("x",): 1, ("y",): 1})
+        assert bch_components(3)[2] == F(comps[2].terms) and len(comps[2].terms) == 6
+        # arithmetic on a cached component builds a new element and leaves it be
+        assert comps[0] + comps[0] == F({("x",): 2, ("y",): 2})
+        assert -comps[1] + comps[1] == FreeElement.zero()
+        assert bch_components(3)[0] == F({("x",): 1, ("y",): 1})
+
+
+class TestDenseAgainstDictOracles:
+    """The dense word-indexed series and left-nested sum against the
+    dict-keyed code they replaced."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_series(self, m):
+        dense = log_product_series(m)
+        assert dense == reference_log_product_series(m)
+        assert all(type(c) is Fraction and c for c in dense.terms.values())
+
+    def test_projection_on_random_elements(self):
+        rng = random.Random(23)
+        moved = 0
+        for i in range(320):
+            # repeated draws of a word add up, and may cancel out
+            terms = {}
+            for _ in range(rng.randint(1, 14)):
+                length = 1 + i % 8 if rng.random() < 0.5 else rng.randint(1, 8)
+                if rng.random() < 0.2:
+                    w = (rng.choice("xy"),) * length
+                else:
+                    w = tuple(rng.choice("xy") for _ in range(length))
+                terms[w] = terms.get(w, 0) + Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+            e = F(terms)
+            projected = dynkin_projection(e)
+            assert projected == reference_dynkin_projection(e)
+            assert FreeElement(projected.terms).terms == projected.terms
+            moved += projected != e
+        assert moved > 300  # random elements are mostly not Lie
+
+    def test_projection_edge_cases(self):
+        for e in (F({}), F({("x",): 3}), F({("y",): Fraction(-1, 2), ("x",): 1}),
+                  F({("x",) * 7: 1, ("y",) * 5: 2}), F({("x", "y") * 4: Fraction(1, 7)})):
+            assert dynkin_projection(e) == reference_dynkin_projection(e)
+        assert dynkin_projection(F({("x",) * 7: 1, ("y",) * 5: 2})) == FreeElement.zero()
 
 
 class TestDynkin:

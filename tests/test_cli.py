@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -377,6 +378,24 @@ class TestOtherCommands:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert json.loads(lines[1])["location"] == "P_2"
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_bch_output_pinned(self, m):
+        # sha256 of stdout and the exit code, taken before the series and the
+        # Dynkin check moved to dense word-indexed lists
+        golden = json.loads((Path(__file__).parent / "data" / "bch_outputs.json").read_text())
+        out, err, code = run_cli(["bch", "--max-degree", str(m)])
+        assert err == ""
+        assert {"stdout_sha256": hashlib.sha256(out.encode()).hexdigest(), "exit": code} == golden[str(m)]
+
+    def test_bch_projection_differs_is_computed(self, monkeypatch):
+        comps = bch.bch_components(3)
+        not_lie = bch.FreeElement({("x", "y"): 1})
+        monkeypatch.setattr(cli, "bch_components", lambda m: (comps[0], not_lie, comps[2]))
+        out, err, code = run_cli(["bch", "--max-degree", "3"])
+        assert (code, err) == (1, "")
+        actual = [json.loads(line)["actual"] for line in out.splitlines()]
+        assert actual == [str(comps[0]), "1*xy (projection differs)", str(comps[2])]
 
     def test_audit_splittings(self, capsys):
         assert main(["audit-splittings", "--n", "3", "--bound", "1"]) == 0

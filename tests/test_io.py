@@ -7,10 +7,12 @@ import pytest
 from unirep.arith import Residue
 from unirep.errors import ParseError
 from unirep.hopf import ExponentMatrix
-from unirep.io import parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
+from unirep.io import FORMAT_VERSION, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
 from unirep.linalg import SquareMatrix
 from unirep.reps import ChiTable, Representation, construct_from_layers
 from unirep.samples import random_layer_data
+
+from test_cli import run_cli
 
 
 def identity_rep(n=3, p=5, d=2):
@@ -85,3 +87,49 @@ class TestLayerFiles:
     def test_empty_file(self):
         with pytest.raises(ParseError):
             parse_layer_file("")
+
+
+class TestHeaderVersion:
+    """Only the int FORMAT_VERSION is read; any other version, or none, is a
+    ParseError on line 1 and exit code 2 at the command line."""
+
+    BAD = ["x", "1", 99, 0, True, 1.0, None, [1], "missing"]
+
+    @staticmethod
+    def files():
+        data = random_layer_data(3, 2, 7, 1, seed=2)
+        rep = construct_from_layers(data)
+        return {"layers": (write_layer_file(data), parse_layer_file, "construct"),
+                "chi": (write_rep_file(rep), parse_rep_file, "verify"),
+                "poly": (write_rep_file(rep, "poly"), parse_rep_file, "decompose")}
+
+    @staticmethod
+    def with_version(text, version):
+        head, rest = text.split("\n", 1)
+        header = json.loads(head)
+        if version == "missing":
+            del header["version"]
+        else:
+            header["version"] = version
+        return json.dumps(header) + "\n" + rest
+
+    @pytest.mark.parametrize("kind", ["layers", "chi", "poly"])
+    def test_format_version_parses(self, kind):
+        text, parse, _ = self.files()[kind]
+        assert json.loads(text.split("\n", 1)[0])["version"] == FORMAT_VERSION
+        parse(text)
+
+    @pytest.mark.parametrize("version", BAD)
+    @pytest.mark.parametrize("kind", ["layers", "chi", "poly"])
+    def test_other_versions_refused(self, kind, version, tmp_path):
+        text, parse, command = self.files()[kind]
+        bad = self.with_version(text, version)
+        shown = None if version == "missing" else version
+        message = f"line 1: unsupported version {shown!r}, expected {FORMAT_VERSION}"
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        assert str(info.value) == message
+        path = tmp_path / "in.txt"
+        path.write_text(bad)
+        out, err, code = run_cli([command, str(path)])
+        assert (out, err, code) == ("", f"error: {message}\n", 2)
