@@ -59,7 +59,7 @@ def word(letters):
 class FreeElement:
     """Finite rational linear combination of words in x and y."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -67,14 +67,20 @@ class FreeElement:
             c = Fraction(c)
             if c:
                 clean[word(w)] = c
-        self.terms = clean
+        self._terms = clean
 
     @classmethod
     def _trusted(cls, terms):
         """Wrap {word: nonzero Fraction} built in this module, unchecked."""
         e = cls.__new__(cls)
-        e.terms = terms
+        e._terms = terms
         return e
+
+    @property
+    def terms(self):
+        """{word: nonzero Fraction}; read-only, so no caller can rebind the
+        terms of a cached component."""
+        return self._terms
 
     @classmethod
     def generator(cls, letter):
@@ -232,12 +238,16 @@ def dynkin_projection(e: FreeElement) -> FreeElement:
 
     Words of one length L share a common denominator, so their brackets are
     summed over the integers, on a dense vector of 2^L entries: each length
-    present costs about L 2^L steps, however few its words.
+    present costs about L 2^L steps, however few its words.  A word longer
+    than MAX_BCH_DEGREE raises CostBoundError before any vector is built.
     """
     by_length = {}
     for w, c in e.terms.items():
         if len(w) == 0:
             raise ValueError("the projection is undefined on degree-0 terms")
+        if len(w) > MAX_BCH_DEGREE:
+            raise CostBoundError(f"projection of a word of length {len(w)} "
+                                 f"is over the bound of {MAX_BCH_DEGREE}")
         by_length.setdefault(len(w), {})[w] = c
     out = {}
     for length, terms in by_length.items():

@@ -1,12 +1,14 @@
 """Exact square matrices with truncated exponential and logarithm.
 
 Entries are either scalars (Fraction / Residue) or Polynomials, never mixed
-within one matrix.  When every entry of the operands is a Residue mod one p,
-products, sums and scalings run on the ints and build one Residue per output
-entry; any other matrix takes the entries' own arithmetic.  The exp/log
-series take F_p or Q entries only: they read their operand once into rows
-(`_series_rows`), walk its powers on them (`_series_walk`) and build the
-result's entries once, d^2 Residues over F_p.  The walk stops at the first
+within one matrix.  One reader, `_field_rows`, takes entries to field rows.
+Each operator has one body over the rows `_operands` hands it: when every
+entry of the operands is a Residue mod one p, the ints, and the result is
+built with one Residue per output entry; any other matrix, its entries
+themselves, with their own arithmetic.  The exp/log series take F_p or Q
+entries only: they read their operand once into rows (`_series_rows`), walk
+its powers on them (`_series_walk`) and build the result's entries once, d^2
+Residues over F_p.  The walk stops at the first
 zero power, so no division by k! for k >= index ever happens; this is what
 keeps every denominator coprime to the characteristic.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul, sub
+from operator import add, mul, sub, truediv
 
 from .arith import Residue, _inverse, coerce_scalar
 from .errors import ModulusMismatchError, NotNilpotentError, SeriesTerminationError, ShapeError
@@ -71,11 +73,8 @@ class SquareMatrix:
 
     def _zip(self, other, op):
         self._check(other)
-        ints = _int_rows(self, other)
-        if ints:
-            p, a, b = ints
-            return _wrap(_zip_rows(op, a, b), p)
-        return SquareMatrix(_zip_rows(op, self.entries, other.entries))
+        p, (a, b), _ = _operands(self, other)
+        return _wrap(_zip_rows(op, a, b), p)
 
     def __add__(self, other):
         return self._zip(other, add)
@@ -84,37 +83,24 @@ class SquareMatrix:
         return self._zip(other, sub)
 
     def __neg__(self):
-        ints = _int_rows(self)
-        if ints:
-            p, a = ints
-            return _wrap([[-x for x in row] for row in a], p)
-        return SquareMatrix([[-a for a in row] for row in self.entries])
+        p, (a,), _ = _operands(self)
+        return _wrap([[-x for x in row] for row in a], p)
 
     def __matmul__(self, other):
         self._check(other)
-        ints = _int_rows(self, other)
-        if ints:
-            p, a, b = ints
-            return _wrap(_matmul(a, b, p), p)
-        return SquareMatrix(_matmul(self.entries, other.entries))
+        p, (a, b), _ = _operands(self, other)
+        return _wrap(_matmul(a, b, p), p)
 
     __mul__ = __matmul__
 
     def scale(self, c):
-        ints = _int_rows(self)
-        v = _scalar_value(c, ints[0]) if ints else None
-        if v is not None:
-            p, a = ints
-            return _wrap([[x * v for x in row] for row in a], p)
-        return SquareMatrix([[a * c for a in row] for row in self.entries])
+        p, (a,), c = _operands(self, c=c)
+        return _wrap([[x * c for x in row] for row in a], p)
 
     def __truediv__(self, k):
-        ints = _int_rows(self)
-        if ints and _scalar_value(k, ints[0]) is not None:
-            p, a = ints
-            inverse = _inverse(_scalar_value(k, p), p)
-            return _wrap([[x * inverse for x in row] for row in a], p)
-        return SquareMatrix([[a / k for a in row] for row in self.entries])
+        p, (a,), k = _operands(self, c=k)
+        op, k = (mul, _inverse(k, p)) if p else (truediv, k)
+        return _wrap([[op(x, k) for x in row] for row in a], p)
 
     def map_entries(self, fn):
         return SquareMatrix([[fn(a) for a in row] for row in self.entries])
@@ -178,19 +164,39 @@ def _identity_rows(d, one):
 
 
 def _field_rows(m, p):
-    """The rows of m over the field of characteristic p: the ints of its
-    Residues mod p, or its Fractions when p = 0.  Any other entry, such as a
-    Residue mod another prime, raises ModulusMismatchError, so nothing is
-    reduced mod the wrong p."""
-    field = Residue if p else Fraction
+    """The rows of m over the field of characteristic p, read in one pass:
+    the ints of its Residues mod p, or its Fractions when p = 0.  Any other
+    entry, such as a Residue mod another prime, raises ModulusMismatchError,
+    so nothing is reduced mod the wrong p."""
     rows = []
     for row in m.entries:
+        read = []
         for a in row:
-            if type(a) is not field or (p and a.p != p):
-                raise ModulusMismatchError(
-                    f"entry {a!r} is not in the field of characteristic {p}")
-        rows.append([a.value for a in row] if p else list(row))
+            if type(a) is Residue and a.p == p:
+                read.append(a.value)
+            elif not p and type(a) is Fraction:
+                read.append(a)
+            else:
+                raise ModulusMismatchError(f"entry {a!r} is not in the field of characteristic {p}")
+        rows.append(read)
     return rows
+
+
+def _operands(*matrices, c=0):
+    """(p, the rows of each matrix, c) for an operator to compute on: p, the
+    int rows and c's int when every entry is a Residue mod one p and c is an
+    int or a Residue mod p; else p None, the entries themselves and c, so the
+    entries' own arithmetic applies and mixed moduli raise there."""
+    first = matrices[0].entries[0][0] if matrices[0].size else None
+    if type(first) is Residue:
+        p = first.p
+        v = c.value if type(c) is Residue and c.p == p else c
+        if isinstance(v, int):
+            try:
+                return p, [_field_rows(m, p) for m in matrices], v
+            except ModulusMismatchError:
+                pass
+    return None, [m.entries for m in matrices], c
 
 
 def _bracket(a, b, p=None):
@@ -213,36 +219,6 @@ def _is_nilpotent(a, cap, p=None):
     return False
 
 
-def _int_rows(*matrices):
-    """[p, the int rows of each matrix] when every entry of the matrices is a
-    Residue mod one p, else None.  On None the caller takes the entries' own
-    arithmetic, where mixed moduli raise ModulusMismatchError."""
-    first = matrices[0].entries[0][0] if matrices[0].size else None
-    if type(first) is not Residue:
-        return None
-    p = first.p
-    out = [p]
-    for m in matrices:
-        rows = []
-        for row in m.entries:
-            ints = []
-            for a in row:
-                if type(a) is not Residue or a.p != p:
-                    return None
-                ints.append(a.value)
-            rows.append(ints)
-        out.append(rows)
-    return out
-
-
-def _scalar_value(c, p):
-    """The int that c stands for mod p, or None when c is neither an int nor
-    a Residue mod p."""
-    if type(c) is Residue:
-        return c.value if c.p == p else None
-    return c if isinstance(c, int) else None
-
-
 def _series_rows(*matrices):
     """[p, the unit, the rows of each matrix], all in the field of the first
     entry: the ints of Residues mod p, or else with p = 0 Fractions, plain
@@ -260,7 +236,8 @@ def _series_rows(*matrices):
 
 def _wrap(rows, p):
     """The matrix over square rows, with Residue(v, p) for each entry v when
-    p > 0, without SquareMatrix's copy and shape check."""
+    p > 0 (else the rows themselves), without SquareMatrix's copy and shape
+    check."""
     m = SquareMatrix.__new__(SquareMatrix)
     m.size = len(rows)
     m.entries = [[Residue(v, p) for v in row] for row in rows] if p else rows

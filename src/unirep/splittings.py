@@ -265,23 +265,19 @@ def split_coproduct(chi):
 
 def solve_yz(Y: ExponentMatrix, Z: ExponentMatrix) -> Splitting:
     """Closed-form unique solution of L = Y, R = Z for Y with zero top row and
-    Z supported on the top row only: s_1j^1 = z_1j, s_ij^{j-i+1} = y_ij."""
-    n = Y.n
+    Z supported on the top row only: s_1j^1 = z_1j, s_ij^{j-i+1} = y_ij.  The
+    top row's n - 1 pairs come first in the flat order."""
+    n, top = Y.n, Y.n - 1
     if Z.n != n:
         raise ShapeError("size mismatch")
-    if any(Y.entry(1, j) for j in range(2, n + 1)):
+    if any(Y.flat[:top]):
         raise ShapeError("Y must have a zero top row")
-    if any(Z.entry(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)):
+    if any(Z.flat[top:]):
         raise ShapeError("Z must be zero outside the top row")
-    assignment = {}
-    for j in range(2, n + 1):
-        if Z.entry(1, j):
-            assignment[SplitVarId(1, j, 1)] = Z.entry(1, j)
-    for i in range(2, n + 1):
-        for j in range(i + 1, n + 1):
-            if Y.entry(i, j):
-                assignment[SplitVarId(i, j, j - i + 1)] = Y.entry(i, j)
-    return Splitting(n, assignment)
+    slots = _entry_vars(n)
+    assignment = {v[0]: z for v, z in zip(slots[:top], Z.flat) if z}
+    assignment.update((v[-1], y) for v, y in zip(slots[top:], Y.flat[top:]) if y)
+    return Splitting._trusted(n, assignment)
 
 
 @cache

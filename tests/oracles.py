@@ -7,6 +7,8 @@ tensor side of the comodule axioms, and the poly-format writer, reader and
 Frobenius twist through ``assemble`` and ``extract_chi``.  The BCH series
 and the Dynkin projection's left-nested sum are kept here as they were on
 dicts keyed by tuple words, before they moved to dense word-indexed lists.
+The closed-form Y/Z solve is kept as it read ``ExponentMatrix.entry``, before
+it read the flat entries.
 Each is defined here once and imported by the tests that compare against it.
 """
 
@@ -17,10 +19,11 @@ from math import comb, factorial, lcm
 
 from unirep import io
 from unirep.bch import FreeElement
-from unirep.errors import HypothesisError, NotNilpotentError, ParseError, SeriesTerminationError
+from unirep.errors import HypothesisError, NotNilpotentError, ParseError, SeriesTerminationError, ShapeError
 from unirep.hopf import Polynomial, TensorElement, tensor_of
 from unirep.linalg import SquareMatrix
 from unirep.reps import Representation, _regime, assemble, extract_chi
+from unirep.splittings import Splitting, SplitVarId
 
 
 # --- the one-pass exp/log series over SquareMatrix operators -----------------
@@ -225,3 +228,26 @@ def reference_dynkin_projection(e):
             if v:
                 out[w] = Fraction(v, denom * length)
     return FreeElement(out)
+
+
+# --- the closed-form Y/Z solve through ExponentMatrix.entry -------------------
+
+def reference_solve_yz(Y, Z):
+    """s_1j^1 = z_1j, s_ij^{j-i+1} = y_ij, entry by entry, through the checked
+    Splitting constructor."""
+    n = Y.n
+    if Z.n != n:
+        raise ShapeError("size mismatch")
+    if any(Y.entry(1, j) for j in range(2, n + 1)):
+        raise ShapeError("Y must have a zero top row")
+    if any(Z.entry(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)):
+        raise ShapeError("Z must be zero outside the top row")
+    assignment = {}
+    for j in range(2, n + 1):
+        if Z.entry(1, j):
+            assignment[SplitVarId(1, j, 1)] = Z.entry(1, j)
+    for i in range(2, n + 1):
+        for j in range(i + 1, n + 1):
+            if Y.entry(i, j):
+                assignment[SplitVarId(i, j, j - i + 1)] = Y.entry(i, j)
+    return Splitting(n, assignment)

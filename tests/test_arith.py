@@ -13,6 +13,7 @@ from unirep.arith import (
     Residue,
     check_field,
     coerce_scalar,
+    factorial,
     gamma_factor,
     matrix_multinomial,
     multinomial,
@@ -36,6 +37,11 @@ class TestResidue:
     def test_int_mixing(self):
         assert Residue(3, 7) + 11 == Residue(0, 7)
         assert 2 * Residue(4, 7) == Residue(1, 7)
+
+    def test_int_minus_residue(self):
+        assert 2 - Residue(5, 7) == Residue(4, 7)
+        assert 12 - Residue(5, 7) == Residue(0, 7)
+        assert -1 - Residue(0, 3) == Residue(2, 3)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ModulusMismatchError):
@@ -93,6 +99,12 @@ class TestCoercion:
 
 
 class TestMultinomial:
+    def test_factorial(self):
+        assert [factorial(k) for k in range(6)] == [1, 1, 2, 6, 24, 120]
+        assert factorial(20) == 2432902008176640000
+        with pytest.raises(ValueError, match="^factorial of a negative integer$"):
+            factorial(-1)
+
     def test_basic(self):
         assert multinomial(4, [2, 2]) == 6
         assert multinomial(3, [1, 1, 1]) == 6

@@ -8,6 +8,7 @@ import pytest
 
 from unirep.arith import Residue, coerce_scalar
 from unirep.bch import (
+    MAX_BCH_DEGREE,
     FreeElement,
     bch_components,
     bch_evaluate,
@@ -19,7 +20,7 @@ from unirep.bch import (
     left_nested_expand,
     log_product_series,
 )
-from unirep.errors import ModulusMismatchError, SeriesTerminationError
+from unirep.errors import CostBoundError, ModulusMismatchError, SeriesTerminationError
 from unirep.linalg import SquareMatrix, exp_nilpotent, log_unipotent, scalar_matrix
 from unirep.samples import random_strict_upper
 
@@ -147,6 +148,15 @@ class TestGoldenComponents:
         assert -comps[1] + comps[1] == FreeElement.zero()
         assert bch_components(3)[0] == F({("x",): 1, ("y",): 1})
 
+    def test_terms_cannot_be_rebound(self):
+        comps = bch_components(3)
+        with pytest.raises(AttributeError):
+            comps[0].terms = {}
+        with pytest.raises(AttributeError):
+            F({("x",): 1}).terms = {}
+        assert str(bch_components(3)[0]) == "1*x + 1*y"
+        assert bch_components(3)[0] == F({("x",): 1, ("y",): 1})
+
 
 class TestDenseAgainstDictOracles:
     """The dense word-indexed series and left-nested sum against the
@@ -208,6 +218,14 @@ class TestDynkin:
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             dynkin_projection(F({(): 1}))
+
+    def test_refuses_a_word_past_the_degree_bound(self):
+        # a dense vector of 2^L entries per length: L = 18 is refused before
+        # one is built, and L = 17, the largest P_m of `bch`, is still projected
+        message = f"^projection of a word of length 18 is over the bound of {MAX_BCH_DEGREE}$"
+        with pytest.raises(CostBoundError, match=message):
+            dynkin_projection(F({("x",): 1, ("x", "y") * 9: 1}))
+        assert dynkin_projection(F({("x",) * MAX_BCH_DEGREE: 1})) == FreeElement.zero()
 
     def test_matches_per_word_expansion(self):
         rng = random.Random(11)

@@ -436,6 +436,23 @@ class TestBoundaryChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("body,message", [
+        ([{"M": [[0, 0], [0, 0]], "matrix": [["1"]]}, {"M": [[0, 0], [0, 0]], "matrix": [["2"]]}],
+         "error: line 3: duplicate exponent matrix\n"),
+        ([{"M": [[0, 0], [0, 0]], "matrix": [["1"]]}, [1, 2]], "error: line 3: expected a JSON object\n"),
+        (["chi"], "error: line 2: expected a JSON object\n"),
+    ])
+    def test_chi_body_line_refused(self, body, message, tmp_path):
+        lines = [{"format": "chi", "version": 1, "n": 2, "p": 7, "d": 1}, *body]
+        path = tmp_path / "chi.txt"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert run_cli(["verify", str(path)]) == ("", message, 2)
+
+    def test_header_not_an_object_refused(self, tmp_path):
+        path = tmp_path / "chi.txt"
+        path.write_text("[1, 2]\n")
+        assert run_cli(["verify", str(path)]) == ("", "error: line 1: expected a JSON object\n", 2)
+
     @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-2"], ["--n", "3", "--bound", "-1"]])
     def test_audit_splittings_bounds(self, argv, capsys):
         assert main(["audit-splittings", *argv]) == 2

@@ -1,9 +1,11 @@
-"""The file readers fuzzed through the command line: mutated chi, poly and
-layer files keep the 0/1/2 exit-code contract without a traceback, and every
-file that parses is written back byte-stably."""
+"""The command line fuzzed: mutated chi, poly and layer files, and random
+argument lists over valid, corrupt and missing files, keep the 0/1/2
+exit-code contract without a traceback, and every file that parses is
+written back byte-stably."""
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -104,3 +106,90 @@ def test_mutated_files_through_the_command_line(tmp_path_factory, data):
             body = "poly" if "poly" in command else "chi"
             assert write_rep_file(parse_rep_file(out), body) == out
     stable(kind, text)
+
+
+# --- random argument lists ------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Input files named by kind: valid layer, chi and poly files over F_5 and
+    Q, a chi file that parses but is no comodule, a cut one, a missing path and
+    a directory.  Every request on them is cheap: n, d <= 3 and p <= 7."""
+    root = tmp_path_factory.mktemp("argv-fuzz")
+    files = {"missing": root / "missing.txt", "directory": root}
+    for name, shape in (("f5", (2, 2, 5, 2)), ("q", (3, 2, 0, 1))):
+        data = random_layer_data(*shape, seed=0)
+        rep = construct_from_layers(data)
+        for kind, text in (("layers", write_layer_file(data)), ("chi", write_rep_file(rep)),
+                           ("poly", write_rep_file(rep, "poly"))):
+            files[f"{name}-{kind}"] = root / f"{name}-{kind}.txt"
+            files[f"{name}-{kind}"].write_text(text)
+    chi = files["f5-chi"].read_text()
+    wrong = chi.replace('"matrix": [["1", "3"]', '"matrix": [["1", "2"]')
+    assert wrong != chi
+    files["wrong"], files["cut"] = root / "wrong.txt", root / "cut.txt"
+    files["wrong"].write_text(wrong)
+    files["cut"].write_text(chi[:len(chi) // 2])
+    return files
+
+
+SMALL = st.integers(-1, 3).map(str)
+JUNK = st.sampled_from(["", "-", "--", "--bogus", "x", "1.5", "nan", "1e3", "sampled:", "--n=x", "a\0b"])
+OPTION_VALUES = {
+    "--n": SMALL, "--d": SMALL, "--seed": SMALL,
+    "--p": st.sampled_from(["0", "2", "3", "4", "5", "7", "-1"]),
+    "--layers": st.integers(-1, 2).map(str),
+    "--max-degree": st.integers(-1, 8).map(str),
+    "--bound": st.integers(-1, 2).map(str),
+    "--pointwise": st.sampled_from(["exhaustive", "sampled:3", "sampled:0", "sampled:x", "x"]),
+    "--format": st.sampled_from(["chi", "poly", "x"]),
+}
+SWITCHES = ("--comodule", "--chi-relations", "--lemmas", "-h")
+OPTIONS = {
+    "construct": ("--output", "--format"),
+    "verify": ("--comodule", "--pointwise", "--chi-relations", "--lemmas", "--seed"),
+    "decompose": ("--output",),
+    "roundtrip": ("--n", "--d", "--p", "--layers", "--seed"),
+    "bch": ("--max-degree",),
+    "audit-splittings": ("--n", "--bound"),
+}
+
+
+def random_argv(data, files, out):
+    """A subcommand (or junk), mostly its input file and each of its own
+    options, their values now and then junk, then up to two tokens of any
+    kind: a known flag with a small value, a switch, a file, a small int or
+    junk."""
+    def option(flag):
+        if flag in SWITCHES:
+            return [flag]
+        if flag == "--output":
+            return [flag, data.draw(st.sampled_from([str(out), str(out.parent), str(out.parent / "no" / "out")]))]
+        return [flag, data.draw(OPTION_VALUES[flag] if data.draw(st.integers(0, 7)) else JUNK)]
+
+    command = data.draw(st.sampled_from(sorted(OPTIONS) + ["x", "--bogus"]))
+    argv = [command]
+    if command in ("construct", "verify", "decompose") and data.draw(st.integers(0, 4)):
+        argv.append(str(files[data.draw(st.sampled_from(sorted(files)))]))
+    for flag in OPTIONS.get(command, ()):
+        if data.draw(st.integers(0, 3)):
+            argv += option(flag)
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        kind = data.draw(st.sampled_from(["option", "file", "int", "junk"]))
+        if kind == "option":
+            argv += option(data.draw(st.sampled_from(sorted({*OPTION_VALUES, *SWITCHES, "--output"}))))
+        elif kind == "file":
+            argv.append(str(files[data.draw(st.sampled_from(sorted(files)))]))
+        else:
+            argv.append(data.draw(SMALL if kind == "int" else JUNK))
+    return argv
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_random_argv_through_the_command_line(argv_files, data):
+    argv = random_argv(data, argv_files, argv_files["directory"] / "out.txt")
+    out, err, code = run_cli(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv

@@ -18,6 +18,7 @@ from unirep.errors import (
     HypothesisError,
     ModulusMismatchError,
     NotNilpotentError,
+    ShapeError,
     UnirepError,
 )
 from unirep.hopf import (
@@ -929,3 +930,25 @@ class TestMorphisms:
         assert check_morphism(t, rep1, trivial)
         t2 = [[Residue(1, p), Residue(0, p)]]
         assert not check_morphism(t2, rep1, trivial)
+
+    def test_check_morphism_shape_errors(self):
+        rep11, _ = shared_nilpotent_rep(3, 2, 11, (3, 4))
+        rep13, _ = shared_nilpotent_rep(3, 2, 13, (3, 4))
+        rep4, _ = shared_nilpotent_rep(4, 2, 11, (3, 4, 5))
+        identity = SquareMatrix.identity(2, Residue(1, 11))
+        for src, dst in ((rep11, rep13), (rep11, rep4)):
+            with pytest.raises(ShapeError, match="^representations live over different groups or fields$"):
+                check_morphism(identity, src, dst)
+        short_row = [[1, 0], [0]]
+        for t in ([[Residue(1, 11), Residue(0, 11)]], short_row, SquareMatrix.identity(3, Residue(1, 11))):
+            with pytest.raises(ShapeError, match="^morphism candidate must be 2 x 2$"):
+                check_morphism(t, rep11, rep11)
+
+    def test_layer_criterion_refuses_out_of_regime(self):
+        # p = 3 < max(n, 2d) = 4: the layers need not determine the representation
+        trivial = Representation(ChiTable(3, 3, 2, {
+            ExponentMatrix.zero(3): SquareMatrix.identity(2, Residue(1, 3)),
+        }))
+        message = r"^layer criterion needs p >= max\(n, 2d\) = 4, got p = 3$"
+        with pytest.raises(HypothesisError, match=message):
+            layer_morphism_equivalence(SquareMatrix.identity(2, Residue(1, 3)), trivial, trivial)

@@ -28,6 +28,8 @@ from unirep.splittings import (
     split_coproduct,
 )
 
+from oracles import reference_solve_yz
+
 
 def s(i, j, k):
     return SplitVarId(i, j, k)
@@ -45,6 +47,23 @@ class TestExpressions:
     def test_var_shape_validation(self):
         with pytest.raises(ShapeError):
             SplitVarId(1, 2, 3)  # k may be at most j - i + 1 = 2
+
+    @pytest.mark.parametrize("args,message", [
+        ((2, 2, 1), r"need 1 <= i < j, got \(2, 2\)"),
+        ((0, 2, 1), r"need 1 <= i < j, got \(0, 2\)"),
+        ((1, 2, 3), r"layer 3 out of range for position \(1, 2\)"),
+        ((1, 3, 0), r"layer 0 out of range for position \(1, 3\)"),
+    ])
+    def test_var_constructor_errors(self, args, message):
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            SplitVarId(*args)
+
+    def test_splitting_constructor_errors(self):
+        with pytest.raises(ShapeError, match="^splitting entries must be non-negative$"):
+            Splitting(3, {s(1, 2, 1): 1, s(2, 3, 2): -1})
+        with pytest.raises(ShapeError, match=r"^variable s_13\^1 out of range for n = 2$"):
+            Splitting(2, {s(1, 3, 1): 1})
+        assert Splitting(3, {s(1, 2, 1): 0, s(2, 3, 2): 4}).assignment == {s(2, 3, 2): 4}
 
     def test_shared_variable(self):
         assert shared_variable((1, 2), (2, 4), 4) == s(1, 4, 2)
@@ -196,6 +215,41 @@ class TestYZSolving:
             solve_yz(bad_y, ExponentMatrix.zero(3))
         bad_z = ExponentMatrix.epsilon(3, 2, 3)  # off the top row
         with pytest.raises(ShapeError):
+            solve_yz(ExponentMatrix.zero(3), bad_z)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_entry_by_entry_reference(self, n):
+        # every (Y, Z) of the shape with entries <= 2: the same splitting as the
+        # entry-by-entry solve through the checked constructor
+        top, rest = n - 1, (n - 1) * (n - 2) // 2
+        for ys in itertools.product(range(3), repeat=rest):
+            for zs in itertools.product(range(3), repeat=top):
+                y, z = yz_matrices(n, ys, zs)
+                sol = solve_yz(y, z)
+                assert sol == reference_solve_yz(y, z)
+                assert (sol.left_matrix(), sol.right_matrix()) == (y, z)
+
+    def test_every_pair_raises_as_the_reference(self):
+        # every (Y, Z) at n = 3 with entries <= 2, off the shape included: the
+        # same error, checked in the same order, or the same splitting
+        def outcome(solve, y, z):
+            try:
+                return solve(y, z)
+            except ShapeError as exc:
+                return str(exc)
+
+        matrices = [ExponentMatrix(3, [[0, a, b], [0, 0, c], [0, 0, 0]])
+                    for a, b, c in itertools.product(range(3), repeat=3)]
+        for y, z in itertools.product(matrices, repeat=2):
+            assert outcome(solve_yz, y, z) == outcome(reference_solve_yz, y, z)
+
+    def test_shape_error_messages_in_order(self):
+        bad_y, bad_z = ExponentMatrix.epsilon(3, 1, 2), ExponentMatrix.epsilon(3, 2, 3)
+        with pytest.raises(ShapeError, match="^size mismatch$"):
+            solve_yz(bad_y, ExponentMatrix.zero(4))
+        with pytest.raises(ShapeError, match="^Y must have a zero top row$"):
+            solve_yz(bad_y, bad_z)
+        with pytest.raises(ShapeError, match="^Z must be zero outside the top row$"):
             solve_yz(ExponentMatrix.zero(3), bad_z)
 
 
