@@ -175,12 +175,13 @@ def cmd_audit_splittings(args):
 def build_parser():
     """The one parser of the process: prog is fixed and parse_args does not
     change the parser, so calls share it."""
-    parser = argparse.ArgumentParser(
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)  # no option prefixes
+    parser = strict(
         prog="unirep",
         description="Construct, verify, and decompose representations of U_n "
                     "through their Frobenius layers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     c = sub.add_parser("construct", help="layer file -> representation file")
     c.add_argument("layerfile")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from operator import add
 
 from .arith import Residue, coerce_scalar, p_ary_digits
@@ -362,10 +362,10 @@ class TensorElement(_Terms):
         return self.terms.items()
 
     @classmethod
-    def _from_flat(cls, n, p, sums):
+    def _from_flat(cls, n, p, sums, den=None):
         """The element with the nonzero sums of {flat key: int (p > 0) or
-        Fraction}."""
-        return cls._trusted(n, p, dict(_field_sums(sums, p)))
+        Fraction, or int over den}."""
+        return cls._trusted(n, p, dict(_field_sums(sums, p, den)))
 
     @staticmethod
     def _scale_key(key, e):
@@ -410,11 +410,20 @@ def _convolve(xs, ys):
     return sums
 
 
-def _field_sums(sums, p):
-    """(key, field element) over the sums that are nonzero in the field."""
+def _field_sums(sums, p, den=None):
+    """(key, field element) over the sums that are nonzero in the field; over
+    Q with den, the sums are ints over that common denominator."""
     if not p:
-        return [(k, c) for k, c in sums.items() if c]
+        return [(k, Fraction(c, den) if den else c) for k, c in sums.items() if c]
     return [(k, Residue(v, p)) for k, v in sums.items() if v % p]
+
+
+def _int_scalars(cs, p):
+    """(ints, den): values mod p and den None, or over Q numerators over den = lcm of denominators."""
+    if p:
+        return [c.value for c in cs], None
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _sum_terms(a, b, p):
@@ -488,8 +497,8 @@ def _digits(m, p):
     return p_ary_digits(m, p).digits if p else (m,)
 
 
-# A benchmark coproduct pass looks up 84 distinct keys 6,700 times (98.7% hits,
-# a sixth of its time), a roundtrip pass 63 keys 2,400 times (97%).
+# A benchmark coproduct pass looks up 84 distinct keys about 1,400 times, on the
+# misses of _monomial_coproduct (94% hits); a roundtrip pass makes no lookups.
 @lru_cache(maxsize=256)
 def _generator_power(n, p, ij, m):
     """Delta(x_ij)^m, x_ij the ij-th pair, as (flat key, int weight) pairs by
@@ -524,23 +533,28 @@ def coproduct(poly: Polynomial) -> TensorElement:
     """Algebra-map extension of the coproduct to an arbitrary polynomial.
 
     Each term's image, a product of generator powers on int weights, is
-    summed times its coefficient into one dict, reduced into the field once."""
+    summed times its coefficient's int (over Q, its numerator over a common
+    denominator) into one dict, reduced into the field once."""
     n, p = poly.n, poly.p
+    cs, den = _int_scalars(poly.terms.values(), p)
     sums = {}
     get = sums.get
-    for flat, c in poly._flat_items():
-        for k, w in _monomial_coproduct(n, p, flat):
+    for M, c in zip(poly.terms, cs):
+        for k, w in _monomial_coproduct(n, p, M.flat):
             sums[k] = get(k, 0) + w * c
-    return TensorElement._from_flat(n, p, sums)
+    return TensorElement._from_flat(n, p, sums, den)
 
 
+# The cells of one poly matrix share their monomials: a benchmark coproduct
+# pass asks for 3,603 expansions, 738 of them misses (seed 1).
+@lru_cache(maxsize=32)
 def _monomial_coproduct(n, p, flat):
-    """Delta(x^M) for flat exponents M, as (flat 2N key, int weight) pairs."""
+    """Delta(x^M) for flat exponents M, as a tuple of (flat 2N key, int weight)."""
     image = None
     for ij, m in enumerate(flat):
         if m:
             power = _generator_power(n, p, ij, m)
-            image = power if image is None else _convolve(image, power).items()
+            image = power if image is None else tuple(_convolve(image, power).items())
     return image or (((0,) * (n * (n - 1)), 1),)
 
 

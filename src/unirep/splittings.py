@@ -19,7 +19,7 @@ from functools import cache
 
 from .arith import coerce_scalar, matrix_multinomial
 from .errors import CostBoundError, ShapeError, finding
-from .hopf import ExponentMatrix, TensorElement, _compositions, variable_pairs
+from .hopf import ExponentMatrix, TensorElement, _compositions, _int_scalars, variable_pairs
 
 __all__ = [
     "SplitVarId",
@@ -231,13 +231,18 @@ def split_coproduct(chi):
     d x d scalar matrices.  For each supported M and each splitting, the term
     is weighted by the matrix multinomial and placed at the exponents given by
     the L/R evaluations.  The weights of one M are summed per L/R key before
-    the d x d cells are touched.
+    the d x d cells are touched, times each entry's int (over Q, its numerator
+    over the table's common denominator).
     """
     n, p, d = chi.n, chi.p, chi.d
     feeds = _feeds(n)
     width = n * (n - 1)  # the L entries, then the R entries
     grid = [[{} for _ in range(d)] for _ in range(d)]
-    for M, mat in chi.items():
+    support = [(M, [(grid[a][b], coerce_scalar(c, p)) for a, row in enumerate(mat.entries)
+                    for b, c in enumerate(row) if c]) for M, mat in chi.items()]
+    values, den = _int_scalars([c for _, cells in support for _, c in cells], p)
+    values = iter(values)
+    for M, cells in support:
         # a splitting's weight, the matrix multinomial: prod m_ij! / prod (s_ij^k)!
         whole = math.prod(map(math.factorial, M.flat))
         weights = {}
@@ -251,16 +256,10 @@ def split_coproduct(chi):
                 parts *= math.factorial(m)
             key = tuple(key[:width])
             weights[key] = weights.get(key, 0) + whole // parts
-        for a in range(d):
-            for b in range(d):
-                c = mat.entries[a][b]
-                if c:
-                    c = coerce_scalar(c, p)
-                    c = c.value if p else c
-                    cell = grid[a][b]
-                    for key, w in weights.items():
-                        cell[key] = cell.get(key, 0) + c * w
-    return [[TensorElement._from_flat(n, p, cell) for cell in row] for row in grid]
+        for (cell, _), c in zip(cells, values):  # values, one iterator over all M
+            for key, w in weights.items():
+                cell[key] = cell.get(key, 0) + c * w
+    return [[TensorElement._from_flat(n, p, cell, den) for cell in row] for row in grid]
 
 
 def solve_yz(Y: ExponentMatrix, Z: ExponentMatrix) -> Splitting:
@@ -324,9 +323,9 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
     variables, members, feeds = _yz_plan(n)
     remaining = list(Y.flat + Z.flat)
     values = [None] * len(variables)
-    queue = list(range(len(members)))
+    queue = dict.fromkeys(range(len(members)))  # a stack that holds each target once
     while queue:
-        t = queue.pop()
+        t, _ = queue.popitem()
         goal, open_vars = remaining[t], [x for x in members[t] if values[x] is None]
         if goal < 0 or goal and not open_vars:
             return []
@@ -337,7 +336,7 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
                 values[x] = goal
                 for u in feeds[x]:
                     remaining[u] -= goal
-                queue.extend(feeds[x])
+                    queue[u] = None
     free = [x for x, m in enumerate(values) if m is None]
     closes = {}  # a target still open is closed by its last free variable
     for t, xs in enumerate(members):

@@ -8,22 +8,25 @@ Frobenius twist through ``assemble`` and ``extract_chi``.  The BCH series
 and the Dynkin projection's left-nested sum are kept here as they were on
 dicts keyed by tuple words, before they moved to dense word-indexed lists.
 The closed-form Y/Z solve is kept as it read ``ExponentMatrix.entry``, before
-it read the flat entries.
+it read the flat entries.  The direct and the closed-form coproduct are kept as
+they were before each monomial's expansion was shared and Q was summed on ints:
+every term expanded anew and, over Q, summed as Fractions.
 Each is defined here once and imported by the tests that compare against it.
 """
 
 import itertools
 import json
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from unirep import io
 from unirep.bch import FreeElement
 from unirep.errors import HypothesisError, NotNilpotentError, ParseError, SeriesTerminationError, ShapeError
-from unirep.hopf import Polynomial, TensorElement, tensor_of
+from unirep.arith import coerce_scalar
+from unirep.hopf import Polynomial, TensorElement, _convolve, _generator_power, tensor_of
 from unirep.linalg import SquareMatrix
 from unirep.reps import Representation, _regime, assemble, extract_chi
-from unirep.splittings import Splitting, SplitVarId
+from unirep.splittings import Splitting, SplitVarId, _feeds, enumerate_splittings
 
 
 # --- the one-pass exp/log series over SquareMatrix operators -----------------
@@ -251,3 +254,53 @@ def reference_solve_yz(Y, Z):
             if Y.entry(i, j):
                 assignment[SplitVarId(i, j, j - i + 1)] = Y.entry(i, j)
     return Splitting(n, assignment)
+
+
+# --- the coproduct, each term expanded anew, Q summed as Fractions ------------
+
+def reference_coproduct(poly):
+    """Delta of each term's monomial multiplied out afresh and summed times
+    its coefficient: ints mod p, Fractions over Q."""
+    n, p = poly.n, poly.p
+    sums = {}
+    for flat, c in poly._flat_items():
+        image = None
+        for ij, m in enumerate(flat):
+            if m:
+                power = _generator_power(n, p, ij, m)
+                image = power if image is None else _convolve(image, power).items()
+        for k, w in image or (((0,) * (n * (n - 1)), 1),):
+            sums[k] = sums.get(k, 0) + w * c
+    return TensorElement._from_flat(n, p, sums)
+
+
+def reference_split_coproduct_sums(chi):
+    """The closed formula with the weights of one M summed per L/R key, each
+    entry coerced where its cell is touched, Q summed as Fractions."""
+    n, p, d = chi.n, chi.p, chi.d
+    feeds = _feeds(n)
+    width = n * (n - 1)
+    grid = [[{} for _ in range(d)] for _ in range(d)]
+    for M, mat in chi.items():
+        whole = prod(map(factorial, M.flat))
+        weights = {}
+        for s in enumerate_splittings(M):
+            key = [0] * (width + 1)
+            parts = 1
+            for v, m in s.assignment.items():
+                left, right = feeds[v]
+                key[left] += m
+                key[right] += m
+                parts *= factorial(m)
+            key = tuple(key[:width])
+            weights[key] = weights.get(key, 0) + whole // parts
+        for a in range(d):
+            for b in range(d):
+                c = mat.entries[a][b]
+                if c:
+                    c = coerce_scalar(c, p)
+                    c = c.value if p else c
+                    cell = grid[a][b]
+                    for key, w in weights.items():
+                        cell[key] = cell.get(key, 0) + c * w
+    return [[TensorElement._from_flat(n, p, cell) for cell in row] for row in grid]

@@ -695,3 +695,28 @@ class TestReportLines:
         assert self.count_lines(out) > 0
         assert {json.loads(line)["check"] for line in out.splitlines()} == {
             "shared-variable", "yz-uniqueness"}
+
+
+class TestNoOptionPrefixes:
+    """A long option is matched only when spelled in full: a prefix is an
+    unrecognized argument, not the option it abbreviates."""
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["roundtrip", "--n", "3", "--d", "2", "--p", "11", "--lay", "2"], "--lay 2"),
+        (["audit-splittings", "--n", "3", "--b", "1"], "--b 1"),
+        (["verify", "{rep}", "--p", "-1"], "--p -1"),
+    ])
+    def test_prefix_is_refused(self, argv, extra, tmp_path):
+        rep = tmp_path / "rep.txt"
+        rep.write_text("")
+        out, err, code = run_cli([a.format(rep=rep) for a in argv])
+        assert (out, code) == ("", 2)
+        assert f"error: unrecognized arguments: {extra}\n" in err
+        assert "Traceback" not in err
+
+    def test_prefix_is_refused_by_the_entry_point(self):
+        proc = subprocess.run([sys.executable, "-m", "unirep", "audit-splittings", "--n", "3", "--b", "1"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(Path(unirep.__file__).parents[1])})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "unrecognized arguments: --b 1" in proc.stderr and "Traceback" not in proc.stderr
