@@ -319,11 +319,15 @@ def _certificate(rep: Representation):
     """rep's layers if they validate and rebuild rep, else None.  For p >= max(n, 2d),
     or p = 0 with one layer, that is exactly when rep is a comodule: valid layers
     construct one, and by the paper's main theorem a comodule is the construction
-    of its layers chi(p^l eps_ij).  Any refusal (a walk past its bound) is None."""
+    of its layers chi(p^l eps_ij).  Any refusal (a walk past its bound) is None.
+    Rows compare as ChiTable entries did: Residue values mod p, raw entries at p = 0."""
     with contextlib.suppress(UnirepError):
         data = decompose_to_layers(rep, check=False)
-        if data.validate().ok and construct_from_layers(data, validate=False).chi == rep.chi:
-            return data
+        if data.validate().ok:
+            table = {M.flat: _field_rows(m, rep.p) if rep.p else m.entries
+                     for M, m in rep.chi.support.items()}
+            if _walk(data, table) == table:
+                return data
 
 
 def verify_comodule(rep: Representation, use_splitting=False) -> Report:
@@ -489,8 +493,9 @@ def _pointwise_pairs(chi: ChiTable, mode, count=None, seed=0):
 
 # The construct walk counts a node for each partial product it visits and for
 # each product it tries, and, before they are formed, one for each product of
-# a pair's layers: at most one d x d product each.  Every supported M is
-# a visited node, so the bound caps the support, and with it memory, as well.
+# a pair's layers: at most one d x d product each, and one it skips (by the
+# identity, or zero by its factors' supports) still counts.  Every supported M
+# is a visited node, so the bound caps the support, and with it memory, as well.
 # Random layers of roundtrip --n 40 --d 3 take about 28,000 nodes and 4 s in
 # all, --d 4 about 414,000.  Past d = 3 a node weighs d^2 / 9, its product's cost.
 MAX_CONSTRUCT_NODES = 2 * 10**5
@@ -509,6 +514,8 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
     subgroup 1 + t E_ij, on which log g = t E_ij.  chi is built by a
     depth-first walk over the pairs, pruned at the first zero partial
     product, and refused with CostBoundError past MAX_CONSTRUCT_NODES nodes.
+    The walk forms no product by the identity and none whose factors' supports
+    make it zero, but counts each such product as tried.
     """
     n, p, d = data.n, data.p, data.d
     if _regime(n, p, d) is None:
@@ -519,6 +526,19 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
         report = data.validate()
         if not report.ok:
             raise HypothesisError(f"layer data invariants fail: {report.findings}")
+    scalar = functools.cache(functools.partial(Residue, p=p) if p else Fraction)  # immutable, so shared
+    return Representation(ChiTable(n, p, d, {
+        _key(n, flat): SquareMatrix([list(map(scalar, row)) for row in rows])
+        for flat, rows in _walk(data).items()
+    }))
+
+
+def _walk(data: LieLayerData, table=()):
+    """{flat key: rows of chi(M)} over construct_from_layers' support, the rows
+    shared with the walk's operands.  Given the flat keys of a table to rebuild,
+    it raises CostBoundError before walking if the nodes of their distinct
+    prefixes, in branch order, already pass the bound."""
+    n, p, d = data.n, data.p, data.d
     nodes = 0  # in ninths of a d = 3 node
 
     def charge(count):
@@ -528,13 +548,24 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
             raise CostBoundError(f"constructing chi takes over {MAX_CONSTRUCT_NODES} nodes")
 
     one = [[int(a == b) for b in range(d)] for a in range(d)]
-    branches = []  # (flat index of the pair, its nonzero (r, chi(r eps_ij)) with r >= 1)
+    branches = []  # (flat index of the pair, its nonzero (r, chi(r eps_ij), nonzero-row mask), r >= 1)
     for i in range(n - 1, 0, -1):
         for j in range(i + 1, n + 1):
             options = _root_subgroup(data, i, j, one, charge)
             if options:
-                branches.append((_index(n, i, j), options))
+                branches.append((_index(n, i, j), [(r, rows, _mask(rows)) for r, rows in options]))
     size = n * (n - 1) // 2
+    weights = [1 + len(options) for _, options in branches]  # the prefixes of a key weigh <= their sum
+    if len(table) * sum(weights) * max(d * d, 9) > 9 * MAX_CONSTRUCT_NODES - nodes:
+        saved, depth, reach = nodes, {index: k for k, (index, _) in enumerate(branches)}, {}
+        for flat in table:  # each distinct prefix, as its nonzero (depth, entry), and its deepest node
+            prefix = ()
+            for k, e in sorted((depth[i], flat[i]) for i in itertools.compress(range(size), flat)
+                               if i in depth) + [(len(branches) - 1, 0)]:
+                reach[prefix] = max(reach.get(prefix, 0), k)
+                prefix += ((k, e),)
+        charge(sum(sum(weights[prefix[-1][0] + 1 if prefix else 0:k + 1]) for prefix, k in reach.items()))
+        nodes = saved
     support = {}
     stack = [(0, one, None)]  # (depth, partial product, chosen as (index, r, rest))
     while stack:
@@ -544,19 +575,26 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
             while chosen:
                 index, r, chosen = chosen
                 flat[index] = r
-            support[_key(n, tuple(flat))] = partial
+            support[tuple(flat)] = partial
             continue
         index, options = branches[k]
-        charge(1 + len(options))
+        charge(weights[k])
         stack.append((k + 1, partial, chosen))
-        for r, rows in options:
-            product = _matmul(partial, rows, p)
-            if any(map(any, product)):
-                stack.append((k + 1, product, (index, r, chosen)))
-    scalar = functools.cache(functools.partial(Residue, p=p) if p else Fraction)  # immutable, so shared
-    return Representation(ChiTable(n, p, d, {
-        M: SquareMatrix([list(map(scalar, row)) for row in rows]) for M, rows in support.items()
-    }))
+        if partial is one:
+            stack.extend((k + 1, rows, (index, r, chosen)) for r, rows, _ in options)
+            continue
+        columns = _mask(zip(*partial))
+        for r, rows, mask in options:
+            if columns & mask:
+                product = _matmul(partial, rows, p)
+                if any(map(any, product)):
+                    stack.append((k + 1, product, (index, r, chosen)))
+    return support
+
+
+def _mask(rows):
+    """The bitmask of the nonzero rows."""
+    return sum(1 << k for k, row in enumerate(rows) if any(row))
 
 
 def _root_subgroup(data: LieLayerData, i, j, one, charge):
@@ -564,8 +602,8 @@ def _root_subgroup(data: LieLayerData, i, j, one, charge):
     X_0^{r_0} / r_0! ... X_m^{r_m} / r_m!, left to right, over the digits r_l
     of r.  The powers come from exp_nilpotent's walk, so a nonzero power at
     the cap min(d, p) raises as it does there.  ``one`` is the rows of the
-    identity; each layer's products are passed to ``charge`` before they are
-    formed."""
+    identity, which no product is formed with; each layer's products are
+    passed to ``charge`` before they are formed."""
     p = data.p
     out = [(0, one)]
     for l, layer in enumerate(data.layers):
@@ -578,7 +616,8 @@ def _root_subgroup(data: LieLayerData, i, j, one, charge):
             kfact *= k
             terms.append((k * p**l, _divided(power, kfact, p)))
         charge(len(out) * len(terms))
-        out = [(r + s, _matmul(a, b, p)) for r, a in out for s, b in terms]
+        out = [(r + s, b if a is one else a if b is one else _matmul(a, b, p))
+               for r, a in out for s, b in terms]
         out = [(r, a) for r, a in out if any(map(any, a))]
     return out[1:]
 

@@ -10,22 +10,28 @@ dicts keyed by tuple words, before they moved to dense word-indexed lists.
 The closed-form Y/Z solve is kept as it read ``ExponentMatrix.entry``, before
 it read the flat entries.  The direct and the closed-form coproduct are kept as
 they were before each monomial's expansion was shared and Q was summed on ints:
-every term expanded anew and, over Q, summed as Fractions.
+every term expanded anew and, over Q, summed as Fractions.  The construct walk
+is kept as it was before it skipped the products that can only be zero: every
+product by the identity and by a factor of disjoint support is formed, and the
+comodule certificate compares a rebuilt Representation with the table.
 Each is defined here once and imported by the tests that compare against it.
 """
 
+import contextlib
+import functools
 import itertools
 import json
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
-from unirep import io
+from unirep import io, reps
 from unirep.bch import FreeElement
-from unirep.errors import HypothesisError, NotNilpotentError, ParseError, SeriesTerminationError, ShapeError
-from unirep.arith import coerce_scalar
-from unirep.hopf import Polynomial, TensorElement, _convolve, _generator_power, tensor_of
-from unirep.linalg import SquareMatrix
-from unirep.reps import Representation, _regime, assemble, extract_chi
+from unirep.errors import (CostBoundError, HypothesisError, NotNilpotentError, ParseError,
+                           SeriesTerminationError, ShapeError, UnirepError)
+from unirep.arith import Residue, coerce_scalar
+from unirep.hopf import Polynomial, TensorElement, _convolve, _generator_power, _index, _key, tensor_of
+from unirep.linalg import SquareMatrix, _divided, _field_rows, _matmul, _series_walk
+from unirep.reps import ChiTable, Representation, _regime, assemble, extract_chi
 from unirep.splittings import Splitting, SplitVarId, _feeds, enumerate_splittings
 
 
@@ -304,3 +310,86 @@ def reference_split_coproduct_sums(chi):
                     for key, w in weights.items():
                         cell[key] = cell.get(key, 0) + c * w
     return [[TensorElement._from_flat(n, p, cell) for cell in row] for row in grid]
+
+
+# --- the construct walk forming every product, and its certificate ------------
+
+def reference_construct_from_layers(data, validate=True):
+    """construct_from_layers as it was before it skipped products by the
+    identity and products zero by their factors' support; the node bound is
+    read from reps.MAX_CONSTRUCT_NODES at call time."""
+    n, p, d = data.n, data.p, data.d
+    if _regime(n, p, d) is None:
+        raise HypothesisError(f"construction needs p >= max(n, d) = {max(n, d)}, got p = {p}")
+    if p == 0 and len(data.layers) > 1:
+        raise HypothesisError("characteristic zero admits a single layer only")
+    if validate:
+        report = data.validate()
+        if not report.ok:
+            raise HypothesisError(f"layer data invariants fail: {report.findings}")
+    nodes = 0
+
+    def charge(count):
+        nonlocal nodes
+        nodes += count * max(d * d, 9)
+        if nodes > 9 * reps.MAX_CONSTRUCT_NODES:
+            raise CostBoundError(f"constructing chi takes over {reps.MAX_CONSTRUCT_NODES} nodes")
+
+    one = [[int(a == b) for b in range(d)] for a in range(d)]
+    branches = []
+    for i in range(n - 1, 0, -1):
+        for j in range(i + 1, n + 1):
+            options = reference_root_subgroup(data, i, j, one, charge)
+            if options:
+                branches.append((_index(n, i, j), options))
+    size = n * (n - 1) // 2
+    support = {}
+    stack = [(0, one, None)]
+    while stack:
+        k, partial, chosen = stack.pop()
+        if k == len(branches):
+            flat = [0] * size
+            while chosen:
+                index, r, chosen = chosen
+                flat[index] = r
+            support[_key(n, tuple(flat))] = partial
+            continue
+        index, options = branches[k]
+        charge(1 + len(options))
+        stack.append((k + 1, partial, chosen))
+        for r, rows in options:
+            product = _matmul(partial, rows, p)
+            if any(map(any, product)):
+                stack.append((k + 1, product, (index, r, chosen)))
+    scalar = functools.cache(functools.partial(Residue, p=p) if p else Fraction)
+    return Representation(ChiTable(n, p, d, {
+        M: SquareMatrix([list(map(scalar, row)) for row in rows]) for M, rows in support.items()
+    }))
+
+
+def reference_root_subgroup(data, i, j, one, charge):
+    """reps._root_subgroup as it was, forming the products with ``one`` too."""
+    p = data.p
+    out = [(0, one)]
+    for l, layer in enumerate(data.layers):
+        image = layer.get((i, j))
+        if image is None:
+            continue
+        terms = [(0, one)]
+        kfact = 1
+        for k, power in enumerate(_series_walk(_field_rows(image, p), p or None, p), start=1):
+            kfact *= k
+            terms.append((k * p**l, _divided(power, kfact, p)))
+        charge(len(out) * len(terms))
+        out = [(r + s, _matmul(a, b, p)) for r, a in out for s, b in terms]
+        out = [(r, a) for r, a in out if any(map(any, a))]
+    return out[1:]
+
+
+def reference_certificate(rep):
+    """reps._certificate as it was: the layers, if they validate and the
+    Representation construct_from_layers rebuilds from them equals rep."""
+    with contextlib.suppress(UnirepError):
+        data = reps.decompose_to_layers(rep, check=False)
+        if data.validate().ok and reps.construct_from_layers(data, validate=False).chi == rep.chi:
+            return data

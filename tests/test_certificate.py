@@ -6,23 +6,31 @@ deleted or one key added, tables whose chi(p eps_ij) no longer commutes with
 layer 0, Fraction tables at p = 0, and a valid table whose rebuild the walk
 bound refuses.  On each, verify_comodule and decompose_to_layers must give
 what the symbolic path gives, and the command line must print the same
-bytes and exit with the same code with the certificate and without it.
+bytes and exit with the same code with the certificate and without it.  The
+certificate compares the walk's rows with the table's; the one it replaced,
+which compared a rebuilt Representation (tests/oracles.py), must give the
+same verdict on the corpus, on entries outside the field and wherever the
+walk bound refuses.
 """
 
 import contextlib
 import io
 import itertools
 import random
+import sys
 
 import pytest
 
 from unirep import cli, reps
+from unirep.arith import Residue
 from unirep.errors import UnirepError
 from unirep.hopf import ExponentMatrix, variable_pairs
 from unirep.io import write_rep_file
 from unirep.linalg import SquareMatrix, scalar_matrix
 from unirep.reps import ChiTable, Representation, construct_from_layers, decompose_to_layers, verify_comodule
 from unirep.samples import random_layer_data
+
+from oracles import reference_certificate
 
 # (n, d, p, layers), each drawn with every seed; each valid table seeds the corrupted ones
 SHAPES = [(3, 2, 7, 2), (3, 3, 11, 1), (4, 2, 11, 2), (4, 3, 13, 1), (3, 2, 13, 3),
@@ -177,6 +185,92 @@ def test_entries_outside_the_field_are_not_certified():
     assert verify_comodule(plain).findings == reps._comodule_findings(plain).findings != []
 
 
+def entries_replaced(rep, keys, read):
+    """rep with every entry of the given keys passed through ``read``."""
+    return table(rep, {M: SquareMatrix([[read(a) for a in row] for row in m.entries]) if M in keys else m
+                       for M, m in rep.chi.support.items()})
+
+
+def outside_the_field():
+    """Tables whose entries the field reader refuses somewhere: a Residue mod
+    another prime and plain ints at p > 0, plain ints at p = 0 (which equal
+    their Fractions), on chi(0), on a layer key or everywhere."""
+    out = []
+    for n, d, p, layers, seed in [(3, 3, 11, 2, 0), (4, 3, 13, 1, 1), (4, 3, 0, 1, 0), (5, 3, 0, 1, 2)]:
+        rep = construct_from_layers(random_layer_data(n, d, p, layers, seed))
+        zero = ExponentMatrix.zero(n)
+        layer_key = next(M for M in sorted(rep.chi.support, key=ExponentMatrix.sort_key) if is_layer_key(M, p))
+        other = next(M for M in sorted(rep.chi.support, key=ExponentMatrix.sort_key)
+                     if M != zero and not is_layer_key(M, p))
+        name = f"{n}-{d}-{p}-{layers}"
+        if p:
+            for key_name, key in [("chi(0)", zero), ("layer", layer_key), ("other", other)]:
+                out.append((f"{name} mod 101 on {key_name}", entries_replaced(rep, {key}, lambda a: Residue(a.value, 101))))
+                out.append((f"{name} ints on {key_name}", entries_replaced(rep, {key}, lambda a: a.value)))
+        else:
+            for key_name, keys in [("chi(0)", {zero}), ("other", {other}), ("layer", {layer_key}),
+                                   ("every key", set(rep.chi.support))]:
+                out.append((f"{name} ints on {key_name}", entries_replaced(rep, keys, int)))
+    return out
+
+
+OUTSIDE = outside_the_field()
+
+
+@pytest.mark.parametrize("name, rep", CORPUS + OUTSIDE, ids=[name for name, _ in CORPUS + OUTSIDE])
+def test_certificate_matches_the_rebuilt_representation(name, rep):
+    assert reps._certificate(rep) == reference_certificate(rep)
+
+
+def test_entries_outside_the_field_have_both_verdicts():
+    verdicts = {name: reps._certificate(rep) is not None for name, rep in OUTSIDE}
+    assert verdicts["4-3-0-1 ints on chi(0)"] and verdicts["5-3-0-1 ints on other"]
+    assert not any(certified for name, certified in verdicts.items() if not name.startswith(("4-3-0", "5-3-0")))
+    assert not verdicts["4-3-0-1 ints on layer"] and not verdicts["5-3-0-1 ints on every key"]
+
+
+def least_bound(rep, monkeypatch):
+    """The least MAX_CONSTRUCT_NODES under which the replaced certificate passes."""
+    lo, hi = 0, reps.MAX_CONSTRUCT_NODES
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", mid)
+        lo, hi = (lo, mid) if reference_certificate(rep) is not None else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 7, 2, 0), (4, 3, 13, 1, 3), (3, 3, 11, 2, 1), (4, 2, 0, 1, 2)])
+def test_walk_bound_refuses_where_it_did(shape, monkeypatch):
+    n, d, p, layers, seed = shape
+    rep = construct_from_layers(random_layer_data(n, d, p, layers, seed))
+    least = least_bound(rep, monkeypatch)
+    for bound in sorted({1, least // 2, least - 2, least - 1, least, least + 1} - {0}):
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", bound)
+        assert reps._certificate(rep) == reference_certificate(rep), bound
+        assert (reps._certificate(rep) is None) == (bound < least)
+
+
+def test_refused_certificate_forms_no_walk_product(monkeypatch):
+    # the nodes of the keys' prefixes are the walk's own, so just under its
+    # bound the walk is refused before it forms a product
+    rep = construct_from_layers(random_layer_data(4, 3, 13, 1, seed=3))
+    walked = []
+
+    def spy(a, b, p=None):
+        walked.append(sys._getframe(1).f_code.co_name == "_walk")
+        return matmul(a, b, p)
+
+    matmul = reps._matmul
+    monkeypatch.setattr(reps, "_matmul", spy)
+    least = least_bound(rep, monkeypatch)
+    monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", least)
+    walked.clear()
+    assert reps._certificate(rep) is not None and any(walked)
+    monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", least - 1)
+    walked.clear()
+    assert reps._certificate(rep) is None and not any(walked)
+
+
 FLAG_SETS = [
     ["verify"],
     ["verify", "--comodule"],
@@ -195,13 +289,16 @@ def run_cli(argv):
     return out.getvalue(), err.getvalue(), code
 
 
-def cli_outputs(argvs, monkeypatch, shortcut):
-    """stdout, stderr and exit code of each request, with the certificate or
-    with every caller's certificate failing."""
+def no_certificate(rep):
+    return None
+
+
+def cli_outputs(argvs, monkeypatch, certificate=reps._certificate):
+    """stdout, stderr and exit code of each request, with ``certificate`` in
+    place of every caller's certificate."""
     with monkeypatch.context() as m:
-        if not shortcut:
-            m.setattr(reps, "_certificate", lambda rep: None)
-            m.setattr(cli, "_certificate", lambda rep: None)
+        m.setattr(reps, "_certificate", certificate)
+        m.setattr(cli, "_certificate", certificate)
         return [run_cli(argv) for argv in argvs]
 
 
@@ -213,14 +310,17 @@ def requests(path):
 def test_command_line_bytes_with_and_without_the_shortcut(name, rep, tmp_path, monkeypatch):
     path = tmp_path / "rep.txt"
     path.write_text(write_rep_file(rep))
-    assert cli_outputs(requests(path), monkeypatch, True) == cli_outputs(requests(path), monkeypatch, False)
+    outputs = cli_outputs(requests(path), monkeypatch)
+    assert outputs == cli_outputs(requests(path), monkeypatch, no_certificate)
+    if not name.endswith("valid"):
+        assert outputs == cli_outputs(requests(path), monkeypatch, reference_certificate)
 
 
 def test_command_line_bytes_when_the_walk_is_refused(tmp_path, monkeypatch):
     path = tmp_path / "rep.txt"
     path.write_text(write_rep_file(construct_from_layers(random_layer_data(4, 2, 11, 2, seed=3))))
     monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 3)
-    assert cli_outputs(requests(path), monkeypatch, True) == cli_outputs(requests(path), monkeypatch, False)
+    assert cli_outputs(requests(path), monkeypatch) == cli_outputs(requests(path), monkeypatch, no_certificate)
 
 
 @pytest.mark.parametrize("flags", [["--pointwise", "sampled:x"], ["--pointwise", "sampled:0"],
@@ -229,6 +329,6 @@ def test_refused_requests_are_not_answered(flags, tmp_path, monkeypatch):
     path = tmp_path / "rep.txt"
     path.write_text(write_rep_file(construct_from_layers(random_layer_data(4, 2, 11, 1, seed=1))))
     argvs = [["verify", str(path), *flags, *extra] for extra in ([], ["--comodule"], ["--chi-relations", "--lemmas"])]
-    outputs = cli_outputs(argvs, monkeypatch, True)
+    outputs = cli_outputs(argvs, monkeypatch)
     assert all(out == "" and err.startswith("error: ") and code == 2 for out, err, code in outputs)
-    assert outputs == cli_outputs(argvs, monkeypatch, False)
+    assert outputs == cli_outputs(argvs, monkeypatch, no_certificate)
