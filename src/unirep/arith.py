@@ -3,6 +3,12 @@
 Two coefficient domains are supported: arbitrary-precision rationals
 (``fractions.Fraction``) for characteristic zero, and ``Residue`` for the
 prime fields F_p.  Everything is immutable and exact.
+
+A field of p elements has only p values, so for p below ``SHARED_BELOW`` the
+kernels that turn int results into field elements share one ``Residue`` per
+value (hash-consing): ``_residues(p)`` is a table of at most p entries, each
+built once through the checked constructor.  Past the bound nothing is
+stored and each result builds its own ``Residue``.
 """
 
 from __future__ import annotations
@@ -92,6 +98,44 @@ class Residue:
 
     def __str__(self):
         return str(self.value)
+
+
+# Moduli below this share their residues; the tables for all of them hold at
+# most 80,189 entries, the sum of the primes below 2^10.
+SHARED_BELOW = 2**10
+
+_SHARED = {}  # p -> _Shared
+
+
+class _Shared(dict):
+    """The shared residues mod p, each built through the constructor on its
+    first lookup; a key outside [0, p) raises, so the table holds at most p."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+    def __missing__(self, value):
+        if not 0 <= value < self.p:
+            raise ValueError(f"{value!r} is not reduced into [0, {self.p})")
+        return self.setdefault(value, Residue(value, self.p))  # a racing thread's stays
+
+
+def _residues(p):
+    """The shared table of residues mod p, {int in [0, p): Residue}, when
+    2 <= p < SHARED_BELOW; else None, and callers build each Residue anew."""
+    if not 2 <= p < SHARED_BELOW:
+        return None
+    table = _SHARED.get(p)
+    return _SHARED.setdefault(p, _Shared(p)) if table is None else table
+
+
+def _residue(value: int, p: int) -> Residue:
+    """The Residue of value, an int already reduced into [0, p): the shared one
+    when p < SHARED_BELOW, else a new one."""
+    table = _residues(p)
+    return Residue(value, p) if table is None else table[value]
 
 
 def _inverse(v: int, p: int) -> int:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
+from itertools import chain
 from math import comb, factorial, lcm, prod
 from operator import add
 
-from .arith import Residue, coerce_scalar, p_ary_digits
+from .arith import Residue, _residue, _residues, coerce_scalar, p_ary_digits
 from .errors import ShapeError
 
 __all__ = [
@@ -50,20 +51,19 @@ class ExponentMatrix:
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the n x n rows given to the constructor; keep their upper triangle."""
+        """Check the n x n rows given to the constructor; keep their upper
+        triangle.  Rows of plain non-negative ints, zero on and below the
+        diagonal, pass three whole-matrix tests; any other rows are read
+        entry by entry, which raises on the first bad entry."""
         n = self.n
         rows = tuple(tuple(r) for r in self.flat)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ShapeError(f"expected a {n}x{n} matrix")
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ShapeError(f"exponents must be integers, got {v!r}")
-                if v < 0:
-                    raise ShapeError("exponents must be non-negative")
-                if j <= i and v != 0:
-                    raise ShapeError("exponent matrix must be strictly upper triangular")
-        flat = tuple(v for i, row in enumerate(rows) for v in row[i + 1:])
+        entries = list(chain.from_iterable(rows))
+        if not (set(map(type, entries)) <= {int} and min(entries, default=0) >= 0
+                and not any(any(row[:i + 1]) for i, row in enumerate(rows))):
+            _check_entries(rows)
+        flat = tuple(chain.from_iterable(row[i + 1:] for i, row in enumerate(rows)))
         _set(self, "flat", flat)
         _set(self, "_hash", hash(flat))
 
@@ -153,6 +153,19 @@ class ExponentMatrix:
 
 
 _set = object.__setattr__
+
+
+def _check_entries(rows):
+    """Raise ShapeError on the first entry, row-major, that is not a
+    non-negative int (bool excluded), or is nonzero on or below the diagonal."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ShapeError(f"exponents must be integers, got {v!r}")
+            if v < 0:
+                raise ShapeError("exponents must be non-negative")
+            if j <= i and v != 0:
+                raise ShapeError("exponent matrix must be strictly upper triangular")
 
 
 def _key(n, flat):
@@ -393,9 +406,11 @@ class TensorElement(_Terms):
 
 # --- the term kernel ---------------------------------------------------------
 #
-# Over F_p the kernel works on the residues' ints and builds one Residue per
-# output term; over Q it works on the Fractions.  Either way the result skips
-# coerce_scalar: sums and products of field elements are field elements.
+# Over F_p the kernel works on the residues' ints and gives each output term
+# the shared Residue of its value (arith._residues), or a new one when p is
+# past arith.SHARED_BELOW; over Q it works on the Fractions.  Either way the
+# result skips coerce_scalar: sums and products of field elements are field
+# elements.
 
 
 def _convolve(xs, ys):
@@ -414,8 +429,14 @@ def _field_sums(sums, p, den=None):
     """(key, field element) over the sums that are nonzero in the field; over
     Q with den, the sums are ints over that common denominator."""
     if not p:
-        return [(k, Fraction(c, den) if den else c) for k, c in sums.items() if c]
-    return [(k, Residue(v, p)) for k, v in sums.items() if v % p]
+        if den:  # one Fraction per distinct numerator
+            fraction = cache(partial(Fraction, denominator=den))
+            return [(k, fraction(c)) for k, c in sums.items() if c]
+        return [(k, c) for k, c in sums.items() if c]
+    table = _residues(p)
+    if table is None:
+        return [(k, Residue(v, p)) for k, v in sums.items() if v % p]
+    return [(k, table[r]) for k, v in sums.items() if (r := v % p)]
 
 
 def _int_scalars(cs, p):
@@ -434,7 +455,7 @@ def _sum_terms(a, b, p):
         if old is None:
             terms[k] = c
             continue
-        c = Residue(old.value + c.value, p) if p else old + c
+        c = _residue((old.value + c.value) % p, p) if p else old + c
         if c:
             terms[k] = c
         else:
@@ -447,8 +468,10 @@ def _scaled_terms(terms, c, p):
     if not c:
         return {}
     if p:
-        v = c.value
-        return {k: Residue(x.value * v, p) for k, x in terms.items()}
+        v, table = c.value, _residues(p)
+        if table is None:
+            return {k: Residue(x.value * v, p) for k, x in terms.items()}
+        return {k: table[x.value * v % p] for k, x in terms.items()}
     return {k: x * c for k, x in terms.items()}
 
 

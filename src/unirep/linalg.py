@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul, sub, truediv
 
-from .arith import Residue, _inverse, coerce_scalar
+from .arith import Residue, _inverse, _residues, coerce_scalar
 from .errors import ModulusMismatchError, NotNilpotentError, SeriesTerminationError, ShapeError
 from .hopf import Polynomial
 
@@ -235,12 +235,16 @@ def _series_rows(*matrices):
 
 
 def _wrap(rows, p):
-    """The matrix over square rows, with Residue(v, p) for each entry v when
-    p > 0 (else the rows themselves), without SquareMatrix's copy and shape
-    check."""
+    """The matrix over square rows, with the Residue of v mod p for each entry
+    v when p > 0, shared below arith.SHARED_BELOW (else the rows themselves),
+    without SquareMatrix's copy and shape check."""
     m = SquareMatrix.__new__(SquareMatrix)
     m.size = len(rows)
-    m.entries = [[Residue(v, p) for v in row] for row in rows] if p else rows
+    if p:
+        table = _residues(p)
+        rows = ([[Residue(v, p) for v in row] for row in rows] if table is None
+                else [[table[v % p] for v in row] for row in rows])
+    m.entries = rows
     return m
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .arith import Residue, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
+from .arith import Residue, _residues, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError, finding
 from .hopf import (
     ExponentMatrix,
@@ -29,6 +29,7 @@ from .hopf import (
     _expansion_size,
     _field_sums,
     _index,
+    _int_scalars,
     _key,
     _monomial_coproduct,
     variable_pairs,
@@ -359,7 +360,7 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
     report = Report()
     chi = rep.chi
     n, p, d = chi.n, chi.p, chi.d
-    cells = [[[] for _ in range(d)] for _ in range(d)]  # (flat key, chi(M)_ab) where nonzero
+    nonzero = []  # (a, b, flat key, chi(M)_ab) where nonzero
     terms = 0
     for M, mat in chi.support.items():
         size = _expansion_size(n, p, M.flat)
@@ -367,9 +368,16 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
             for b, c in enumerate(row):
                 c = coerce_scalar(c, p)
                 if c:
-                    cells[a][b].append((M.flat, c.value if p else c))
+                    nonzero.append((a, b, M.flat, c))
                     terms += size
         terms += use_splitting and _expansion_size(n, 0, M.flat)  # split_coproduct: once per M
+    # Both sides on ints: values mod p, or over Q numerators over den, so the
+    # coproduct side times den and the tensor side are both over den^2.
+    values, den = _int_scalars([c for *_, c in nonzero], p)
+    scale = den or 1
+    cells = [[[] for _ in range(d)] for _ in range(d)]  # (flat key, chi(M)_ab's int) where nonzero
+    for (a, b, flat, _), c in zip(nonzero, values):
+        cells[a][b].append((flat, c))
     terms += sum(sum(map(len, col)) * sum(map(len, row)) for col, row in zip(zip(*cells), cells))
     cost = terms * (n * (n - 1) + 8)
     if cost > MAX_COMODULE_EXPONENTS:
@@ -386,9 +394,10 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
             sums = {}
             get = sums.get
             for flat, c in cells[a][b]:
+                c *= scale
                 for key, w in image(flat):
                     sums[key] = get(key, 0) + w * c
-            if via_split and via_split[a][b].terms != dict(_field_sums(sums, p)):
+            if via_split and via_split[a][b].terms != dict(_field_sums(sums, p, den and den * den)):
                 split.add("split-coproduct", f"entry ({a + 1}, {b + 1})",
                           "splitting formula agrees with direct coproduct", "mismatch")
             for k in range(d):
@@ -526,7 +535,9 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
         report = data.validate()
         if not report.ok:
             raise HypothesisError(f"layer data invariants fail: {report.findings}")
-    scalar = functools.cache(functools.partial(Residue, p=p) if p else Fraction)  # immutable, so shared
+    table = _residues(p)  # None at p = 0 and past the bound; the walk's rows are reduced into [0, p)
+    scalar = table.__getitem__ if table is not None else functools.cache(
+        functools.partial(Residue, p=p) if p else Fraction)  # immutable, so shared
     return Representation(ChiTable(n, p, d, {
         _key(n, flat): SquareMatrix([list(map(scalar, row)) for row in rows])
         for flat, rows in _walk(data).items()

@@ -14,6 +14,11 @@ every term expanded anew and, over Q, summed as Fractions.  The construct walk
 is kept as it was before it skipped the products that can only be zero: every
 product by the identity and by a factor of disjoint support is formed, and the
 comodule certificate compares a rebuilt Representation with the table.
+The ExponentMatrix check is kept as the per-entry loop it was before valid
+rows passed whole-matrix tests.  The kernel outputs are kept as they were
+before the shared residues, with a
+new Residue (or Fraction) per term, and the symbolic comodule check as it was
+before both its sides were summed on ints: over Q, as Fractions.
 Each is defined here once and imported by the tests that compare against it.
 """
 
@@ -29,10 +34,11 @@ from unirep.bch import FreeElement
 from unirep.errors import (CostBoundError, HypothesisError, NotNilpotentError, ParseError,
                            SeriesTerminationError, ShapeError, UnirepError)
 from unirep.arith import Residue, coerce_scalar
-from unirep.hopf import Polynomial, TensorElement, _convolve, _generator_power, _index, _key, tensor_of
+from unirep.hopf import (ExponentMatrix, Polynomial, TensorElement, _convolve, _generator_power, _index, _key,
+                         _monomial_coproduct, tensor_of)
 from unirep.linalg import SquareMatrix, _divided, _field_rows, _matmul, _series_walk
-from unirep.reps import ChiTable, Representation, _regime, assemble, extract_chi
-from unirep.splittings import Splitting, SplitVarId, _feeds, enumerate_splittings
+from unirep.reps import ChiTable, Report, Representation, _regime, assemble, extract_chi
+from unirep.splittings import Splitting, SplitVarId, _feeds, enumerate_splittings, split_coproduct
 
 
 # --- the one-pass exp/log series over SquareMatrix operators -----------------
@@ -393,3 +399,80 @@ def reference_certificate(rep):
         data = reps.decompose_to_layers(rep, check=False)
         if data.validate().ok and reps.construct_from_layers(data, validate=False).chi == rep.chi:
             return data
+
+
+# --- the per-entry ExponentMatrix check ---------------------------------------
+
+def reference_exponent_flat(n, rows):
+    """ExponentMatrix.__post_init__ as it was: every entry read one by one;
+    the flat upper triangle, or the ShapeError of the first bad entry."""
+    rows = tuple(tuple(r) for r in rows)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ShapeError(f"expected a {n}x{n} matrix")
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ShapeError(f"exponents must be integers, got {v!r}")
+            if v < 0:
+                raise ShapeError("exponents must be non-negative")
+            if j <= i and v != 0:
+                raise ShapeError("exponent matrix must be strictly upper triangular")
+    return tuple(v for i, row in enumerate(rows) for v in row[i + 1:])
+
+
+# --- kernel outputs with a new scalar per term; the comodule check on Fractions
+
+def reference_field_sums(sums, p, den=None):
+    """hopf._field_sums as it was: a new Residue, or Fraction over den, per term."""
+    if not p:
+        return [(k, Fraction(c, den) if den else c) for k, c in sums.items() if c]
+    return [(k, Residue(v, p)) for k, v in sums.items() if v % p]
+
+
+def reference_wrap(rows, p):
+    """linalg._wrap as it was: a new Residue per entry when p > 0."""
+    m = SquareMatrix.__new__(SquareMatrix)
+    m.size = len(rows)
+    m.entries = [[Residue(v, p) for v in row] for row in rows] if p else rows
+    return m
+
+
+def reference_comodule_findings(rep, use_splitting=False):
+    """reps._comodule_findings as it was, without its cost bound: over Q both
+    sides summed as Fractions, one per contribution."""
+    report = Report()
+    chi = rep.chi
+    n, p, d = chi.n, chi.p, chi.d
+    cells = [[[] for _ in range(d)] for _ in range(d)]
+    for M, mat in chi.support.items():
+        for a, row in enumerate(mat.entries):
+            for b, c in enumerate(row):
+                c = coerce_scalar(c, p)
+                if c:
+                    cells[a][b].append((M.flat, c.value if p else c))
+    unit = chi.get(ExponentMatrix.zero(n))
+    if unit != chi.identity_matrix():
+        report.add("chi-at-zero", "chi(0)", "identity matrix", unit)
+    via_split = use_splitting and split_coproduct(chi)
+    split = Report()
+    for a in range(d):
+        for b in range(d):
+            sums = {}
+            for flat, c in cells[a][b]:
+                for key, w in _monomial_coproduct(n, p, flat):
+                    sums[key] = sums.get(key, 0) + w * c
+            if via_split and via_split[a][b].terms != dict(reference_field_sums(sums, p)):
+                split.add("split-coproduct", f"entry ({a + 1}, {b + 1})",
+                          "splitting formula agrees with direct coproduct", "mismatch")
+            for k in range(d):
+                for f, c in cells[a][k]:
+                    for g, e in cells[k][b]:
+                        sums[f + g] = sums.get(f + g, 0) - c * e
+            if reference_field_sums(sums, p):
+                report.add("coproduct", f"entry ({a + 1}, {b + 1})",
+                           "Delta(a_ij) = sum_k a_ik (x) a_kj", "mismatch")
+            delta, counit = coerce_scalar(int(a == b), p), coerce_scalar(unit.entries[a][b], p)
+            if counit != delta:
+                report.add("counit", f"entry ({a + 1}, {b + 1})", delta, counit)
+    report.findings += split.findings
+    return report

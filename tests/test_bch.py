@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from unirep import arith
 from unirep.arith import Residue, coerce_scalar
 from unirep.bch import (
     MAX_BCH_DEGREE,
@@ -359,8 +360,11 @@ class TestEvaluation:
 
 
 class TestResidueCount:
-    """Over F_p the series and BCH evaluation run on int rows and build one
-    Residue per output entry, however many steps they take."""
+    """Over F_p the series and BCH evaluation run on int rows and build their
+    output entries once, however many steps they take.  Below
+    arith.SHARED_BELOW the entries are the shared residues, so from a cleared
+    table a call builds one Residue per distinct entry value and a repeat call
+    builds none; past it a call builds d^2."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -372,22 +376,39 @@ class TestResidueCount:
             post_init(self)
 
         monkeypatch.setattr(Residue, "__post_init__", counted)
+        monkeypatch.setattr(arith, "_SHARED", {})
         return count
 
-    @pytest.mark.parametrize("p", [7, 11, 13])
-    @pytest.mark.parametrize("d", range(1, 8))
-    def test_d_squared_per_call(self, built, d, p):
+    @staticmethod
+    def calls(d, p):
         rng = random.Random(d * p)
         comps = bch_components(max(d - 1, 1))
         x, y = random_strict_upper(d, p, rng), random_strict_upper(d, p, rng)
         g = exp_nilpotent(x, p)
-        calls = (
+        return (
             lambda: exp_nilpotent(x, p),
             lambda: exp_nilpotent(x),
             lambda: log_unipotent(g, p),
             lambda: bch_evaluate(comps, x, y),
         )
-        for call in calls:
+
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_d_squared_per_call(self, built, d, p):
+        for call in self.calls(d, p):
+            arith._SHARED.clear()
+            built[0] = 0
+            out = call()
+            assert built[0] == len({a.value for row in out.entries for a in row})
+            built[0] = 0
+            again = call()
+            assert built[0] == 0
+            assert all(a is b for r, s in zip(out.entries, again.entries) for a, b in zip(r, s))
+
+    @pytest.mark.parametrize("d", [1, 4, 7])
+    def test_d_squared_past_the_sharing_bound(self, built, d):
+        for call in self.calls(d, 2**31 - 1):
             built[0] = 0
             call()
             assert built[0] == d * d
+            assert arith._SHARED == {}
