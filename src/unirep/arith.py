@@ -7,8 +7,8 @@ prime fields F_p.  Everything is immutable and exact.
 A field of p elements has only p values, so for p below ``SHARED_BELOW`` the
 kernels that turn int results into field elements share one ``Residue`` per
 value (hash-consing): ``_residues(p)`` is a table of at most p entries, each
-built once through the checked constructor.  Past the bound nothing is
-stored and each result builds its own ``Residue``.
+built once through the checked constructor.  Past the bound it is a mapping
+that stores nothing and builds each ``Residue`` anew.
 """
 
 from __future__ import annotations
@@ -122,20 +122,26 @@ class _Shared(dict):
         return self.setdefault(value, Residue(value, self.p))  # a racing thread's stays
 
 
+class _Fresh:
+    """The residues mod p past SHARED_BELOW: each lookup builds a new one and
+    nothing is stored."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+    def __getitem__(self, value):
+        return Residue(value, self.p)
+
+
 def _residues(p):
-    """The shared table of residues mod p, {int in [0, p): Residue}, when
-    2 <= p < SHARED_BELOW; else None, and callers build each Residue anew."""
+    """{int in [0, p): Residue mod p}: the shared table when p < SHARED_BELOW,
+    else a _Fresh mapping that builds each Residue anew."""
     if not 2 <= p < SHARED_BELOW:
-        return None
+        return _Fresh(p)
     table = _SHARED.get(p)
     return _SHARED.setdefault(p, _Shared(p)) if table is None else table
-
-
-def _residue(value: int, p: int) -> Residue:
-    """The Residue of value, an int already reduced into [0, p): the shared one
-    when p < SHARED_BELOW, else a new one."""
-    table = _residues(p)
-    return Residue(value, p) if table is None else table[value]
 
 
 def _inverse(v: int, p: int) -> int:

@@ -20,7 +20,7 @@ from itertools import chain
 from math import comb, factorial, lcm, prod
 from operator import add
 
-from .arith import Residue, _residue, _residues, coerce_scalar, p_ary_digits
+from .arith import _residues, coerce_scalar, p_ary_digits
 from .errors import ShapeError
 
 __all__ = [
@@ -434,8 +434,6 @@ def _field_sums(sums, p, den=None):
             return [(k, fraction(c)) for k, c in sums.items() if c]
         return [(k, c) for k, c in sums.items() if c]
     table = _residues(p)
-    if table is None:
-        return [(k, Residue(v, p)) for k, v in sums.items() if v % p]
     return [(k, table[r]) for k, v in sums.items() if (r := v % p)]
 
 
@@ -450,12 +448,13 @@ def _int_scalars(cs, p):
 def _sum_terms(a, b, p):
     """The terms of a + b; a key whose coefficients cancel is dropped."""
     terms = dict(a)
+    table = p and _residues(p)
     for k, c in b.items():
         old = terms.get(k)
         if old is None:
             terms[k] = c
             continue
-        c = _residue((old.value + c.value) % p, p) if p else old + c
+        c = table[(old.value + c.value) % p] if p else old + c
         if c:
             terms[k] = c
         else:
@@ -469,8 +468,6 @@ def _scaled_terms(terms, c, p):
         return {}
     if p:
         v, table = c.value, _residues(p)
-        if table is None:
-            return {k: Residue(x.value * v, p) for k, x in terms.items()}
         return {k: table[x.value * v % p] for k, x in terms.items()}
     return {k: x * c for k, x in terms.items()}
 

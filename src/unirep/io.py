@@ -15,7 +15,7 @@ from .arith import check_field, coerce_scalar, scalar_from_str, scalar_to_str
 from .errors import CostBoundError, ParseError, ShapeError
 from .hopf import ExponentMatrix, variable_pairs
 from .linalg import SquareMatrix
-from .reps import ChiTable, LieLayerData, Representation, _coerced
+from .reps import ChiTable, LieLayerData, Representation
 
 __all__ = [
     "write_rep_file",
@@ -121,7 +121,7 @@ def write_rep_file(rep: Representation, body="chi") -> str:
                 {"M": _exponent_rows(M), "matrix": _matrix_to_strings(mat)}, sort_keys=True
             ))
     else:
-        items = _coerced(rep.chi).items()
+        items = rep.chi.items()
         for a in range(rep.d):
             for b in range(rep.d):
                 terms = [

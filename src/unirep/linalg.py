@@ -165,9 +165,9 @@ def _identity_rows(d, one):
 
 def _field_rows(m, p):
     """The rows of m over the field of characteristic p, read in one pass:
-    the ints of its Residues mod p, or its Fractions when p = 0.  Any other
-    entry, such as a Residue mod another prime, raises ModulusMismatchError,
-    so nothing is reduced mod the wrong p."""
+    the ints of its Residues mod p, or when p = 0 its Fractions, plain ints
+    read as their Fractions.  Any other entry, such as a Residue mod another
+    prime, raises ModulusMismatchError, so nothing is reduced mod the wrong p."""
     rows = []
     for row in m.entries:
         read = []
@@ -176,6 +176,8 @@ def _field_rows(m, p):
                 read.append(a.value)
             elif not p and type(a) is Fraction:
                 read.append(a)
+            elif not p and type(a) is int:
+                read.append(Fraction(a))
             else:
                 raise ModulusMismatchError(f"entry {a!r} is not in the field of characteristic {p}")
         rows.append(read)
@@ -221,17 +223,10 @@ def _is_nilpotent(a, cap, p=None):
 
 def _series_rows(*matrices):
     """[p, the unit, the rows of each matrix], all in the field of the first
-    entry: the ints of Residues mod p, or else with p = 0 Fractions, plain
-    ints read as Fractions.  An entry outside that field, a Polynomial
-    included, raises ModulusMismatchError, as in _field_rows."""
+    entry (p = 0 unless it is a Residue mod p), read by _field_rows."""
     first = matrices[0].entries[0][0] if matrices[0].size else None
     p = first.p if type(first) is Residue else 0
-    out = [p, 1 if p else Fraction(1)]
-    for m in matrices:
-        if not p and any(type(a) is int for row in m.entries for a in row):
-            m = m.map_entries(lambda a: Fraction(a) if type(a) is int else a)
-        out.append(_field_rows(m, p))
-    return out
+    return [p, 1 if p else Fraction(1), *(_field_rows(m, p) for m in matrices)]
 
 
 def _wrap(rows, p):
@@ -242,8 +237,7 @@ def _wrap(rows, p):
     m.size = len(rows)
     if p:
         table = _residues(p)
-        rows = ([[Residue(v, p) for v in row] for row in rows] if table is None
-                else [[table[v % p] for v in row] for row in rows])
+        rows = [[table[v % p] for v in row] for row in rows]
     m.entries = rows
     return m
 

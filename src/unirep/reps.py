@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .arith import Residue, _residues, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
+from .arith import _residues, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError, finding
 from .hopf import (
     ExponentMatrix,
     Polynomial,
+    _digits,
     _expansion_size,
     _field_sums,
     _index,
@@ -42,6 +43,7 @@ from .linalg import (
     _is_nilpotent,
     _matmul,
     _series_walk,
+    _wrap,
 )
 from .splittings import split_coproduct
 
@@ -101,8 +103,19 @@ def _bracket_image(images, rs, tu, p):
     return None
 
 
+def _field_matrix(mat, p):
+    """mat if it is over the field of characteristic p, the first entry
+    outside it raising ModulusMismatchError (linalg._field_rows); at p = 0 the
+    matrix of its Fractions.  None for the zero matrix."""
+    rows = _field_rows(mat, p)
+    if any(map(any, rows)):
+        return mat if p else _wrap(rows, 0)
+
+
 class ChiTable:
-    """Finite map from exponent matrices to d x d coefficient matrices."""
+    """Finite map from exponent matrices to d x d coefficient matrices over
+    F_p (Residues mod p) or Q (Fractions; plain ints are read as theirs).
+    The matrices are read in insertion order and zero ones are dropped."""
 
     __slots__ = ("n", "p", "d", "support")
 
@@ -114,7 +127,7 @@ class ChiTable:
         for M, mat in support.items():
             if M.n != n or mat.size != d:
                 raise ShapeError("chi table entry has wrong dimensions")
-            if not mat.is_zero():
+            if (mat := _field_matrix(mat, p)) is not None:
                 clean[M] = mat
         self.support = clean
 
@@ -133,13 +146,12 @@ class ChiTable:
         return sorted(self.support.items(), key=lambda kv: kv[0].sort_key())
 
     def single_position_items(self):
-        """The supported (r, (i, j), matrix) with M = r * eps_ij."""
+        """The supported (r, (i, j), matrix) with M = r * eps_ij, in key order."""
+        singles = [M for M in self.support if len(M.flat) - M.flat.count(0) == 1]
         out = []
-        for M, mat in self.items():
-            pos = list(M.positions())
-            if len(pos) == 1:
-                (i, j), r = pos[0]
-                out.append((r, (i, j), mat))
+        for M in sorted(singles, key=ExponentMatrix.sort_key):
+            ((i, j), r), = M.positions()
+            out.append((r, (i, j), self.support[M]))
         return out
 
     def __eq__(self, other):
@@ -160,17 +172,6 @@ def assemble(chi: ChiTable) -> SquareMatrix:
         for a in range(chi.d)
     ]
     return SquareMatrix(entries)
-
-
-def _coerced(chi: ChiTable) -> ChiTable:
-    """chi with every entry through coerce_scalar, taken cell by cell over the
-    support as assemble takes them, so that the same entry raises first."""
-    p, d = chi.p, chi.d
-    items = list(chi.support.items())
-    cells = [[coerce_scalar(mat.entries[a][b], p) for _, mat in items]
-             for a in range(d) for b in range(d)]
-    return ChiTable(chi.n, p, d, {M: SquareMatrix(flat[a * d:(a + 1) * d] for a in range(d))
-                                  for (M, _), flat in zip(items, zip(*cells))})
 
 
 def extract_chi(pm: SquareMatrix, n=None, p=None) -> ChiTable:
@@ -221,7 +222,8 @@ class Representation:
 
 
 class LieLayerData:
-    """Ordered Frobenius layers: maps (i, j) -> d x d image of eps_ij.
+    """Ordered Frobenius layers: maps (i, j) -> d x d image of eps_ij, each
+    read into the field as ChiTable reads its matrices.
 
     Zero images are normalized away inside each layer; a wholly absent pair
     means the zero matrix.
@@ -241,7 +243,7 @@ class LieLayerData:
                     raise ShapeError(f"basis pair ({i}, {j}) out of range")
                 if mat.size != d:
                     raise ShapeError("layer image has wrong dimension")
-                if not mat.is_zero():
+                if (mat := _field_matrix(mat, p)) is not None:
                     clean[(i, j)] = mat
             norm.append(clean)
         self.layers = tuple(norm)
@@ -320,13 +322,11 @@ def _certificate(rep: Representation):
     """rep's layers if they validate and rebuild rep, else None.  For p >= max(n, 2d),
     or p = 0 with one layer, that is exactly when rep is a comodule: valid layers
     construct one, and by the paper's main theorem a comodule is the construction
-    of its layers chi(p^l eps_ij).  Any refusal (a walk past its bound) is None.
-    Rows compare as ChiTable entries did: Residue values mod p, raw entries at p = 0."""
+    of its layers chi(p^l eps_ij).  Any refusal (a walk past its bound) is None."""
     with contextlib.suppress(UnirepError):
         data = decompose_to_layers(rep, check=False)
         if data.validate().ok:
-            table = {M.flat: _field_rows(m, rep.p) if rep.p else m.entries
-                     for M, m in rep.chi.support.items()}
+            table = {M.flat: _field_rows(m, rep.p) for M, m in rep.chi.support.items()}
             if _walk(data, table) == table:
                 return data
 
@@ -346,8 +346,8 @@ MAX_COMODULE_EXPONENTS = 3 * 10**8
 
 
 def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
-    """Check chi(0) = Id and, on the chi table read through coerce_scalar,
-    Delta(a_ij) = sum_k a_ik (x) a_kj and eps(a_ij) = delta_ij: for each (a, b)
+    """Check chi(0) = Id and, on the chi table, Delta(a_ij) = sum_k a_ik (x) a_kj
+    and eps(a_ij) = delta_ij: for each (a, b)
 
         sum_M chi(M)_ab Delta(x^M) = sum_k sum_{M1, M2} chi(M1)_ak chi(M2)_kb x^M1 (x) x^M2
 
@@ -366,7 +366,6 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
         size = _expansion_size(n, p, M.flat)
         for a, row in enumerate(mat.entries):
             for b, c in enumerate(row):
-                c = coerce_scalar(c, p)
                 if c:
                     nonzero.append((a, b, M.flat, c))
                     terms += size
@@ -383,8 +382,8 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
     if cost > MAX_COMODULE_EXPONENTS:
         raise CostBoundError(f"the comodule check costs {cost} exponents ({terms} terms), "
                              f"over the bound of {MAX_COMODULE_EXPONENTS}")
-    unit = chi.get(ExponentMatrix.zero(n))
-    if unit != chi.identity_matrix():
+    unit, one = chi.get(ExponentMatrix.zero(n)), chi.identity_matrix()
+    if unit != one:
         report.add("chi-at-zero", "chi(0)", "identity matrix", unit)
     image = functools.cache(functools.partial(_monomial_coproduct, n, p))
     via_split = use_splitting and split_coproduct(chi)
@@ -409,7 +408,7 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
             if _field_sums(sums, p):
                 report.add("coproduct", f"entry ({a + 1}, {b + 1})",
                            "Delta(a_ij) = sum_k a_ik (x) a_kj", "mismatch")
-            delta, counit = coerce_scalar(int(a == b), p), coerce_scalar(unit.entries[a][b], p)
+            delta, counit = one.entries[a][b], unit.entries[a][b]
             if counit != delta:
                 report.add("counit", f"entry ({a + 1}, {b + 1})", delta, counit)
     report.findings += split.findings
@@ -535,9 +534,8 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
         report = data.validate()
         if not report.ok:
             raise HypothesisError(f"layer data invariants fail: {report.findings}")
-    table = _residues(p)  # None at p = 0 and past the bound; the walk's rows are reduced into [0, p)
-    scalar = table.__getitem__ if table is not None else functools.cache(
-        functools.partial(Residue, p=p) if p else Fraction)  # immutable, so shared
+    # the walk's rows are reduced into [0, p); Fractions are immutable, so shared
+    scalar = _residues(p).__getitem__ if p else functools.cache(Fraction)
     return Representation(ChiTable(n, p, d, {
         _key(n, flat): SquareMatrix([list(map(scalar, row)) for row in rows])
         for flat, rows in _walk(data).items()
@@ -666,7 +664,7 @@ def _chi_power_items(chi: ChiTable):
     single layer is chi(eps_ij)."""
     out = []
     for r, (i, j), mat in chi.single_position_items():
-        digits = p_ary_digits(r, chi.p).digits if chi.p else (r,)
+        digits = _digits(r, chi.p)
         if sum(digits) == 1:
             out.append((digits.index(1), (i, j), mat))
     return out
@@ -738,7 +736,8 @@ def audit_structure_lemmas(rep: Representation) -> Report:
             report.add("factorization", f"chi({M})",
                        "product of chi(m_ij eps_ij), rows reversed", "mismatch")
 
-    for r, (i, j), _ in chi.single_position_items():
+    singles = chi.single_position_items()
+    for r, (i, j), _ in singles:
         digits = p_ary_digits(r, p).digits
         factors = [chi_at(i, j, p**t) for t in range(len(digits))]
         for (ta, fa), (tb, fb) in itertools.combinations(enumerate(factors), 2):
@@ -755,7 +754,6 @@ def audit_structure_lemmas(rep: Representation) -> Report:
             report.add("gamma-formula", f"chi({r} eps_{i}{j})",
                        "Gamma(r)^-1 prod chi(p^t eps_ij)^{r_t}", "mismatch")
 
-    singles = chi.single_position_items()
     carries = functools.cache(sum_carries)  # decided once per distinct (r, s)
     for (r, ij, _), (s, uv, _) in itertools.product(singles, singles):
         if carries(r, s, p):  # ChiTable keeps no zero matrix in its support
@@ -769,7 +767,7 @@ def frobenius_twist_rep(rep: Representation) -> Representation:
     is again a representation whose layers are the input's shifted up by one."""
     if rep.p == 0:
         raise HypothesisError("the twist needs a positive characteristic")
-    chi = _coerced(rep.chi)
+    chi = rep.chi
     return Representation(ChiTable(chi.n, chi.p, chi.d,
                                    {M.scale(chi.p): mat for M, mat in chi.support.items()}))
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import coerce_scalar, matrix_multinomial
+from .arith import matrix_multinomial
 from .errors import CostBoundError, ShapeError, finding
 from .hopf import ExponentMatrix, TensorElement, _compositions, _int_scalars, variable_pairs
 
@@ -227,10 +227,9 @@ def _feeds(n):
 def split_coproduct(chi):
     """The d x d grid of Delta(a_ij) computed by the closed formula.
 
-    ``chi`` provides n, p, d and a finite support mapping exponent matrices to
-    d x d scalar matrices.  For each supported M and each splitting, the term
-    is weighted by the matrix multinomial and placed at the exponents given by
-    the L/R evaluations.  The weights of one M are summed per L/R key before
+    ``chi`` is a ChiTable, so its entries are already in the field.  For each
+    supported M and each splitting, the term is weighted by the matrix
+    multinomial and placed at the exponents given by the L/R evaluations.  The weights of one M are summed per L/R key before
     the d x d cells are touched, times each entry's int (over Q, its numerator
     over the table's common denominator).
     """
@@ -238,7 +237,7 @@ def split_coproduct(chi):
     feeds = _feeds(n)
     width = n * (n - 1)  # the L entries, then the R entries
     grid = [[{} for _ in range(d)] for _ in range(d)]
-    support = [(M, [(grid[a][b], coerce_scalar(c, p)) for a, row in enumerate(mat.entries)
+    support = [(M, [(grid[a][b], c) for a, row in enumerate(mat.entries)
                     for b, c in enumerate(row) if c]) for M, mat in chi.items()]
     values, den = _int_scalars([c for _, cells in support for _, c in cells], p)
     values = iter(values)

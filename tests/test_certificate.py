@@ -9,8 +9,9 @@ what the symbolic path gives, and the command line must print the same
 bytes and exit with the same code with the certificate and without it.  The
 certificate compares the walk's rows with the table's; the one it replaced,
 which compared a rebuilt Representation (tests/oracles.py), must give the
-same verdict on the corpus, on entries outside the field and wherever the
-walk bound refuses.
+same verdict on the corpus, on plain-int tables at p = 0 and wherever the
+walk bound refuses.  Tables with entries outside the field are refused when
+they are built.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ import pytest
 
 from unirep import cli, reps
 from unirep.arith import Residue
-from unirep.errors import UnirepError
+from unirep.errors import ModulusMismatchError, UnirepError
 from unirep.hopf import ExponentMatrix, variable_pairs
 from unirep.io import write_rep_file
 from unirep.linalg import SquareMatrix, scalar_matrix
@@ -178,23 +179,36 @@ def test_valid_tables_take_no_other_check(tmp_path, monkeypatch):
 
 
 def test_entries_outside_the_field_are_not_certified():
-    plain = Representation(ChiTable(2, 7, 2, {  # plain ints, which the symbolic check reads mod 7
-        ExponentMatrix.zero(2): SquareMatrix([[1, 0], [0, 1]]),
-        ExponentMatrix.epsilon(2, 1, 2): SquareMatrix([[0, 1], [0, 0]])}))
-    assert reps._certificate(plain) is None
-    assert verify_comodule(plain).findings == reps._comodule_findings(plain).findings != []
+    # plain ints are refused at p = 7, where the symbolic check once read them
+    # mod 7 and the certificate did not; at p = 0 they are read as their
+    # Fractions, and that table is certified as its residues mod 7 are
+    rows = {ExponentMatrix.zero(2): [[1, 0], [0, 1]], ExponentMatrix.epsilon(2, 1, 2): [[0, 1], [0, 0]]}
+    with pytest.raises(ModulusMismatchError, match=r"^entry 1 is not in the field of characteristic 7$"):
+        ChiTable(2, 7, 2, {M: SquareMatrix(r) for M, r in rows.items()})
+    for p, read in [(7, lambda r: scalar_matrix(r, 7)), (0, SquareMatrix)]:
+        rep = Representation(ChiTable(2, p, 2, {M: read(r) for M, r in rows.items()}))
+        assert reps._certificate(rep) is not None
+        assert verify_comodule(rep).findings == reps._comodule_findings(rep).findings == []
 
 
 def entries_replaced(rep, keys, read):
-    """rep with every entry of the given keys passed through ``read``."""
-    return table(rep, {M: SquareMatrix([[read(a) for a in row] for row in m.entries]) if M in keys else m
-                       for M, m in rep.chi.support.items()})
+    """rep with every entry of the given keys passed through ``read``; where
+    the constructor refuses that, its message and the message that names the
+    first entry read, the top left one of the first such key."""
+    support = {M: SquareMatrix([[read(a) for a in row] for row in m.entries]) if M in keys else m
+               for M, m in rep.chi.support.items()}
+    try:
+        return table(rep, support)
+    except ModulusMismatchError as exc:
+        first = read(next(m for M, m in rep.chi.support.items() if M in keys).entries[0][0])
+        return str(exc), f"entry {first!r} is not in the field of characteristic {rep.p}"
 
 
 def outside_the_field():
-    """Tables whose entries the field reader refuses somewhere: a Residue mod
-    another prime and plain ints at p > 0, plain ints at p = 0 (which equal
-    their Fractions), on chi(0), on a layer key or everywhere."""
+    """Tables with entries that the field reader does not take as they are: a
+    Residue mod another prime and plain ints at p > 0, which the constructor
+    refuses, and plain ints at p = 0, which it reads as their Fractions; on
+    chi(0), on a layer key or everywhere."""
     out = []
     for n, d, p, layers, seed in [(3, 3, 11, 2, 0), (4, 3, 13, 1, 1), (4, 3, 0, 1, 0), (5, 3, 0, 1, 2)]:
         rep = construct_from_layers(random_layer_data(n, d, p, layers, seed))
@@ -219,14 +233,24 @@ OUTSIDE = outside_the_field()
 
 @pytest.mark.parametrize("name, rep", CORPUS + OUTSIDE, ids=[name for name, _ in CORPUS + OUTSIDE])
 def test_certificate_matches_the_rebuilt_representation(name, rep):
-    assert reps._certificate(rep) == reference_certificate(rep)
+    if isinstance(rep, tuple):  # refused when built, naming the first entry outside the field
+        got, want = rep
+        assert got == want
+    else:
+        assert reps._certificate(rep) == reference_certificate(rep)
 
 
 def test_entries_outside_the_field_have_both_verdicts():
-    verdicts = {name: reps._certificate(rep) is not None for name, rep in OUTSIDE}
-    assert verdicts["4-3-0-1 ints on chi(0)"] and verdicts["5-3-0-1 ints on other"]
-    assert not any(certified for name, certified in verdicts.items() if not name.startswith(("4-3-0", "5-3-0")))
-    assert not verdicts["4-3-0-1 ints on layer"] and not verdicts["5-3-0-1 ints on every key"]
+    # refused at p > 0; at p = 0 the ints equal their Fractions, so each table
+    # is the valid one it was made from, and certified
+    over_q = {"4-3-0-1": (4, 3, 0, 1, 0), "5-3-0-1": (5, 3, 0, 1, 2)}
+    for name, rep in OUTSIDE:
+        shape = over_q.get(name.split()[0])
+        if shape is None:
+            assert isinstance(rep, tuple)
+        else:
+            assert rep == construct_from_layers(random_layer_data(*shape))
+            assert reps._certificate(rep) is not None
 
 
 def least_bound(rep, monkeypatch):

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from unirep import hopf
-from unirep.arith import Residue
-from unirep.errors import ConversionError, ModulusMismatchError
+from unirep.arith import Residue, coerce_scalar
+from unirep.errors import ModulusMismatchError
 from unirep.hopf import ExponentMatrix, Polynomial, coproduct, variable_pairs
 from unirep.linalg import SquareMatrix, scalar_matrix
 from unirep.reps import ChiTable, Representation
@@ -131,27 +131,31 @@ class TestSplitCoproduct:
                     assert str(grid[a][b]) == str(direct)
 
     def test_entry_that_reduces_to_zero_keeps_its_key_order(self):
-        # x13 sorts first; its raw 5 is zero over F_5 but puts x12 (x) x23, which
-        # Delta(x12 x23) also holds, into the cell first, as before
+        # x13 sorts first; a raw 5 there is refused, and the Residue 5 = 0 of F_5
+        # leaves the table without x13, so the cell has Delta(x12 x23)'s own order
         M1 = ExponentMatrix.epsilon(3, 1, 3)
         M2 = ExponentMatrix.epsilon(3, 1, 2) + ExponentMatrix.epsilon(3, 2, 3)
-        chi = ChiTable(3, 5, 1, {M2: SquareMatrix([[Residue(1, 5)]]), M1: SquareMatrix([[5]])})
+        with pytest.raises(ModulusMismatchError, match="^entry 5 is not in the field of characteristic 5$"):
+            ChiTable(3, 5, 1, {M2: SquareMatrix([[Residue(1, 5)]]), M1: SquareMatrix([[5]])})
+        chi = ChiTable(3, 5, 1, {M2: SquareMatrix([[Residue(1, 5)]]), M1: SquareMatrix([[Residue(5, 5)]])})
+        assert list(chi.support) == [M2]
         fast = split_coproduct(chi)[0][0]
-        assert next(iter(fast.terms)) == (1, 0, 0, 0, 0, 1)
+        assert next(iter(fast.terms)) == (1, 0, 1, 0, 0, 0)
         assert_same(fast, reference_split_coproduct_sums(chi)[0][0])
+        assert fast == coproduct(x(3, 5, (1, 2), (2, 3)))
 
-    @pytest.mark.parametrize("p, first, second, error", [
-        (5, Fraction(1, 5), Residue(1, 7), ConversionError),
-        (5, Residue(1, 7), Fraction(1, 5), ModulusMismatchError),
-        (0, Residue(1, 7), Fraction(1, 2), ConversionError),
+    @pytest.mark.parametrize("p, first, second, named", [
+        (5, Fraction(1, 5), Residue(1, 7), "second"),
+        (5, Residue(1, 7), Fraction(1, 5), "second"),
+        (0, Residue(1, 7), Fraction(1, 2), "first"),  # a Fraction is in the field at p = 0
     ])
-    def test_first_bad_entry_raises_first(self, p, first, second, error):
-        # the support is read in sort order, each matrix row by row
+    def test_first_bad_entry_raises_first(self, p, first, second, named):
+        # the constructor reads the matrices in insertion order, each row by row,
+        # so second, in e, is read before first, in z, though z sorts first
+        one, zero = coerce_scalar(1, p), coerce_scalar(0, p)
         z, e = ExponentMatrix.zero(2), ExponentMatrix.epsilon(2, 1, 2)
-        chi = ChiTable(2, p, 2, {e: SquareMatrix([[1, 0], [second, 1]]),
-                                 z: SquareMatrix([[1, first], [0, 1]])})
-        with pytest.raises(error) as fast:
-            split_coproduct(chi)
-        with pytest.raises(error) as slow:
-            reference_split_coproduct_sums(chi)
-        assert str(fast.value) == str(slow.value)
+        with pytest.raises(ModulusMismatchError) as refused:
+            ChiTable(2, p, 2, {e: SquareMatrix([[one, zero], [second, one]]),
+                               z: SquareMatrix([[one, first], [zero, one]])})
+        entry = {"first": first, "second": second}[named]
+        assert str(refused.value) == f"entry {entry!r} is not in the field of characteristic {p}"

@@ -415,52 +415,58 @@ def test_pinned_cases_match_the_oracle():
         assert audit_structure_lemmas(rep).findings == reference_audits(rep).findings
 
 
-# --- the field of every entry is checked where the rows are read --------------
+# --- the field of every entry is checked where the table is built ------------
 
-def with_chi(support, n, p, d=2):
-    """A Representation over ``support`` as given: nothing reads its entries
-    until a check does, since the polynomial matrix is assembled lazily."""
-    return Representation(ChiTable(n, p, d, support))
+def refusal(build):
+    """The message of the ModulusMismatchError that build() raises."""
+    with pytest.raises(ModulusMismatchError) as exc:
+        build()
+    return str(exc.value)
 
 
 def test_validate_refuses_images_mod_another_prime():
+    # the constructor reads every image into the field, so validate sees none outside it
     all_mod_q = layer_data(3, 11, [{(1, 2): E12, (2, 3): E21}])
-    mixed = LieLayerData(3, 7, 2, [{(1, 2): scalar_matrix(E12, 7),
-                                    (2, 3): scalar_matrix(E21, 11)}])
-    for data in (LieLayerData(3, 7, 2, all_mod_q.layers), mixed):
-        with pytest.raises(ModulusMismatchError):
-            data.validate()
-    with pytest.raises(ModulusMismatchError):  # residues where p = 0 means Q
-        LieLayerData(2, 0, 2, [{(1, 2): scalar_matrix(E12, 7)}]).validate()
-    with pytest.raises(ModulusMismatchError):  # and rationals where p = 7
-        LieLayerData(2, 7, 2, [{(1, 2): scalar_matrix(E12, 0)}]).validate()
+    mixed = [{(1, 2): scalar_matrix(E12, 7), (2, 3): scalar_matrix(E21, 11)}]
+    for n, p, layers, entry in [(3, 7, all_mod_q.layers, "Residue(value=0, p=11)"),
+                                (3, 7, mixed, "Residue(value=0, p=11)"),
+                                (2, 0, [{(1, 2): scalar_matrix(E12, 7)}], "Residue(value=0, p=7)"),  # p = 0 means Q
+                                (2, 7, [{(1, 2): scalar_matrix(E12, 0)}], "Fraction(0, 1)"),
+                                (2, 7, [{(1, 2): SquareMatrix(E12)}], "0")]:
+        message = refusal(lambda: LieLayerData(n, p, 2, layers))
+        assert message == f"entry {entry} is not in the field of characteristic {p}"
+    ints = LieLayerData(2, 0, 2, [{(1, 2): SquareMatrix(E12)}])  # read as their Fractions
+    assert ints == layer_data(2, 0, [{(1, 2): E12}]) and ints.validate().ok
+
+
+# Supports over F_7 with an entry outside it, and the first such entry.
+OUTSIDE_F7 = [
+    ({ExponentMatrix.zero(2): scalar_matrix(I2, 11), ExponentMatrix.epsilon(2, 1, 2): scalar_matrix(E12, 11)},
+     "Residue(value=1, p=11)"),
+    ({ExponentMatrix.zero(2): scalar_matrix(I2, 7), ExponentMatrix.epsilon(2, 1, 2): scalar_matrix(E12, 11)},
+     "Residue(value=0, p=11)"),
+    ({ExponentMatrix.zero(2): scalar_matrix(I2, 0), ExponentMatrix.epsilon(2, 1, 2): scalar_matrix(E12, 0)},
+     "Fraction(1, 1)"),
+]
+
+
+def assert_refused_at_construction():
+    for support, entry in OUTSIDE_F7:
+        message = refusal(lambda: ChiTable(2, 7, 2, support))
+        assert message == f"entry {entry} is not in the field of characteristic 7"
 
 
 @pytest.mark.parametrize("check", [verify_chi_relations, audit_structure_lemmas])
 def test_chi_checks_refuse_entries_mod_another_prime(check):
-    n, p, q = 2, 7, 11
-    zero, eps = ExponentMatrix.zero(n), ExponentMatrix.epsilon(n, 1, 2)
-    all_mod_q = {zero: scalar_matrix(I2, q), eps: scalar_matrix(E12, q)}
-    mixed = {zero: scalar_matrix(I2, p), eps: scalar_matrix(E12, q)}
-    for support in (all_mod_q, mixed):
-        with pytest.raises(ModulusMismatchError):
-            check(with_chi(support, n, p))
-    # rationals in a mod-p table coerce into F_p, but are not read as residues
-    rationals = Representation(ChiTable(n, p, 2, {zero: scalar_matrix(I2, 0),
-                                                   eps: scalar_matrix(E12, 0)}))
-    with pytest.raises(ModulusMismatchError):
-        check(rationals)
+    # the table's constructor refuses them, so no check reads them; over F_7 the table passes
+    assert_refused_at_construction()
+    assert check(chi_rep(2, 7, {(): I2, ((1, 2, 1),): E12})).ok
 
 
 def test_pointwise_check_refuses_entries_outside_the_field():
-    """The pointwise check reads chi through the same row reader as the chi
-    checks, so an entry outside F_p is refused, not evaluated."""
-    n, p, q = 2, 7, 11
-    zero, eps = ExponentMatrix.zero(n), ExponentMatrix.epsilon(n, 1, 2)
-    for support in ({zero: scalar_matrix(I2, q), eps: scalar_matrix(E12, q)},
-                    {zero: scalar_matrix(I2, p), eps: scalar_matrix(E12, q)},
-                    {zero: scalar_matrix(I2, 0), eps: scalar_matrix(E12, 0)}):
-        for mode in ("exhaustive", "sampled"):
-            with pytest.raises(ModulusMismatchError):
-                verify_group_law_pointwise(with_chi(support, n, p), mode=mode)
+    """An entry outside F_p is refused when the table is built, so the
+    pointwise check never evaluates one."""
+    assert_refused_at_construction()
+    for mode in ("exhaustive", "sampled"):
+        assert verify_group_law_pointwise(chi_rep(2, 7, {(): I2, ((1, 2, 1),): E12}), mode=mode).ok
 

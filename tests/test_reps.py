@@ -679,30 +679,38 @@ class TestComoduleOracle:
         assert "/" in name or not got  # the uncorrupted reps pass
 
     def test_plain_int_entries(self):
+        # refused at p > 0, where the symbolic check read them mod p but its
+        # chi(0) comparison did not; read as their Fractions at p = 0
         e12 = ExponentMatrix.epsilon(2, 1, 2)
-        rep = Representation(ChiTable(2, 7, 2, {ExponentMatrix.zero(2): SquareMatrix([[1, 0], [0, 1]]),
-                                                 e12: SquareMatrix([[0, 7], [0, 0]])}))
-        expected = [{"check": "chi-at-zero", "location": "chi(0)",
-                     "expected": "identity matrix", "actual": "[1, 0; 0, 1]"}]
-        assert verify_comodule(rep).findings == reference_verify_comodule(rep) == expected
+        support = {ExponentMatrix.zero(2): SquareMatrix([[1, 0], [0, 1]]), e12: SquareMatrix([[0, 7], [0, 0]])}
+        with pytest.raises(ModulusMismatchError, match=r"^entry 1 is not in the field of characteristic 7$"):
+            ChiTable(2, 7, 2, support)
+        over_q = ChiTable(2, 0, 2, support)
+        assert over_q.support[e12].entries == [[Fraction(0), Fraction(7)], [Fraction(0), Fraction(0)]]
+        mod_7 = ChiTable(2, 7, 2, {M: scalar_matrix(m.entries, 7) for M, m in support.items()})
+        assert list(mod_7.support) == [ExponentMatrix.zero(2)]  # 7 = 0 in F_7
+        for chi in (over_q, mod_7):
+            rep = Representation(chi)
+            assert verify_comodule(rep).findings == reference_verify_comodule(rep) == []
 
     def test_fraction_entry(self):
+        one, zero = Residue(1, 7), Residue(0, 7)
+        with pytest.raises(ModulusMismatchError, match=r"^entry Fraction\(1, 2\) is not in the field of characteristic 7$"):
+            ChiTable(2, 7, 2, {ExponentMatrix.zero(2): SquareMatrix([[one, zero], [zero, Fraction(1, 2)]])})
         half = SquareMatrix([[1, 0], [0, Fraction(1, 2)]])
-        rep = Representation(ChiTable(2, 7, 2, {ExponentMatrix.zero(2): half}))
+        rep = Representation(ChiTable(2, 0, 2, {ExponentMatrix.zero(2): half}))
         findings = verify_comodule(rep).findings
         assert findings == reference_verify_comodule(rep)
         assert [(f["check"], f["location"], f["actual"]) for f in findings] == [
             ("chi-at-zero", "chi(0)", "[1, 0; 0, 1/2]"),
             ("coproduct", "entry (2, 2)", "mismatch"),
-            ("counit", "entry (2, 2)", "4")]
+            ("counit", "entry (2, 2)", "1/2")]
 
     def test_entries_mod_another_prime_refused(self):
-        rep = Representation(ChiTable(2, 7, 2, {
-            ExponentMatrix.zero(2): scalar_matrix([[1, 0], [0, 1]], 7),
-            ExponentMatrix.epsilon(2, 1, 2): scalar_matrix([[0, 1], [0, 0]], 11)}))
-        for check in (verify_comodule, reference_verify_comodule):
-            with pytest.raises(ModulusMismatchError):
-                check(rep)
+        with pytest.raises(ModulusMismatchError, match=r"^entry Residue\(value=0, p=11\) is not in the field "
+                                                       r"of characteristic 7$"):
+            ChiTable(2, 7, 2, {ExponentMatrix.zero(2): scalar_matrix([[1, 0], [0, 1]], 7),
+                               ExponentMatrix.epsilon(2, 1, 2): scalar_matrix([[0, 1], [0, 0]], 11)})
 
     def test_memory_holds_one_entry(self):
         rep = construct_from_layers(random_layer_data(40, 3, 41, 1, seed=0))

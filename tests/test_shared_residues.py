@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from unirep import arith, reps
-from unirep.arith import SHARED_BELOW, Residue, _residue
+from unirep.arith import SHARED_BELOW, Residue
 from unirep.errors import ShapeError
 from unirep.hopf import ExponentMatrix, Polynomial, _field_sums, coproduct
 from unirep.linalg import _wrap, exp_nilpotent
@@ -134,11 +134,11 @@ class TestTable:
         values = range(0, 10**5 * 7919, 7919)  # 10^5 distinct values below 2^31 - 1
         out = _field_sums({(v,): v for v in values}, LARGE)
         assert [c.value for _, c in out] == list(values)[1:]
-        assert [_residue(v, LARGE).value for v in values] == list(values)
+        assert [arith._residues(LARGE)[v].value for v in values] == list(values)
         assert arith._SHARED == {}
         for p in (q for q in range(2, SHARED_BELOW) if all(q % r for r in range(2, math.isqrt(q) + 1))):
             for v in range(p):
-                _residue(v, p)
+                arith._residues(p)[v]
         bound = sum(arith._SHARED)  # each table full: p entries per prime p below SHARED_BELOW
         assert sum(map(len, arith._SHARED.values())) == bound == 80189
         assert built[0] == bound + 2 * 10**5 - 1
@@ -146,21 +146,21 @@ class TestTable:
     @pytest.mark.parametrize("value", [-1, 5, 7, 2**64])
     def test_unreduced_value_refused(self, built, value):
         with pytest.raises(ValueError, match="not reduced"):
-            _residue(value, 5)
+            arith._residues(5)[value]
         assert arith._SHARED[5] == {} and built[0] == 0
 
     def test_moduli_outside_the_table(self, built):
         for p in (LARGE, SHARED_BELOW):
-            assert _residue(3, p) == Residue(3, p)
+            assert arith._residues(p)[3] == Residue(3, p)
         with pytest.raises(ValueError, match="modulus"):
-            _residue(0, 1)
+            arith._residues(1)[0]
         assert arith._SHARED == {}
 
     def test_shared_residues_stay_immutable(self):
-        r = _residue(3, 7)
+        r = arith._residues(7)[3]
         with pytest.raises(AttributeError):
             r.value = 4
-        assert _residue(3, 7) is r and r.value == 3
+        assert arith._residues(7)[3] is r and r.value == 3
 
     def test_threads_get_the_same_residues(self, monkeypatch):
         monkeypatch.setattr(arith, "_SHARED", {})
@@ -168,7 +168,7 @@ class TestTable:
         results = [None] * 8
 
         def work(k):
-            results[k] = [[_residue(v, p) for v in range(p)] for p in primes]
+            results[k] = [[arith._residues(p)[v] for v in range(p)] for p in primes]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
