@@ -1,12 +1,12 @@
 """The representing Hopf algebra of U_n.
 
-Polynomials in the commuting variables x_ij (1 <= i < j <= n) are keyed by
-whole exponent matrices: the monomial x^M is the strictly upper-triangular
-matrix M of its exponents.  The tensor square is the polynomial ring in the
-2N variables of both factors, N = n(n-1)/2, so its elements are keyed by one
-flat tuple of 2N exponents, the left factor's then the right factor's; both
-types share one term algebra.  The coproduct encodes matrix multiplication
-in U_n:
+Polynomials in the N = n(n-1)/2 commuting variables x_ij (1 <= i < j <= n)
+are keyed by the flat tuple of their exponents in variable_pairs(n) order:
+the monomial x^M is the flat upper triangle of its strictly upper-triangular
+exponent matrix M.  The tensor square is the polynomial ring in the 2N
+variables of both factors, so its elements are keyed by one flat tuple of 2N
+exponents, the left factor's then the right factor's; both types share one
+term algebra.  The coproduct encodes matrix multiplication in U_n:
 
     Delta(x_ij) = 1 (x) x_ij  +  sum_{k=i+1}^{j-1} x_ik (x) x_kj  +  x_ij (x) 1
 """
@@ -201,12 +201,10 @@ class _Terms:
     """The term algebra that Polynomial and TensorElement share: ``terms`` maps
     each key to a nonzero element of Q (p == 0) or F_p (p prime).
 
-    A subclass fixes the key layout: ``_is_key`` says what a key is,
-    ``_flat_items`` reads each key as one flat tuple of exponents,
-    ``_from_flat`` builds keys back from flat tuples, ``_scale_key`` raises
-    each exponent of a key to a multiple, and ``one``, ``coefficient`` and
-    ``__str__`` read or build its keys.  Elements of two types, or of two
-    rings, do not mix: combining them raises ShapeError.
+    A key is one flat tuple of exponents, N = n(n-1)/2 of them for each of
+    the ``_factors`` factors of the ring: N for a polynomial, 2N for the
+    tensor square.  Elements of two types, or of two rings, do not mix:
+    combining them raises ShapeError.
     """
 
     __slots__ = ("n", "p", "terms")
@@ -214,11 +212,15 @@ class _Terms:
     def __init__(self, n, p, terms=None):
         self.n = n
         self.p = p
+        width = self._factors * n * (n - 1) // 2
         clean = {}
         for key, c in (terms or {}).items():
             c = coerce_scalar(c, p)
             if c:
-                if not self._is_key(key, n):
+                if type(key) is ExponentMatrix and self._factors == 1 and key.n == n:
+                    key = key.flat
+                elif not (type(key) is tuple and len(key) == width
+                          and all(type(v) is int and v >= 0 for v in key)):
                     raise ShapeError(f"term key {key!r} is not {self._key_kind} of size {n}")
                 clean[key] = c
         self.terms = clean
@@ -231,8 +233,24 @@ class _Terms:
         return f
 
     @classmethod
+    def _from_flat(cls, n, p, sums, den=None):
+        """The element with the nonzero sums of {flat key: int (p > 0) or
+        Fraction, or int over den}."""
+        return cls._trusted(n, p, dict(_field_sums(sums, p, den)))
+
+    @classmethod
     def zero(cls, n, p):
         return cls(n, p)
+
+    @classmethod
+    def one(cls, n, p):
+        return cls._trusted(n, p, {(0,) * (cls._factors * n * (n - 1) // 2): coerce_scalar(1, p)})
+
+    def _flat_items(self):
+        """(key, int) over F_p, (key, Fraction) over Q."""
+        if self.p:
+            return [(k, c.value) for k, c in self.terms.items()]
+        return self.terms.items()
 
     def _check(self, other):
         if type(other) is not type(self) or self.n != other.n or self.p != other.p:
@@ -265,7 +283,7 @@ class _Terms:
         distinct ones to distinct ones, since e is an int >= 1."""
         if type(e) is not int or e < 1:
             raise ValueError(f"substitution power must be an integer at least 1, got {e!r}")
-        return self._trusted(self.n, self.p, {self._scale_key(k, e): c for k, c in self.terms.items()})
+        return self._trusted(self.n, self.p, {tuple(e * v for v in k): c for k, c in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -278,36 +296,16 @@ class _Terms:
 
 
 class Polynomial(_Terms):
-    """Exact polynomial over Q (p == 0) or F_p (p prime), keyed by exponent matrices."""
+    """Exact polynomial over Q (p == 0) or F_p (p prime), keyed by the flat
+    tuple of its N exponents; the constructor and ``coefficient`` also take
+    an ExponentMatrix of size n, read as its ``flat``."""
 
     __slots__ = ()
-    _elements, _key_kind = "polynomials", "an exponent matrix"
-
-    @staticmethod
-    def _is_key(key, n):
-        return getattr(key, "n", None) == n
-
-    def _flat_items(self):
-        """(flat key, int) over F_p, (flat key, Fraction) over Q."""
-        if self.p:
-            return [(k.flat, c.value) for k, c in self.terms.items()]
-        return [(k.flat, c) for k, c in self.terms.items()]
-
-    @classmethod
-    def _from_flat(cls, n, p, sums):
-        """The polynomial with the nonzero sums of {flat key: int (p > 0) or
-        Fraction}."""
-        return cls._trusted(n, p, {_key(n, f): c for f, c in _field_sums(sums, p)})
-
-    _scale_key = staticmethod(ExponentMatrix.scale)
+    _elements, _key_kind, _factors = "polynomials", "a flat tuple of N exponents or an exponent matrix", 1
 
     @classmethod
     def constant(cls, n, p, c):
-        return cls(n, p, {ExponentMatrix.zero(n): c})
-
-    @classmethod
-    def one(cls, n, p):
-        return cls.constant(n, p, 1)
+        return cls(n, p, {(0,) * (n * (n - 1) // 2): c})
 
     @classmethod
     def variable(cls, n, p, i, j):
@@ -330,9 +328,11 @@ class Polynomial(_Terms):
         return self * c
 
     def constant_term(self):
-        return self.terms.get(ExponentMatrix.zero(self.n), coerce_scalar(0, self.p))
+        return self.coefficient((0,) * (self.n * (self.n - 1) // 2))
 
     def coefficient(self, key):
+        if type(key) is ExponentMatrix:
+            key = key.flat
         return self.terms.get(key, coerce_scalar(0, self.p))
 
     def evaluate_mod(self, point):
@@ -340,19 +340,18 @@ class Polynomial(_Terms):
         total = 0
         for key, c in self.terms.items():
             v = c.value
-            for (i, j), m in key.positions():
-                v = v * pow(point[(i, j)], m, self.p) % self.p
+            for ij, m in zip(_pairs(self.n), key):
+                if m:
+                    v = v * pow(point[ij], m, self.p) % self.p
             total = (total + v) % self.p
         return total
 
     def __str__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for key in sorted(self.terms, key=ExponentMatrix.sort_key):
-            c = self.terms[key]
-            bits.append(f"{c}" if key.is_zero() else f"{c}*{key}")
-        return " + ".join(bits)
+        # flat order is the row-major order of the exponent matrices
+        return " + ".join(f"{self.terms[k]}*{_key(self.n, k)}" if any(k) else f"{self.terms[k]}"
+                          for k in sorted(self.terms))
 
 
 class TensorElement(_Terms):
@@ -361,32 +360,7 @@ class TensorElement(_Terms):
     left factor's in variable_pairs(n) order, then the right factor's."""
 
     __slots__ = ()
-    _elements, _key_kind = "tensor elements", "a flat tuple of 2N exponents"
-
-    @staticmethod
-    def _is_key(key, n):
-        return (type(key) is tuple and len(key) == n * (n - 1)
-                and all(type(v) is int and v >= 0 for v in key))
-
-    def _flat_items(self):
-        """(key, int) over F_p, (key, Fraction) over Q."""
-        if self.p:
-            return [(k, c.value) for k, c in self.terms.items()]
-        return self.terms.items()
-
-    @classmethod
-    def _from_flat(cls, n, p, sums, den=None):
-        """The element with the nonzero sums of {flat key: int (p > 0) or
-        Fraction, or int over den}."""
-        return cls._trusted(n, p, dict(_field_sums(sums, p, den)))
-
-    @staticmethod
-    def _scale_key(key, e):
-        return tuple(e * v for v in key)
-
-    @classmethod
-    def one(cls, n, p):
-        return cls._trusted(n, p, {(0,) * (n * (n - 1)): coerce_scalar(1, p)})
+    _elements, _key_kind, _factors = "tensor elements", "a flat tuple of 2N exponents", 2
 
     # bound in the class body, where the benchmark's tracer looks them up
     __add__ = _Terms._add
@@ -560,7 +534,7 @@ def coproduct(poly: Polynomial) -> TensorElement:
     sums = {}
     get = sums.get
     for M, c in zip(poly.terms, cs):
-        for k, w in _monomial_coproduct(n, p, M.flat):
+        for k, w in _monomial_coproduct(n, p, M):
             sums[k] = get(k, 0) + w * c
     return TensorElement._from_flat(n, p, sums, den)
 

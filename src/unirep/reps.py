@@ -18,10 +18,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 
-from .arith import _residues, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
+from .arith import coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError, finding
 from .hopf import (
     ExponentMatrix,
@@ -181,14 +180,15 @@ def extract_chi(pm: SquareMatrix, n=None, p=None) -> ChiTable:
     p = sample.p if p is None else p
     d = pm.size
     zero = coerce_scalar(0, p)
-    support = {}
+    support = {}  # flat key: (its ExponentMatrix, rows)
     for a in range(d):
         for b in range(d):
-            for M, c in pm.entries[a][b].terms.items():
-                if M not in support:
-                    support[M] = [[zero] * d for _ in range(d)]
-                support[M][a][b] = c
-    return ChiTable(n, p, d, {M: SquareMatrix(rows) for M, rows in support.items()})
+            f = pm.entries[a][b]
+            for k, c in f.terms.items():
+                if k not in support:
+                    support[k] = _key(f.n, k), [[zero] * d for _ in range(d)]
+                support[k][1][a][b] = c
+    return ChiTable(n, p, d, {M: SquareMatrix(rows) for M, rows in support.values()})
 
 
 class Representation:
@@ -534,12 +534,8 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
         report = data.validate()
         if not report.ok:
             raise HypothesisError(f"layer data invariants fail: {report.findings}")
-    # the walk's rows are reduced into [0, p); Fractions are immutable, so shared
-    scalar = _residues(p).__getitem__ if p else functools.cache(Fraction)
-    return Representation(ChiTable(n, p, d, {
-        _key(n, flat): SquareMatrix([list(map(scalar, row)) for row in rows])
-        for flat, rows in _walk(data).items()
-    }))
+    support = {_key(n, flat): _wrap(rows, p) for flat, rows in _walk(data).items()}
+    return Representation(ChiTable(n, p, d, support))
 
 
 def _walk(data: LieLayerData, table=()):
@@ -711,14 +707,10 @@ def audit_structure_lemmas(rep: Representation) -> Report:
     if _regime(1, p, d) != "layers":  # p > 0 and p >= 2d; the audits do not involve n
         raise HypothesisError(f"structure audits need p >= 2d = {2 * d}, got p = {p}")
     report = Report()
-    rows = {M: _field_rows(mat, p) for M, mat in chi.support.items()}
     zero = [[0] * d for _ in range(d)]
     one = [[int(a == b) for b in range(d)] for a in range(d)]
-    if rows.get(ExponentMatrix.zero(n)) == one:
-        rows[ExponentMatrix.zero(n)] = one  # so that products skip chi(0)
-
-    def chi_at(i, j, r):
-        return rows.get(ExponentMatrix.epsilon(n, i, j, r), zero)
+    singles = chi.single_position_items()
+    chi_at = {(_index(n, i, j), r): _field_rows(mat, p) for r, (i, j), mat in singles}  # chi(r eps_ij)
 
     def product(factors):
         """Rows of the product of the factors, left to right.  Skipping the
@@ -729,28 +721,35 @@ def audit_structure_lemmas(rep: Representation) -> Report:
                 out = f if out is one else _matmul(out, f, p)
         return out
 
-    for M, _ in chi.items():
-        factors = [chi_at(i, j, M.entry(i, j)) for i in range(n - 1, 0, -1)
-                   for j in range(i + 1, n + 1)]
-        if product(factors) != rows[M]:
+    # the pairs in the order i = n-1..1, j = i+1..n; at a zero m_ij the factor
+    # is chi(0), which is left out only when it is the identity
+    walk = [_index(n, i, j) for i in range(n - 1, 0, -1) for j in range(i + 1, n + 1)]
+    rank = {k: at for at, k in enumerate(walk)}
+    unit = _field_rows(chi.get(ExponentMatrix.zero(n)), p)
+    skip = unit == one
+    for M, mat in chi.items():
+        flat = M.flat
+        at = sorted(itertools.compress(range(len(flat)), flat), key=rank.__getitem__) if skip else walk
+        factors = [chi_at.get((k, flat[k]), zero) if flat[k] else unit for k in at]
+        if product(factors) != _field_rows(mat, p):
             report.add("factorization", f"chi({M})",
                        "product of chi(m_ij eps_ij), rows reversed", "mismatch")
 
-    singles = chi.single_position_items()
     for r, (i, j), _ in singles:
         digits = p_ary_digits(r, p).digits
-        factors = [chi_at(i, j, p**t) for t in range(len(digits))]
-        for (ta, fa), (tb, fb) in itertools.combinations(enumerate(factors), 2):
+        index = _index(n, i, j)
+        powers = [chi_at.get((index, p**t), zero) for t in range(len(digits))]
+        for (ta, fa), (tb, fb) in itertools.combinations(enumerate(powers), 2):
             if _matmul(fa, fb, p) != _matmul(fb, fa, p):
                 report.add("gamma-formula", f"chi(p^{ta} eps_{i}{j}) vs chi(p^{tb} eps_{i}{j})",
                            "commuting factors", "nonzero commutator")
-        for t, f in enumerate(factors):
+        for t, f in enumerate(powers):
             if not _is_nilpotent(f, min(p, d), p):
                 report.add("gamma-formula", f"chi(p^{t} eps_{i}{j})",
                            "nilpotent of order <= p", "not nilpotent")
         inverse = pow(gamma_factor(r, p), -1, p)
-        prod = product(f for f, digit in zip(factors, digits) for _ in range(digit))
-        if [[x * inverse % p for x in row] for row in prod] != chi_at(i, j, r):
+        prod = product(f for f, digit in zip(powers, digits) for _ in range(digit))
+        if [[x * inverse % p for x in row] for row in prod] != chi_at[index, r]:
             report.add("gamma-formula", f"chi({r} eps_{i}{j})",
                        "Gamma(r)^-1 prod chi(p^t eps_ij)^{r_t}", "mismatch")
 

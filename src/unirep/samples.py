@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .arith import coerce_scalar
-from .hopf import variable_pairs
+from .hopf import ExponentMatrix, variable_pairs
 from .linalg import SquareMatrix, scalar_matrix
 from .reps import LieLayerData, tautological_layer
 
@@ -145,8 +145,6 @@ def random_chi_support(n, d, p, count, seed, max_entry=3):
 
     A count above the (max_entry + 1)^N distinct keys, N = n(n-1)/2, is
     refused with ValueError before anything is drawn."""
-    from .hopf import ExponentMatrix
-
     keys = (max_entry + 1) ** (n * (n - 1) // 2)
     if count > keys:
         raise ValueError(f"count {count} is over the {keys} distinct keys with entries <= {max_entry}")

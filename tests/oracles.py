@@ -15,7 +15,10 @@ is kept as it was before it skipped the products that can only be zero: every
 product by the identity and by a factor of disjoint support is formed, and the
 comodule certificate compares a rebuilt Representation with the table.
 The ExponentMatrix check is kept as the per-entry loop it was before valid
-rows passed whole-matrix tests.  The kernel outputs are kept as they were
+rows passed whole-matrix tests, and Polynomial's text as it was rendered on
+ExponentMatrix keys, before its terms were keyed by flat tuples.  The
+structure-lemma audits are kept as they were before the factorization read
+one dict of chi(r eps_ij): an epsilon key built for every pair of every M.  The kernel outputs are kept as they were
 before the shared residues, with a
 new Residue (or Fraction) per term, and the symbolic comodule check as it was
 before both its sides were summed on ints: over Q, as Fractions.
@@ -33,10 +36,10 @@ from unirep import io, reps
 from unirep.bch import FreeElement
 from unirep.errors import (CostBoundError, HypothesisError, NotNilpotentError, ParseError,
                            SeriesTerminationError, ShapeError, UnirepError)
-from unirep.arith import Residue, coerce_scalar
+from unirep.arith import Residue, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from unirep.hopf import (ExponentMatrix, Polynomial, TensorElement, _convolve, _generator_power, _index, _key,
                          _monomial_coproduct, tensor_of)
-from unirep.linalg import SquareMatrix, _divided, _field_rows, _matmul, _series_walk
+from unirep.linalg import SquareMatrix, _divided, _field_rows, _is_nilpotent, _matmul, _series_walk
 from unirep.reps import ChiTable, Report, Representation, _regime, assemble, extract_chi
 from unirep.splittings import Splitting, SplitVarId, _feeds, enumerate_splittings, split_coproduct
 
@@ -135,8 +138,9 @@ def reference_write_poly(rep):
                          "n": rep.n, "p": rep.p, "d": rep.d}, sort_keys=True)]
     for a in range(rep.d):
         for b in range(rep.d):
+            items = [(_key(rep.n, k), c) for k, c in pm.entries[a][b].terms.items()]
             terms = [{"M": [list(r) for r in M.rows], "c": io.scalar_to_str(c)}
-                     for M, c in sorted(pm.entries[a][b].terms.items(), key=lambda kv: kv[0].sort_key())]
+                     for M, c in sorted(items, key=lambda kv: kv[0].sort_key())]
             lines.append(json.dumps({"row": a + 1, "col": b + 1, "terms": terms}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
@@ -418,6 +422,78 @@ def reference_exponent_flat(n, rows):
             if j <= i and v != 0:
                 raise ShapeError("exponent matrix must be strictly upper triangular")
     return tuple(v for i, row in enumerate(rows) for v in row[i + 1:])
+
+
+def reference_poly_str(f):
+    """Polynomial.__str__ as it was: each term keyed by its ExponentMatrix,
+    sorted by ``sort_key``, the constant term bare."""
+    if not f.terms:
+        return "0"
+    terms = {_key(f.n, k): c for k, c in f.terms.items()}
+    bits = []
+    for key in sorted(terms, key=ExponentMatrix.sort_key):
+        c = terms[key]
+        bits.append(f"{c}" if key.is_zero() else f"{c}*{key}")
+    return " + ".join(bits)
+
+
+# --- the structure-lemma audits with an epsilon key per pair --------------------
+
+def reference_audit_structure_lemmas(rep):
+    """reps.audit_structure_lemmas as it was: chi(m_ij eps_ij) looked up by an
+    ExponentMatrix.epsilon key at every pair of every supported M."""
+    chi = rep.chi
+    n, p, d = chi.n, chi.p, chi.d
+    if _regime(1, p, d) != "layers":
+        raise HypothesisError(f"structure audits need p >= 2d = {2 * d}, got p = {p}")
+    report = Report()
+    rows = {M: _field_rows(mat, p) for M, mat in chi.support.items()}
+    zero = [[0] * d for _ in range(d)]
+    one = [[int(a == b) for b in range(d)] for a in range(d)]
+    if rows.get(ExponentMatrix.zero(n)) == one:
+        rows[ExponentMatrix.zero(n)] = one  # so that products skip chi(0)
+
+    def chi_at(i, j, r):
+        return rows.get(ExponentMatrix.epsilon(n, i, j, r), zero)
+
+    def product(factors):
+        out = one
+        for f in factors:
+            if f is not one:
+                out = f if out is one else _matmul(out, f, p)
+        return out
+
+    for M, _ in chi.items():
+        factors = [chi_at(i, j, M.entry(i, j)) for i in range(n - 1, 0, -1)
+                   for j in range(i + 1, n + 1)]
+        if product(factors) != rows[M]:
+            report.add("factorization", f"chi({M})",
+                       "product of chi(m_ij eps_ij), rows reversed", "mismatch")
+
+    singles = chi.single_position_items()
+    for r, (i, j), _ in singles:
+        digits = p_ary_digits(r, p).digits
+        factors = [chi_at(i, j, p**t) for t in range(len(digits))]
+        for (ta, fa), (tb, fb) in itertools.combinations(enumerate(factors), 2):
+            if _matmul(fa, fb, p) != _matmul(fb, fa, p):
+                report.add("gamma-formula", f"chi(p^{ta} eps_{i}{j}) vs chi(p^{tb} eps_{i}{j})",
+                           "commuting factors", "nonzero commutator")
+        for t, f in enumerate(factors):
+            if not _is_nilpotent(f, min(p, d), p):
+                report.add("gamma-formula", f"chi(p^{t} eps_{i}{j})",
+                           "nilpotent of order <= p", "not nilpotent")
+        inverse = pow(gamma_factor(r, p), -1, p)
+        prod = product(f for f, digit in zip(factors, digits) for _ in range(digit))
+        if [[x * inverse % p for x in row] for row in prod] != chi_at(i, j, r):
+            report.add("gamma-formula", f"chi({r} eps_{i}{j})",
+                       "Gamma(r)^-1 prod chi(p^t eps_ij)^{r_t}", "mismatch")
+
+    carries = functools.cache(sum_carries)
+    for (r, ij, _), (s, uv, _) in itertools.product(singles, singles):
+        if carries(r, s, p):
+            report.add("carrying", f"chi({r} eps_{ij}) and chi({s} eps_{uv})",
+                       "at least one zero when r + s carries mod p", "both nonzero")
+    return report
 
 
 # --- kernel outputs with a new scalar per term; the comodule check on Fractions

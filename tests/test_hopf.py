@@ -26,6 +26,8 @@ from unirep.hopf import (
 from unirep.reps import ChiTable, Representation
 from unirep.samples import random_chi_support
 
+from oracles import reference_poly_str
+
 
 def x(n, p, i, j):
     return Polynomial.variable(n, p, i, j)
@@ -215,7 +217,8 @@ def reference_poly_mul(f, g):
     terms = {}
     for ka, ca in f.terms.items():
         for kb, cb in g.terms.items():
-            key = ExponentMatrix(f.n, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(ka.rows, kb.rows)])
+            rows_a, rows_b = matrix(f.n, ka).rows, matrix(f.n, kb).rows
+            key = ExponentMatrix(f.n, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(rows_a, rows_b)])
             terms[key] = terms.get(key, 0) + ca * cb
     return Polynomial(f.n, f.p, terms)
 
@@ -247,7 +250,7 @@ def pairwise_coproduct(poly):
     out = TensorElement(n, p)
     for key, c in poly.terms.items():
         acc = from_pairs(n, p, {(ExponentMatrix.zero(n), ExponentMatrix.zero(n)): 1})
-        for (i, j), m in key.positions():
+        for (i, j), m in matrix(n, key).positions():
             z = ExponentMatrix.zero(n)
             gen = {(z, ExponentMatrix.epsilon(n, i, j)): 1, (ExponentMatrix.epsilon(n, i, j), z): 1}
             for k in range(i + 1, j):
@@ -271,7 +274,7 @@ def random_tensor(rng, n, p, size):
     f, g = random_poly(rng, n, p, size), random_poly(rng, n, p, size)
     terms = {}
     for (kf, cf), (kg, _) in zip(f.terms.items(), g.terms.items()):
-        terms[(kf, kg)] = cf
+        terms[(matrix(n, kf), matrix(n, kg))] = cf
     return from_pairs(n, p, terms)
 
 
@@ -313,7 +316,7 @@ class TestKernelAgainstReference:
         for _ in range(15):
             n = rng.randint(2, 4)
             f, g = random_poly(rng, n, p, rng.randint(0, 4)), random_poly(rng, n, p, rng.randint(0, 4))
-            expected = from_pairs(n, p, {(kf, kg): cf * cg for kf, cf in f.terms.items()
+            expected = from_pairs(n, p, {(matrix(n, kf), matrix(n, kg)): cf * cg for kf, cf in f.terms.items()
                                          for kg, cg in g.terms.items()})
             assert tensor_of(f, g).terms == expected.terms
 
@@ -351,7 +354,7 @@ def reference_coproduct(poly):
     sums = {}
     for key, c in poly.terms.items():
         image = TensorElement.one(n, p)
-        for (i, j), m in key.positions():
+        for (i, j), m in matrix(n, key).positions():
             image = image * generator_coproduct(n, p, i, j) ** m
         for k, v in image.terms.items():
             sums[k] = sums.get(k, 0) + v * c
@@ -551,3 +554,50 @@ class TestSharedTermAlgebra:
             assert tensor_of(lhs, one) == rhs
         assert not TensorElement.zero(3, p) and tensor_of(f, one)
         assert TensorElement.one(3, p) == tensor_of(one, one)
+
+
+class TestFlatPolynomialKeys:
+    """Polynomial terms are keyed by the flat tuple of their N exponents, in
+    variable_pairs(n) order, as TensorElement keys its 2N."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_keys_round_trip_and_render_as_exponent_matrices(self, p):
+        rng = random.Random(400 + p)
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            N = n * (n - 1) // 2
+            f = random_poly(rng, n, p, rng.randint(0, 6))
+            for g in (f, f * f + 3, f.scale_exponents(rng.randint(1, 4)), f**2 - f, Polynomial.one(n, p)):
+                assert all(type(k) is tuple and len(k) == N and all(type(v) is int and v >= 0 for v in k)
+                           for k in g.terms)
+                assert Polynomial(n, p, g.terms) == g
+                assert str(g) == repr(g) == reference_poly_str(g)
+                for k, c in g.terms.items():
+                    M = matrix(n, k)
+                    assert g.coefficient(M) == g.coefficient(M.flat) == c
+                if N:  # every exponent 99 is in none of them
+                    absent = matrix(n, (99,) * N)
+                    assert g.coefficient(absent) == g.coefficient(absent.flat) == Polynomial.zero(n, p).constant_term()
+
+    def test_constructor_reads_exponent_matrices_as_their_flats(self):
+        e = ExponentMatrix.epsilon
+        f = Polynomial(3, 7, {e(3, 1, 2, 2): 3, e(3, 2, 3).flat: 1, ExponentMatrix.zero(3): 5})
+        assert f.terms == {(2, 0, 0): Residue(3, 7), (0, 0, 1): Residue(1, 7), (0, 0, 0): Residue(5, 7)}
+        assert f == 3 * x(3, 7, 1, 2) ** 2 + x(3, 7, 2, 3) + 5
+        assert f.constant_term() == counit(f) == Residue(5, 7)
+
+    @pytest.mark.parametrize("cls, width", [(Polynomial, 3), (TensorElement, 6)])
+    @pytest.mark.parametrize("bad", ["other n", "short", "long", "negative", "float", "bool"])
+    def test_both_types_refuse_bad_keys(self, cls, width, bad):
+        key = {"other n": ExponentMatrix.epsilon(4 if width == 3 else 2, 1, 2),
+               "short": (0,) * (width - 1),
+               "long": (0,) * (width + 1),
+               "negative": (0,) * (width - 1) + (-1,),
+               "float": (0,) * (width - 1) + (1.0,),
+               "bool": (True,) + (0,) * (width - 1)}[bad]
+        with pytest.raises(ShapeError, match="is not"):
+            cls(3, 5, {key: 1})
+
+    def test_tensor_refuses_exponent_matrices_of_its_own_n(self):
+        with pytest.raises(ShapeError):
+            TensorElement(3, 5, {ExponentMatrix.zero(3): 1})

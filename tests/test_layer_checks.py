@@ -26,6 +26,8 @@ from unirep.reps import (
 )
 from unirep.samples import random_layer_data
 
+from oracles import reference_audit_structure_lemmas
+
 
 # --- the SquareMatrix bodies, kept as the oracle ------------------------------
 
@@ -470,3 +472,56 @@ def test_pointwise_check_refuses_entries_outside_the_field():
     for mode in ("exhaustive", "sampled"):
         assert verify_group_law_pointwise(chi_rep(2, 7, {(): I2, ((1, 2, 1),): E12}), mode=mode).ok
 
+
+
+# --- the audits on one dict of chi(r eps_ij), against the epsilon-key body -----
+
+def audit_cases(p, seed):
+    """(name, rep): a constructed rep, and copies with chi(0) not the identity,
+    chi(0) dropped, one chi(r eps_ij) entry wrong, an extra key and a dropped
+    key, drawn from seed."""
+    rng = random.Random(seed * 100 + p)
+    n, d, L = rng.choice([(2, 2, 1), (3, 2, 2), (4, 3, 1), (4, 3, 2), (5, 3, 1), (5, 4, 2)])
+    d = min(d, p // 2)
+    rep = construct_from_layers(random_layer_data(n, d, p, L, seed))
+    chi = rep.chi
+    zero_key = ExponentMatrix.zero(n)
+
+    def table(support):
+        return Representation(ChiTable(n, p, d, support))
+
+    def random_matrix():
+        return scalar_matrix([[rng.randrange(p) for _ in range(d)] for _ in range(d)], p)
+
+    unit = [[int(a == b) for b in range(d)] for a in range(d)]
+    unit[0][d - 1] += 1 + rng.randrange(p - 1)
+    cases = [("valid", rep),
+             ("unit", table({**chi.support, zero_key: scalar_matrix(unit, p)})),
+             ("no-unit", table({M: m for M, m in chi.support.items() if M != zero_key}))]
+    singles = chi.single_position_items()
+    if singles:
+        r, (i, j), mat = rng.choice(singles)
+        a, b = rng.randrange(d), rng.randrange(d)
+        cases.append(("single", table({**chi.support, ExponentMatrix.epsilon(n, i, j, r):
+                                       with_entry(mat, a, b, mat.entries[a][b] + 1 + rng.randrange(p - 1))})))
+    extra = zero_key
+    for i, j in rng.sample(variable_pairs(n), min(n - 1, rng.randint(1, 2))):
+        extra = extra + ExponentMatrix.epsilon(n, i, j, rng.randint(1, 2 * p))
+    cases.append(("extra", table({**chi.support, extra: random_matrix()})))
+    if singles:  # a factor of other keys, unless it is a leaf of the walk
+        r, (i, j), _ = rng.choice(singles)
+        dropped = ExponentMatrix.epsilon(n, i, j, r)
+        cases.append(("dropped", table({M: m for M, m in chi.support.items() if M != dropped})))
+    return cases
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_audits_match_the_epsilon_key_oracle(p):
+    compared = with_findings = 0
+    for seed in range(16):
+        for name, rep in audit_cases(p, seed):
+            got = outcome(audit_structure_lemmas, rep)
+            assert got == outcome(reference_audit_structure_lemmas, rep), (p, seed, name)
+            compared += 1
+            with_findings += bool(got)
+    assert with_findings > compared // 3

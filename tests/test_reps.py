@@ -37,6 +37,7 @@ from unirep.reps import (
     LieLayerData,
     Representation,
     check_morphism,
+    assemble,
     construct_from_layers,
     decompose_to_layers,
     extract_chi,
@@ -47,7 +48,7 @@ from unirep.reps import (
     verify_comodule,
     verify_group_law_pointwise,
 )
-from unirep.samples import _embed, random_layer_data, random_strict_upper
+from unirep.samples import _embed, random_chi_support, random_layer_data, random_strict_upper
 from unirep.splittings import split_coproduct
 
 from oracles import construct_single_layer, matrix_product_tensor_side
@@ -111,6 +112,15 @@ class TestExtraction:
     def test_assembly_roundtrip(self):
         pm = six_dim_fixture()
         assert Representation(extract_chi(pm)).poly_matrix == pm
+
+    @pytest.mark.parametrize("p", [0, 5, 2**31 - 1])
+    def test_extract_inverts_assemble_on_random_tables(self, p):
+        # the polynomials' flat keys come back as the table's exponent matrices
+        for seed in range(6):
+            n, d = 3 + seed % 2, 1 + seed % 3
+            chi = ChiTable(n, p, d, random_chi_support(n, d, p, 3 + 2 * seed, seed, max_entry=2 * p or 3))
+            back = extract_chi(assemble(chi))
+            assert back == chi and all(type(M) is ExponentMatrix for M in back.support)
 
 
 class TestConstruction:
