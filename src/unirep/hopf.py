@@ -447,31 +447,21 @@ def _scaled_terms(terms, c, p):
 
 
 def _power(base, m, one):
-    """base**m.  In characteristic p the p-ary digits of m are used so that
-    raising to p^l is a key rescaling (the freshman's dream); this keeps
-    intermediate term counts small for the large exponents p^l that occur in
-    Frobenius-layer calculations."""
+    """base**m, by square-and-multiply within each p-ary digit of m (m itself
+    at p = 0).  Digit l raises base**(p^l), which in characteristic p is the
+    key rescaling of base by p^l (the freshman's dream); this keeps term counts
+    small for the large exponents p^l of Frobenius-layer calculations."""
     if m < 0:
         raise ValueError("negative power")
-    if m == 0:
-        return one
-    if base.p == 0:
-        result = one
-        square = base
-        while m:
-            if m & 1:
-                result = result * square
-            m >>= 1
-            if m:
-                square = square * square
-        return result
     result = one
-    block = base  # base**(p^l), by key rescaling
-    for l, digit in enumerate(p_ary_digits(m, base.p).digits):
-        if l > 0:
-            block = base.scale_exponents(base.p**l)
-        for _ in range(digit):
-            result = result * block
+    for l, digit in enumerate(_digits(m, base.p)):
+        square = base.scale_exponents(base.p**l) if l else base
+        while digit:
+            if digit & 1:
+                result = result * square
+            digit >>= 1
+            if digit:
+                square = square * square
     return result
 
 

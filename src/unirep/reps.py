@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from operator import mul
 
-from .arith import coerce_scalar, gamma_factor, p_ary_digits, sum_carries
+from .arith import check_field, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError, finding
 from .hopf import (
     ExponentMatrix,
@@ -44,7 +44,6 @@ from .linalg import (
     _series_walk,
     _wrap,
 )
-from .splittings import split_coproduct
 
 __all__ = [
     "Report",
@@ -114,11 +113,13 @@ def _field_matrix(mat, p):
 class ChiTable:
     """Finite map from exponent matrices to d x d coefficient matrices over
     F_p (Residues mod p) or Q (Fractions; plain ints are read as theirs).
-    The matrices are read in insertion order and zero ones are dropped."""
+    (n, p, d) must pass check_field.  The matrices are read in insertion
+    order and zero ones are dropped."""
 
     __slots__ = ("n", "p", "d", "support")
 
     def __init__(self, n, p, d, support):
+        check_field(n, p, d)
         self.n = n
         self.p = p
         self.d = d
@@ -223,7 +224,8 @@ class Representation:
 
 class LieLayerData:
     """Ordered Frobenius layers: maps (i, j) -> d x d image of eps_ij, each
-    read into the field as ChiTable reads its matrices.
+    read into the field as ChiTable reads its matrices, after the same
+    check_field.
 
     Zero images are normalized away inside each layer; a wholly absent pair
     means the zero matrix.
@@ -232,6 +234,7 @@ class LieLayerData:
     __slots__ = ("n", "p", "d", "layers")
 
     def __init__(self, n, p, d, layers):
+        check_field(n, p, d)
         self.n = n
         self.p = p
         self.d = d
@@ -331,12 +334,12 @@ def _certificate(rep: Representation):
                 return data
 
 
-def verify_comodule(rep: Representation, use_splitting=False) -> Report:
+def verify_comodule(rep: Representation) -> Report:
     """Check the comodule axioms: empty at once for a table that its own layers
-    rebuild (_certificate), else, and with use_splitting, _comodule_findings."""
-    if not use_splitting and _certificate(rep) is not None:
+    rebuild (_certificate), else _comodule_findings."""
+    if _certificate(rep) is not None:
         return Report()
-    return _comodule_findings(rep, use_splitting)
+    return _comodule_findings(rep)
 
 
 # A term counts as n(n-1) + 8 exponents, its key and its overhead; the check
@@ -345,17 +348,14 @@ def verify_comodule(rep: Representation, use_splitting=False) -> Report:
 MAX_COMODULE_EXPONENTS = 3 * 10**8
 
 
-def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
+def _comodule_findings(rep: Representation) -> Report:
     """Check chi(0) = Id and, on the chi table, Delta(a_ij) = sum_k a_ik (x) a_kj
     and eps(a_ij) = delta_ij: for each (a, b)
 
         sum_M chi(M)_ab Delta(x^M) = sum_k sum_{M1, M2} chi(M1)_ak chi(M2)_kb x^M1 (x) x^M2
 
     and chi(0)_ab = delta_ab, one entry at a time, each Delta(x^M) expanded once.
-
-    With use_splitting the coproduct side is additionally recomputed through
-    the closed splitting formula and the two computations must agree.  Past
-    MAX_COMODULE_EXPONENTS, counted first, it raises CostBoundError.
+    Past MAX_COMODULE_EXPONENTS, counted first, it raises CostBoundError.
     """
     report = Report()
     chi = rep.chi
@@ -369,7 +369,6 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
                 if c:
                     nonzero.append((a, b, M.flat, c))
                     terms += size
-        terms += use_splitting and _expansion_size(n, 0, M.flat)  # split_coproduct: once per M
     # Both sides on ints: values mod p, or over Q numerators over den, so the
     # coproduct side times den and the tensor side are both over den^2.
     values, den = _int_scalars([c for *_, c in nonzero], p)
@@ -386,8 +385,6 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
     if unit != one:
         report.add("chi-at-zero", "chi(0)", "identity matrix", unit)
     image = functools.cache(functools.partial(_monomial_coproduct, n, p))
-    via_split = use_splitting and split_coproduct(chi)
-    split = Report()  # reported after every entry's own findings
     for a in range(d):
         for b in range(d):
             sums = {}
@@ -396,9 +393,6 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
                 c *= scale
                 for key, w in image(flat):
                     sums[key] = get(key, 0) + w * c
-            if via_split and via_split[a][b].terms != dict(_field_sums(sums, p, den and den * den)):
-                split.add("split-coproduct", f"entry ({a + 1}, {b + 1})",
-                          "splitting formula agrees with direct coproduct", "mismatch")
             for k in range(d):
                 right = cells[k][b]
                 for f, c in cells[a][k]:
@@ -411,7 +405,6 @@ def _comodule_findings(rep: Representation, use_splitting=False) -> Report:
             delta, counit = one.entries[a][b], unit.entries[a][b]
             if counit != delta:
                 report.add("counit", f"entry ({a + 1}, {b + 1})", delta, counit)
-    report.findings += split.findings
     return report
 
 

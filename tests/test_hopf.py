@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from unirep.hopf import (
 from unirep.reps import ChiTable, Representation
 from unirep.samples import random_chi_support
 
-from oracles import reference_poly_str
+from oracles import reference_poly_str, reference_power
 
 
 def x(n, p, i, j):
@@ -601,3 +602,51 @@ class TestFlatPolynomialKeys:
     def test_tensor_refuses_exponent_matrices_of_its_own_n(self):
         with pytest.raises(ShapeError):
             TensorElement(3, 5, {ExponentMatrix.zero(3): 1})
+
+
+# --- one square-and-multiply loop against the per-digit products -----------
+
+POWER_PRIMES = [0, 2, 5, 101, 2**31 - 1]
+
+
+@st.composite
+def powers(draw):
+    """(base, m): a Polynomial or TensorElement of up to three terms, and m
+    with up to three p-ary digits of at most 4, m <= p^2 + p (m <= 8 at p = 0)."""
+    p = draw(st.sampled_from(POWER_PRIMES))
+    n = draw(st.integers(2, 3))
+    cls = draw(st.sampled_from([Polynomial, TensorElement]))
+    width = (1 if cls is Polynomial else 2) * n * (n - 1) // 2
+    keys = st.tuples(*[st.integers(0, 2)] * width)
+    coefficients = st.integers(-3, 3) if p else st.fractions(-3, 3, max_denominator=4)
+    base = cls(n, p, draw(st.dictionaries(keys, coefficients, min_size=1, max_size=3)))
+    if not p:
+        return base, draw(st.integers(0, 8))
+    digits = draw(st.lists(st.integers(0, min(p - 1, 4)), min_size=1, max_size=3))
+    return base, min(sum(c * p**l for l, c in enumerate(digits)), p * p + p)
+
+
+class TestPower:
+    @given(powers())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_power(self, case):
+        base, m = case
+        got, want = base**m, reference_power(base, m)
+        assert got == want
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("p", POWER_PRIMES)
+    def test_negative_power_refused(self, p):
+        for f in (x(3, p, 1, 2) + 1, coproduct(x(3, p, 1, 3))):
+            with pytest.raises(ValueError, match="^negative power$"):
+                f ** -1
+
+    def test_large_power_of_a_variable_is_one_digit_of_squarings(self):
+        f = Polynomial.variable(3, 2**31 - 1, 1, 2)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            g = f ** 2**18
+            elapsed.append(time.perf_counter() - start)
+        assert g == Polynomial(3, 2**31 - 1, {ExponentMatrix.epsilon(3, 1, 2, 2**18): 1})
+        assert min(elapsed) < 0.01

@@ -315,7 +315,7 @@ class TestComodule:
     def test_constructed_rep_passes(self):
         data = random_layer_data(3, 2, 7, 2, seed=0)
         rep = construct_from_layers(data)
-        assert verify_comodule(rep, use_splitting=True).ok
+        assert verify_comodule(rep).ok
 
     def test_broken_rep_fails(self):
         n, p, d = 3, 7, 2
@@ -337,31 +337,32 @@ class TestComodule:
 
     @pytest.mark.parametrize("p, r, size", [(0, 6, 7), (5, 6, 4), (5, 25, 2)])
     @pytest.mark.parametrize("d, pairs", [(1, 4), (2, 18)])
-    @pytest.mark.parametrize("use_splitting", [False, True])
-    def test_cost_bound_counts_terms_before_expanding(self, p, r, size, d, pairs, use_splitting, monkeypatch):
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_cost_bound_counts_terms_before_expanding(self, p, r, size, d, pairs, direct, monkeypatch):
         # chi(0) = Id and chi(r eps_12) = 3 in every entry at n = 2: Delta(x_12^r)
         # multiplies out r + 1 pairs over Q and, over F_p, the product of
         # (digit + 1) over the p-ary digits of r, once per nonzero entry; the
         # tensor side sum_k a_ik (x) a_kj has 2 * 2 term pairs at d = 1 and
-        # 2 * (3 * 3) at d = 2 (a_ii = 1 + 3 x^r, a_ij = 3 x^r), and the
-        # splitting formula enumerates 1 + (r + 1) splittings, once per M
+        # 2 * (3 * 3) at d = 2 (a_ii = 1 + 3 x^r, a_ij = 3 x^r).  The table fails
+        # the certificate, so verify_comodule falls back to _comodule_findings,
+        # which `verify --comodule` calls directly at p > 0
+        check = reps._comodule_findings if direct else verify_comodule
         chi = ChiTable(2, p, d, {ExponentMatrix.zero(2): SquareMatrix.identity(d, coerce_scalar(1, p)),
                                  ExponentMatrix.epsilon(2, 1, 2, r): scalar_matrix([[3] * d] * d, p)})
         rep = Representation(chi)
-        terms = pairs + d + d * d * size + (r + 2 if use_splitting else 0)
+        terms = pairs + d + d * d * size
         cost = terms * (2 + 8)
         monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost)
-        verify_comodule(rep, use_splitting)
+        check(rep)
 
         def expand(*args):
             raise AssertionError("expanded before the bound was checked")
 
         monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost - 1)
         monkeypatch.setattr(reps, "_monomial_coproduct", expand)
-        monkeypatch.setattr(reps, "split_coproduct", expand)
         with pytest.raises(CostBoundError, match=fr"costs {cost} exponents \({terms} terms\), "
                                                  fr"over the bound of {cost - 1}$"):
-            verify_comodule(rep, use_splitting)
+            check(rep)
 
     def test_cost_bound_keeps_decompose_from_expanding(self, monkeypatch):
         data = random_layer_data(3, 2, 7, 2, seed=0).trimmed()
@@ -612,7 +613,7 @@ class TestPointwiseOracle:
 
 # --- the comodule check on the polynomial matrix, kept as the oracle ----------
 
-def reference_verify_comodule(rep, use_splitting=False):
+def reference_verify_comodule(rep):
     """Findings of the comodule check it replaces: Delta of each entry of the
     assembled polynomial matrix against the tensor side of the whole matrix,
     all d^2 entries of both sides held and compared as TensorElements."""
@@ -632,13 +633,6 @@ def reference_verify_comodule(rep, use_splitting=False):
             if pm.entries[a][b].constant_term() != delta:
                 report.add("counit", f"entry ({a + 1}, {b + 1})", delta,
                            pm.entries[a][b].constant_term())
-    if use_splitting:
-        via_split = split_coproduct(chi)
-        for a in range(d):
-            for b in range(d):
-                if via_split[a][b] != lhs[a][b]:
-                    report.add("split-coproduct", f"entry ({a + 1}, {b + 1})",
-                               "splitting formula agrees with direct coproduct", "mismatch")
     return report.findings
 
 
@@ -683,10 +677,18 @@ class TestComoduleOracle:
 
     @pytest.mark.parametrize("name,rep", comodule_cases())
     def test_findings_match(self, name, rep):
-        for use_splitting in (False, True):
-            got = verify_comodule(rep, use_splitting).findings
-            assert got == reference_verify_comodule(rep, use_splitting), (name, use_splitting)
+        got = verify_comodule(rep).findings
+        assert got == reference_verify_comodule(rep), name
         assert "/" in name or not got  # the uncorrupted reps pass
+
+    @pytest.mark.parametrize("name,rep", comodule_cases())
+    def test_split_coproduct_is_the_coproduct(self, name, rep):
+        # the closed splitting formula re-derives Delta of every entry, on
+        # comodules and corrupted tables alike
+        via_split = split_coproduct(rep.chi)
+        pm = rep.poly_matrix
+        for a, b in itertools.product(range(rep.d), repeat=2):
+            assert via_split[a][b] == coproduct(pm.entries[a][b]), (name, a, b)
 
     def test_plain_int_entries(self):
         # refused at p > 0, where the symbolic check read them mod p but its

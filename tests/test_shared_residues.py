@@ -218,9 +218,8 @@ def q_tables():
 
 @pytest.mark.parametrize("name, rep", q_tables(), ids=[name for name, _ in q_tables()])
 def test_comodule_findings_on_ints_match_the_fraction_sums(name, rep):
-    for use_splitting in (False, True):
-        got = reps._comodule_findings(rep, use_splitting).findings
-        assert got == reference_comodule_findings(rep, use_splitting).findings, use_splitting
+    got = reps._comodule_findings(rep).findings
+    assert got == reference_comodule_findings(rep).findings
     assert not got or not name.endswith("valid")
 
 
