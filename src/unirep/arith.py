@@ -163,13 +163,23 @@ MAX_N = 100
 MAX_D = 512
 
 
+_PRIMES = set()  # the primes below MAX_MODULUS that _is_prime has accepted
+
+
+def _is_prime(p: int) -> bool:
+    """Whether 2 <= p < MAX_MODULUS is prime; the trial division runs once per prime."""
+    if p not in _PRIMES and 2 <= p < MAX_MODULUS and all(p % q for q in range(2, math.isqrt(p) + 1)):
+        _PRIMES.add(p)
+    return p in _PRIMES
+
+
 def check_field(n: int, p: int, d: int) -> None:
     """Refuse a ring context outside the library's domain: the field is Q
     (p = 0) or F_p with p a prime below MAX_MODULUS, and n, d >= 1.  Past
     MAX_N or MAX_D it raises CostBoundError."""
     if n < 1 or d < 1:
         raise ValueError(f"n and d must be positive, got n = {n}, d = {d}")
-    if p != 0 and not (2 <= p < MAX_MODULUS and all(p % q for q in range(2, math.isqrt(p) + 1))):
+    if p != 0 and not _is_prime(p):
         raise ValueError(f"p must be 0 or a prime below 2^31, got p = {p}")
     if n > MAX_N:
         raise CostBoundError(f"n = {n} is over the bound of {MAX_N}")
@@ -181,8 +191,11 @@ def coerce_scalar(c, p: int):
     """Coerce ``c`` (int, Fraction or Residue) into the field of characteristic p.
 
     p == 0 yields a Fraction; p > 0 yields a Residue.  A rational whose reduced
-    denominator is divisible by p cannot be converted and raises ConversionError.
+    denominator is divisible by p cannot be converted and raises ConversionError;
+    any other value, such as a float or a str, raises TypeError.
     """
+    if not isinstance(c, (int, Fraction, Residue)):
+        raise TypeError(f"{c!r} is not a field scalar (an int, Fraction or Residue)")
     if p == 0:
         if isinstance(c, Residue):
             raise ConversionError("cannot lift a residue to characteristic zero")
@@ -193,10 +206,9 @@ def coerce_scalar(c, p: int):
         return c
     if isinstance(c, int):
         return Residue(c, p)
-    frac = Fraction(c)
-    if frac.denominator % p == 0:
-        raise ConversionError(f"denominator of {frac} is divisible by {p}")
-    return Residue(frac.numerator * pow(frac.denominator, -1, p), p)
+    if c.denominator % p == 0:
+        raise ConversionError(f"denominator of {c} is divisible by {p}")
+    return Residue(c.numerator * pow(c.denominator, -1, p), p)
 
 
 def scalar_to_str(c) -> str:

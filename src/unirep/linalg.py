@@ -211,14 +211,14 @@ def _bracket(a, b, p=None):
 
 
 def _is_nilpotent(a, cap, p=None):
-    """Whether a^k = 0 for some k <= cap, as nilpotency_index decides it."""
+    """The least k <= cap with a^k = 0 on the rows a (by _matmul), else None."""
     power = a
     for k in range(1, cap + 1):
         if not any(map(any, power)):
-            return True
+            return k
         if k < cap:
             power = _matmul(power, a, p)
-    return False
+    return None
 
 
 def _series_rows(*matrices):
@@ -247,13 +247,10 @@ def nilpotency_index(m: SquareMatrix, cap: int) -> int:
     polynomial entries)."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    power = m
-    for k in range(1, cap + 1):
-        if power.is_zero():
-            return k
-        if k < cap:
-            power = power @ m
-    raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
+    p, (a,), _ = _operands(m)
+    if (k := _is_nilpotent(a, cap, p)) is None:
+        raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
+    return k
 
 
 def _series_walk(x, char_bound, p):

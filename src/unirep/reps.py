@@ -125,6 +125,8 @@ class ChiTable:
         self.d = d
         clean = {}
         for M, mat in support.items():
+            if not (isinstance(M, ExponentMatrix) and isinstance(mat, SquareMatrix)):
+                raise ShapeError(f"chi table entry {M!r} must map an ExponentMatrix to a SquareMatrix")
             if M.n != n or mat.size != d:
                 raise ShapeError("chi table entry has wrong dimensions")
             if (mat := _field_matrix(mat, p)) is not None:
@@ -241,9 +243,14 @@ class LieLayerData:
         norm = []
         for layer in layers:
             clean = {}
-            for (i, j), mat in layer.items():
+            for ij, mat in layer.items():
+                if not (isinstance(ij, tuple) and len(ij) == 2 and all(isinstance(x, int) for x in ij)):
+                    raise ShapeError(f"layer key {ij!r} is not an (i, j) pair of ints")
+                i, j = ij
                 if not (1 <= i < j <= n):
                     raise ShapeError(f"basis pair ({i}, {j}) out of range")
+                if not isinstance(mat, SquareMatrix):
+                    raise ShapeError(f"layer image of {ij} is not a SquareMatrix")
                 if mat.size != d:
                     raise ShapeError("layer image has wrong dimension")
                 if (mat := _field_matrix(mat, p)) is not None:
@@ -764,24 +771,33 @@ def frobenius_twist_rep(rep: Representation) -> Representation:
                                    {M.scale(chi.p): mat for M, mat in chi.support.items()}))
 
 
-def _as_rows(T):
-    return T.entries if isinstance(T, SquareMatrix) else [list(r) for r in T]
+def _morphism_rows(T, src: Representation, dst: Representation):
+    """T, a SquareMatrix or dst.d rows of src.d entries, read into field rows
+    through coerce_scalar: ints mod p, or Fractions at p = 0."""
+    if (src.n, src.p) != (dst.n, dst.p):
+        raise ShapeError("representations live over different groups or fields")
+    rows = T.entries if isinstance(T, SquareMatrix) else [list(r) for r in T]
+    if len(rows) != dst.d or any(len(r) != src.d for r in rows):
+        raise ShapeError(f"morphism candidate must be {dst.d} x {src.d}")
+    return [[coerce_scalar(x, src.p).value if src.p else coerce_scalar(x, 0) for x in r] for r in rows]
+
+
+def _intertwines(t, src, dst, p):
+    """Whether t A = B t for the field rows A, B of src[k], dst[k] (zero rows
+    at a missing key) at every key k of the two maps of matrices."""
+    zero_src, zero_dst = [[0] * len(t[0])] * len(t[0]), [[0] * len(t)] * len(t)
+    for k in src.keys() | dst.keys():
+        a = _field_rows(src[k], p) if k in src else zero_src
+        b = _field_rows(dst[k], p) if k in dst else zero_dst
+        if _matmul(t, a, p) != _matmul(b, t, p):
+            return False
+    return True
 
 
 def check_morphism(T, src: Representation, dst: Representation) -> bool:
     """True iff T chi_src(M) = chi_dst(M) T for every M (equivalently
     T (a_ij)_src = (a_ij)_dst T as polynomial matrices)."""
-    if (src.n, src.p) != (dst.n, dst.p):
-        raise ShapeError("representations live over different groups or fields")
-    rows = _as_rows(T)
-    if len(rows) != dst.d or any(len(r) != src.d for r in rows):
-        raise ShapeError(f"morphism candidate must be {dst.d} x {src.d}")
-    for M in sorted(set(src.chi.support) | set(dst.chi.support), key=ExponentMatrix.sort_key):
-        lhs = _matmul(rows, src.chi.get(M).entries)
-        rhs = _matmul(dst.chi.get(M).entries, rows)
-        if lhs != rhs:
-            return False
-    return True
+    return _intertwines(_morphism_rows(T, src, dst), src.chi.support, dst.chi.support, src.p)
 
 
 def layer_morphism_equivalence(T, src: Representation, dst: Representation) -> Report:
@@ -791,18 +807,10 @@ def layer_morphism_equivalence(T, src: Representation, dst: Representation) -> R
         if _regime(rep.n, rep.p, rep.d) not in ("Q", "layers"):
             raise HypothesisError(f"layer criterion needs p >= max(n, 2d) = "
                                   f"{max(rep.n, 2 * rep.d)}, got p = {rep.p}")
-    rows = _as_rows(T)
-    full = check_morphism(T, src, dst)
-    src_layers = decompose_to_layers(src)
-    dst_layers = decompose_to_layers(dst)
-    count = max(len(src_layers.layers), len(dst_layers.layers))
-    per_layer = True
-    for l in range(count):
-        for i, j in variable_pairs(src.n):
-            a = src_layers.image(l, i, j) if l < len(src_layers.layers) else src.chi.zero_matrix()
-            b = dst_layers.image(l, i, j) if l < len(dst_layers.layers) else dst.chi.zero_matrix()
-            if _matmul(rows, a.entries) != _matmul(b.entries, rows):
-                per_layer = False
+    t = _morphism_rows(T, src, dst)
+    full = _intertwines(t, src.chi.support, dst.chi.support, src.p)
+    layers = [decompose_to_layers(rep).layers for rep in (src, dst)]
+    per_layer = all(_intertwines(t, a, b, src.p) for a, b in itertools.zip_longest(*layers, fillvalue={}))
     report = Report(data={"full": full, "per_layer": per_layer, "agree": full == per_layer})
     if full != per_layer:
         report.add("layer-morphism", "full vs per-layer",

@@ -61,11 +61,7 @@ def random_invertible(d, p, rng):
     return lo @ up, up_inv @ lo_inv
 
 
-def _zero_layer():
-    return {}
-
-
-def _abelian_layer(n, b, p, rng, nilpotent, offset, d):
+def _abelian_layer(n, p, rng, nilpotent, offset, d):
     """Superdiagonal generators go to random polynomials (without constant
     term) in one shared nilpotent; everything else to zero.  All brackets
     vanish on both sides, so this is a homomorphism through the
@@ -93,7 +89,7 @@ def _embed(block, offset, d, p):
 
 def _block_layer(n, b, p, rng, offset, d):
     if b < 2:
-        return _zero_layer()
+        return {}
     if b >= n:
         base = tautological_layer(n, p)
         s, s_inv = random_invertible(n, p, rng)
@@ -106,7 +102,7 @@ def _block_layer(n, b, p, rng, offset, d):
             layer[ij] = _embed(conj, offset, d, p)
         return layer
     nilpotent = random_strict_upper(b, p, rng, nonzero=True)
-    return _abelian_layer(n, b, p, rng, nilpotent, offset, d)
+    return _abelian_layer(n, p, rng, nilpotent, offset, d)
 
 
 def random_layer_data(n, d, p, num_layers, seed) -> LieLayerData:
@@ -119,7 +115,7 @@ def random_layer_data(n, d, p, num_layers, seed) -> LieLayerData:
         s, s_inv = random_invertible(d, p, rng)
         shared = s @ random_strict_upper(d, p, rng, nonzero=d >= 2) @ s_inv
         layers = [
-            _abelian_layer(n, d, p, rng, shared, 0, d) if d >= 2 else _zero_layer()
+            _abelian_layer(n, p, rng, shared, 0, d) if d >= 2 else {}
             for _ in range(num_layers)
         ]
     else:
@@ -135,7 +131,7 @@ def random_layer_data(n, d, p, num_layers, seed) -> LieLayerData:
         # guarantee at least one nonzero image so the data is not trivial
         if d >= 2:
             nilpotent = random_strict_upper(d, p, rng, nonzero=True)
-            layers[0] = _abelian_layer(n, d, p, rng, nilpotent, 0, d)
+            layers[0] = _abelian_layer(n, p, rng, nilpotent, 0, d)
     return LieLayerData(n, p, d, layers)
 
 

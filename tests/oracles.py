@@ -24,7 +24,11 @@ new Residue (or Fraction) per term, and the symbolic comodule check as it was
 before both its sides were summed on ints: over Q, as Fractions.  The
 power ``**`` is kept as it was before one square-and-multiply loop served
 every characteristic: at p > 0, one product by base**(p^l) per unit of
-digit l.  Each is defined here once and imported by the tests that compare against it.
+digit l.  The two morphism criteria are kept as they were before they read T
+into the field: T and the tables' matrices multiplied with the entries' own
+arithmetic, a zero SquareMatrix per missing key or image; and
+``nilpotency_index`` as its SquareMatrix power loop.  Each is defined here
+once and imported by the tests that compare against it.
 """
 
 import contextlib
@@ -40,7 +44,7 @@ from unirep.errors import (CostBoundError, HypothesisError, NotNilpotentError, P
                            SeriesTerminationError, ShapeError, UnirepError)
 from unirep.arith import Residue, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from unirep.hopf import (ExponentMatrix, Polynomial, TensorElement, _convolve, _generator_power, _index, _key,
-                         _monomial_coproduct, tensor_of)
+                         _monomial_coproduct, tensor_of, variable_pairs)
 from unirep.linalg import SquareMatrix, _divided, _field_rows, _is_nilpotent, _matmul, _series_walk
 from unirep.reps import ChiTable, Report, Representation, _regime, assemble, extract_chi
 from unirep.splittings import Splitting, SplitVarId, _feeds, enumerate_splittings
@@ -576,3 +580,58 @@ def reference_power(base, m):
         for _ in range(digit):
             result = result * block
     return result
+
+
+# --- the morphism criteria on the entries' own arithmetic; the index loop -----
+
+def reference_check_morphism(T, src, dst):
+    """reps.check_morphism as it was: T's entries and the tables' matrices
+    multiplied by _matmul's ring branch, key by key in sort order."""
+    if (src.n, src.p) != (dst.n, dst.p):
+        raise ShapeError("representations live over different groups or fields")
+    rows = T.entries if isinstance(T, SquareMatrix) else [list(r) for r in T]
+    if len(rows) != dst.d or any(len(r) != src.d for r in rows):
+        raise ShapeError(f"morphism candidate must be {dst.d} x {src.d}")
+    for M in sorted(set(src.chi.support) | set(dst.chi.support), key=ExponentMatrix.sort_key):
+        if _matmul(rows, src.chi.get(M).entries) != _matmul(dst.chi.get(M).entries, rows):
+            return False
+    return True
+
+
+def reference_layer_morphism_equivalence(T, src, dst):
+    """reps.layer_morphism_equivalence as it was: a zero SquareMatrix for
+    each missing image, every basis pair of every layer compared."""
+    for rep in (src, dst):
+        if _regime(rep.n, rep.p, rep.d) not in ("Q", "layers"):
+            raise HypothesisError(f"layer criterion needs p >= max(n, 2d) = "
+                                  f"{max(rep.n, 2 * rep.d)}, got p = {rep.p}")
+    rows = T.entries if isinstance(T, SquareMatrix) else [list(r) for r in T]
+    full = reference_check_morphism(T, src, dst)
+    src_layers = reps.decompose_to_layers(src)
+    dst_layers = reps.decompose_to_layers(dst)
+    count = max(len(src_layers.layers), len(dst_layers.layers))
+    per_layer = True
+    for l in range(count):
+        for i, j in variable_pairs(src.n):
+            a = src_layers.image(l, i, j) if l < len(src_layers.layers) else src.chi.zero_matrix()
+            b = dst_layers.image(l, i, j) if l < len(dst_layers.layers) else dst.chi.zero_matrix()
+            if _matmul(rows, a.entries) != _matmul(b.entries, rows):
+                per_layer = False
+    report = Report(data={"full": full, "per_layer": per_layer, "agree": full == per_layer})
+    if full != per_layer:
+        report.add("layer-morphism", "full vs per-layer",
+                   "the two criteria agree", f"full={full}, per_layer={per_layer}")
+    return report
+
+
+def reference_nilpotency_index(m, cap):
+    """linalg.nilpotency_index as it was: one SquareMatrix per power."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    power = m
+    for k in range(1, cap + 1):
+        if power.is_zero():
+            return k
+        if k < cap:
+            power = power @ m
+    raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")

@@ -1,10 +1,14 @@
 """Input refusals at the library's boundary, each pinned by its error type and
 message, and public operations that no other test runs."""
 
+import math
+from decimal import Decimal
 from fractions import Fraction
+from re import escape as re_escape
 
 import pytest
 
+from unirep import arith
 from unirep.arith import Residue, check_field, coerce_scalar, matrix_multinomial
 from unirep.bch import FreeElement, left_nested_expand
 from unirep.errors import (
@@ -45,6 +49,20 @@ class TestFieldCheckAtTheConstructors:
         with pytest.raises(ValueError, match=match):
             LieLayerData(n, p, d, [{(1, 2): image}, {(1, 2): image}])
 
+    def test_each_prime_is_divided_once(self, monkeypatch):
+        p = 2**31 - 1
+        arith._PRIMES.discard(p)
+        roots = []
+        isqrt = math.isqrt
+        monkeypatch.setattr(arith.math, "isqrt", lambda v: roots.append(v) or isqrt(v))
+        for _ in range(3):
+            check_field(2, p, 2)
+        assert roots == [p]
+        for _ in range(2):  # a refused modulus is divided again: only primes are kept
+            with pytest.raises(ValueError, match="^p must be 0 or a prime below 2\\^31, got p = 9$"):
+                check_field(2, 9, 2)
+        assert roots == [p, 9, 9]
+
     def test_largest_prime_accepted(self):
         p = 2**31 - 1
         data = LieLayerData(2, p, 2, [{(1, 2): scalar_matrix(E12, p)}])
@@ -58,6 +76,24 @@ class TestShapeRefusals:
             ChiTable(2, 5, 2, {ExponentMatrix.zero(3): SquareMatrix.identity(2, Residue(1, 5))})
         with pytest.raises(ShapeError, match="^chi table entry has wrong dimensions$"):
             ChiTable(2, 5, 2, {ExponentMatrix.zero(2): SquareMatrix.identity(3, Residue(1, 5))})
+
+    def test_chi_table_key_and_value_types(self):
+        one = SquareMatrix.identity(2, Residue(1, 5))
+        # a flat tuple, the key type of Polynomial.terms, is not an ExponentMatrix
+        message = "^chi table entry {} must map an ExponentMatrix to a SquareMatrix$"
+        with pytest.raises(ShapeError, match=message.format(r"\(0, 0, 0\)")):
+            ChiTable(3, 5, 2, {(0, 0, 0): one})
+        with pytest.raises(ShapeError, match=message.format(re_escape(repr(ExponentMatrix.zero(3))))):
+            ChiTable(3, 5, 2, {ExponentMatrix.zero(3): one.entries})
+
+    def test_layer_key_and_image_types(self):
+        image = scalar_matrix(E12, 5)
+        for key in [(1, 2, 3), (1,), "12", (1, "2"), 12]:
+            message = f"^layer key {re_escape(repr(key))} is not an \\(i, j\\) pair of ints$"
+            with pytest.raises(ShapeError, match=message):
+                LieLayerData(2, 5, 2, [{key: image}])
+        with pytest.raises(ShapeError, match=r"^layer image of \(1, 2\) is not a SquareMatrix$"):
+            LieLayerData(2, 5, 2, [{(1, 2): image.entries}])
 
     def test_layer_pair_out_of_range_and_image_of_wrong_size(self):
         image = scalar_matrix(E12, 5)
@@ -119,6 +155,18 @@ class TestValueRefusals:
             coerce_scalar(Residue(1, 5), 0)
         with pytest.raises(ModulusMismatchError, match="^residue mod 5 used where mod 7 expected$"):
             coerce_scalar(Residue(1, 5), 7)
+
+    @pytest.mark.parametrize("p", [0, 5])
+    @pytest.mark.parametrize("value", [0.1, 0.5, "1/2", "3", Decimal("0.5"), None, [1]])
+    def test_only_field_scalars_are_coerced(self, value, p):
+        # before, anything Fraction() parses was read: 0.1 as 3602879701896397/2^55
+        message = f"^{re_escape(repr(value))} is not a field scalar \\(an int, Fraction or Residue\\)$"
+        with pytest.raises(TypeError, match=message):
+            coerce_scalar(value, p)
+        with pytest.raises(TypeError, match=message):
+            scalar_matrix([[value]], p)
+        with pytest.raises(TypeError, match=message):
+            Polynomial(2, p, {(1,): value})
 
     @pytest.mark.parametrize("other", [Fraction(1, 2), 1.5])
     def test_residue_refuses_non_integers(self, other):
