@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, mul
 
 from .arith import check_field, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError, finding
@@ -519,11 +519,11 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
     where X_l is the layer-l image of eps_ij and r_l are the p-ary digits of
     r (X_0^r / r! at p = 0).  The first is the factorization
     g = prod (1 + g_ij E_ij) of U_n, the second the exponential of the root
-    subgroup 1 + t E_ij, on which log g = t E_ij.  chi is built by a
-    depth-first walk over the pairs, pruned at the first zero partial
-    product, and refused with CostBoundError past MAX_CONSTRUCT_NODES nodes.
-    The walk forms no product by the identity and none whose factors' supports
-    make it zero, but counts each such product as tried.
+    subgroup 1 + t E_ij, on which log g = t E_ij.  One step, _products, forms
+    both: it extends chi by a pair as it extends chi(r eps_ij) by a layer.  It
+    counts its products before it forms them, past MAX_CONSTRUCT_NODES nodes
+    refusing with CostBoundError, and forms no product by the identity and
+    none whose factors' supports make it zero, but counts each as tried.
     """
     n, p, d = data.n, data.p, data.d
     if _regime(n, p, d) is None:
@@ -541,8 +541,7 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
 def _walk(data: LieLayerData, table=()):
     """{flat key: rows of chi(M)} over construct_from_layers' support, the rows
     shared with the walk's operands.  Given the flat keys of a table to rebuild,
-    it raises CostBoundError before walking if the nodes of their distinct
-    prefixes, in branch order, already pass the bound."""
+    it raises CostBoundError before walking if their nodes pass the bound."""
     n, p, d = data.n, data.p, data.d
     nodes = 0  # in ninths of a d = 3 node
 
@@ -553,48 +552,53 @@ def _walk(data: LieLayerData, table=()):
             raise CostBoundError(f"constructing chi takes over {MAX_CONSTRUCT_NODES} nodes")
 
     one = [[int(a == b) for b in range(d)] for a in range(d)]
-    branches = []  # (flat index of the pair, its nonzero (r, chi(r eps_ij), nonzero-row mask), r >= 1)
-    for i in range(n - 1, 0, -1):
-        for j in range(i + 1, n + 1):
-            options = _root_subgroup(data, i, j, one, charge)
-            if options:
-                branches.append((_index(n, i, j), [(r, rows, _mask(rows)) for r, rows in options]))
-    size = n * (n - 1) // 2
-    weights = [1 + len(options) for _, options in branches]  # the prefixes of a key weigh <= their sum
+    size, pairs = n * (n - 1) // 2, variable_pairs(n)
+    steps, depth = [], [-1] * size  # (flat index, nonzero (r, chi(r eps_ij)), r >= 1); each index's step
+    for index in _factor_order(n):
+        if options := _root_subgroup(data, *pairs[index], one, charge):
+            depth[index] = len(steps)
+            steps.append((index, options))
+    weights = [1 + len(options) for _, options in steps]
     if len(table) * sum(weights) * max(d * d, 9) > 9 * MAX_CONSTRUCT_NODES - nodes:
-        saved, depth, reach = nodes, {index: k for k, (index, _) in enumerate(branches)}, {}
-        for flat in table:  # each distinct prefix, as its nonzero (depth, entry), and its deepest node
-            prefix = ()
-            for k, e in sorted((depth[i], flat[i]) for i in itertools.compress(range(size), flat)
-                               if i in depth) + [(len(branches) - 1, 0)]:
-                reach[prefix] = max(reach.get(prefix, 0), k)
-                prefix += ((k, e),)
-        charge(sum(sum(weights[prefix[-1][0] + 1 if prefix else 0:k + 1]) for prefix, k in reach.items()))
+        # a table the walk rebuilds is its support, and each key is a node at every step after its last pair
+        past = list(itertools.accumulate(reversed(weights), initial=0))[::-1]  # past[k]: the weights of steps k on
+        saved = nodes
+        charge(sum(past[1 + max(itertools.compress(depth, flat), default=-1)] for flat in table))
         nodes = saved
-    support = {}
-    stack = [(0, one, None)]  # (depth, partial product, chosen as (index, r, rest))
-    while stack:
-        k, partial, chosen = stack.pop()
-        if k == len(branches):
-            flat = [0] * size
-            while chosen:
-                index, r, chosen = chosen
-                flat[index] = r
-            support[tuple(flat)] = partial
-            continue
-        index, options = branches[k]
-        charge(weights[k])
-        stack.append((k + 1, partial, chosen))
+    support = [((0,) * size, one)]
+    for index, options in steps:
+        support = _products(support, options, lambda key, r: key[:index] + (r,) + key[index + 1:], one, p, charge)
+    return dict(support)
+
+
+@functools.cache
+def _factor_order(n):
+    """The flat indices of the pairs in g = prod (1 + g_ij E_ij): i = n-1..1, then j = i+1..n."""
+    return tuple(_index(n, i, j) for i in range(n - 1, 0, -1) for j in range(i + 1, n + 1))
+
+
+def _products(partials, options, join, one, p, charge):
+    """Each partial (key, rows) followed by its nonzero products with the
+    options (r, rows), r >= 1, keyed join(key, r).  All len(partials) *
+    (1 + len(options)) products are charged first, a partial counting as its
+    product by the identity ``one``; none is formed with ``one``, and none
+    whose factors' nonzero columns and rows miss each other."""
+    charge(len(partials) * (1 + len(options)))
+    out, masked = [], None
+    for item in partials:
+        out.append(item)
+        key, partial = item
         if partial is one:
-            stack.extend((k + 1, rows, (index, r, chosen)) for r, rows, _ in options)
+            out.extend((join(key, r), rows) for r, rows in options)
             continue
+        masked = masked or [(r, rows, _mask(rows)) for r, rows in options]
         columns = _mask(zip(*partial))
-        for r, rows, mask in options:
+        for r, rows, mask in masked:
             if columns & mask:
                 product = _matmul(partial, rows, p)
                 if any(map(any, product)):
-                    stack.append((k + 1, product, (index, r, chosen)))
-    return support
+                    out.append((join(key, r), product))
+    return out
 
 
 def _mask(rows):
@@ -606,24 +610,17 @@ def _root_subgroup(data: LieLayerData, i, j, one, charge):
     """The nonzero (r, rows of chi(r eps_ij)) for r >= 1: the products
     X_0^{r_0} / r_0! ... X_m^{r_m} / r_m!, left to right, over the digits r_l
     of r.  The powers come from exp_nilpotent's walk, so a nonzero power at
-    the cap min(d, p) raises as it does there.  ``one`` is the rows of the
-    identity, which no product is formed with; each layer's products are
-    passed to ``charge`` before they are formed."""
+    the cap min(d, p) raises as it does there.  ``one`` and ``charge`` are
+    _products'."""
     p = data.p
     out = [(0, one)]
     for l, layer in enumerate(data.layers):
         image = layer.get((i, j))
         if image is None:
             continue
-        terms = [(0, one)]
-        kfact = 1
-        for k, power in enumerate(_series_walk(_field_rows(image, p), p or None, p), start=1):
-            kfact *= k
-            terms.append((k * p**l, _divided(power, kfact, p)))
-        charge(len(out) * len(terms))
-        out = [(r + s, b if a is one else a if b is one else _matmul(a, b, p))
-               for r, a in out for s, b in terms]
-        out = [(r, a) for r, a in out if any(map(any, a))]
+        powers = enumerate(_series_walk(_field_rows(image, p), p or None, p), start=1)
+        terms = [(k * p**l, _divided(power, math.factorial(k), p)) for k, power in powers]
+        out = _products(out, terms, add, one, p, charge)
     return out[1:]
 
 
@@ -721,9 +718,8 @@ def audit_structure_lemmas(rep: Representation) -> Report:
                 out = f if out is one else _matmul(out, f, p)
         return out
 
-    # the pairs in the order i = n-1..1, j = i+1..n; at a zero m_ij the factor
-    # is chi(0), which is left out only when it is the identity
-    walk = [_index(n, i, j) for i in range(n - 1, 0, -1) for j in range(i + 1, n + 1)]
+    # at a zero m_ij the factor is chi(0), which is left out only when it is the identity
+    walk = _factor_order(n)
     rank = {k: at for at, k in enumerate(walk)}
     unit = _field_rows(chi.get(ExponentMatrix.zero(n)), p)
     skip = unit == one
@@ -802,15 +798,16 @@ def check_morphism(T, src: Representation, dst: Representation) -> bool:
 
 def layer_morphism_equivalence(T, src: Representation, dst: Representation) -> Report:
     """Compare the direct morphism check against the per-layer intertwining
-    criterion; the two must agree."""
+    criterion; the two must agree.  An endomorphism's src is decomposed once."""
     for rep in (src, dst):
         if _regime(rep.n, rep.p, rep.d) not in ("Q", "layers"):
             raise HypothesisError(f"layer criterion needs p >= max(n, 2d) = "
                                   f"{max(rep.n, 2 * rep.d)}, got p = {rep.p}")
     t = _morphism_rows(T, src, dst)
     full = _intertwines(t, src.chi.support, dst.chi.support, src.p)
-    layers = [decompose_to_layers(rep).layers for rep in (src, dst)]
-    per_layer = all(_intertwines(t, a, b, src.p) for a, b in itertools.zip_longest(*layers, fillvalue={}))
+    layers = decompose_to_layers(src).layers
+    others = layers if dst is src else decompose_to_layers(dst).layers
+    per_layer = all(_intertwines(t, a, b, src.p) for a, b in itertools.zip_longest(layers, others, fillvalue={}))
     report = Report(data={"full": full, "per_layer": per_layer, "agree": full == per_layer})
     if full != per_layer:
         report.add("layer-morphism", "full vs per-layer",

@@ -275,13 +275,14 @@ def test_walk_bound_refuses_where_it_did(shape, monkeypatch):
 
 
 def test_refused_certificate_forms_no_walk_product(monkeypatch):
-    # the nodes of the keys' prefixes are the walk's own, so just under its
-    # bound the walk is refused before it forms a product
+    # the nodes the keys count are the walk's own, so just under its bound the
+    # walk is refused before it forms a product; a product is formed by the
+    # shared step, _products, and it is the walk's when _walk called that step
     rep = construct_from_layers(random_layer_data(4, 3, 13, 1, seed=3))
     walked = []
 
     def spy(a, b, p=None):
-        walked.append(sys._getframe(1).f_code.co_name == "_walk")
+        walked.append(sys._getframe(2).f_code.co_name == "_walk")
         return matmul(a, b, p)
 
     matmul = reps._matmul

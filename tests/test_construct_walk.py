@@ -3,7 +3,9 @@ formed every product: by the identity, and zero by its factors' supports.
 
 The rewritten files must be byte-identical, the node bound must refuse the
 same layers at the same MAX_CONSTRUCT_NODES, and the returned matrices must
-own their rows although the walk shares rows between keys.
+own their rows although the walk shares rows between keys.  The products of
+chi(r eps_ij) are formed by the walk's own step, so they are compared with
+the oracle's, and what they charge, on their own as well.
 """
 
 import itertools
@@ -11,17 +13,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unirep import reps
 from unirep.arith import coerce_scalar
-from unirep.errors import CostBoundError
+from unirep.errors import CostBoundError, UnirepError
 from unirep.hopf import variable_pairs
 from unirep.io import write_rep_file
 from unirep.linalg import SquareMatrix
 from unirep.reps import LieLayerData, construct_from_layers
 from unirep.samples import random_layer_data
 
-from oracles import reference_construct_from_layers
+from oracles import reference_construct_from_layers, reference_root_subgroup
 
 PRIMES = (0, 11, 13, 37)
 
@@ -137,3 +141,62 @@ def test_matrices_own_their_rows(data):
     for row in rows:
         row[0] = row[0] + 1
     assert write_rep_file(construct_from_layers(data)) == before
+
+
+def least_bound(data, monkeypatch):
+    """The least MAX_CONSTRUCT_NODES under which construct_from_layers builds
+    data, read off the products its steps charge with the bound lifted."""
+    charged = []
+    products = reps._products
+
+    def spy(partials, options, *args):
+        charged.append(len(partials) * (1 + len(options)))
+        return products(partials, options, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(reps, "_products", spy)
+        m.setattr(reps, "MAX_CONSTRUCT_NODES", 10**6)  # some 40 times the largest case
+        construct_from_layers(data)
+    return -(-sum(charged) * max(data.d**2, 9) // 9)
+
+
+WALKED = [pytest.param(data, id=f"{data.n}-{data.d}-{p}-{len(data.layers)}-{k}")
+          for p in PRIMES for k, data in enumerate(dense_cases(p))]
+WALKED += [pytest.param(torus_layers(n, count, p, seed), id=f"torus-{n}-{count}-{p}-{seed}")
+           for n, count, p in WIDE for seed in range(2)]
+WALKED += [pytest.param(data, id=f"bounded-{k}") for k, data in enumerate(BOUNDED)]
+
+
+@pytest.mark.parametrize("data", WALKED)
+def test_least_node_bound_is_the_oracles(data, monkeypatch):
+    # refusal is monotone in the bound, so one bound that passes and the one
+    # below it, refused, pin the least bound of each
+    least = least_bound(data, monkeypatch)
+    for bound in (least - 1, least):
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", bound)
+        assert outcome(data).startswith("CostBoundError") == (bound < least), bound
+        assert reference_outcome(data).startswith("CostBoundError") == (bound < least), bound
+
+
+def root_subgroup_outcome(root_subgroup, data, i, j):
+    """The options of one pair, or the type and text of what the series
+    raises, with every count passed to charge."""
+    one = [[int(a == b) for b in range(data.d)] for a in range(data.d)]
+    charged = []
+    try:
+        return root_subgroup(data, i, j, one, charged.append), charged
+    except UnirepError as exc:
+        return (type(exc).__name__, str(exc)), charged
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_root_subgroup_matches_the_oracle(draw):
+    n, d = draw.draw(st.integers(2, 4)), draw.draw(st.integers(1, 6))
+    p, layers = draw.draw(st.sampled_from((0, 5, 11, 13, 37))), draw.draw(st.integers(1, 4))
+    family = draw.draw(st.sampled_from(("blocks", "shared") if layers > 1 else ("blocks",)))
+    seed = next(s for s in itertools.count(draw.draw(st.integers(0, 10**6))) if mode(layers, s) == family)
+    data = random_layer_data(n, d, p, layers, seed)
+    i, j = draw.draw(st.sampled_from(variable_pairs(n)))
+    assert (root_subgroup_outcome(reps._root_subgroup, data, i, j)
+            == root_subgroup_outcome(reference_root_subgroup, data, i, j))

@@ -20,7 +20,9 @@ from unirep.arith import Residue
 from unirep.errors import ConversionError, NotNilpotentError, UnirepError
 from unirep.hopf import Polynomial
 from unirep.linalg import SquareMatrix, nilpotency_index, scalar_matrix
+from unirep import reps
 from unirep.reps import LieLayerData, check_morphism, construct_from_layers, layer_morphism_equivalence
+from unirep.samples import random_layer_data
 
 
 def values(p):
@@ -164,6 +166,29 @@ class TestReadIntoTheField:
             check_morphism(t, self.vq, self.vq)
         with pytest.raises(ConversionError, match="^cannot lift a residue to characteristic zero$"):
             layer_morphism_equivalence(t, self.vq, self.vq)
+
+
+@pytest.mark.parametrize("n, d, p, layers, seed", [(5, 6, 13, 2, 3), (3, 2, 0, 1, 1), (4, 3, 11, 3, 0)])
+def test_an_endomorphism_is_decomposed_once(n, d, p, layers, seed, monkeypatch):
+    src = construct_from_layers(random_layer_data(n, d, p, layers, seed))
+    twin = construct_from_layers(random_layer_data(n, d, p, layers, seed))
+    calls = []  # the checked decompositions; the certificate makes an unchecked one inside each
+    decompose = reps.decompose_to_layers
+
+    def spy(rep, check=True):
+        if check:
+            calls.append(rep)
+        return decompose(rep, check)
+
+    monkeypatch.setattr(reps, "decompose_to_layers", spy)
+    identity = [[int(a == b) for b in range(d)] for a in range(d)]
+    shift = [[int(b == a + 1) for b in range(d)] for a in range(d)]
+    for t in (identity, shift):
+        for dst, decomposed in [(src, [src]), (twin, [src, twin])]:
+            calls.clear()
+            report = layer_morphism_equivalence(t, src, dst)
+            assert [id(rep) for rep in calls] == [id(rep) for rep in decomposed]
+            assert report == reference_layer_morphism_equivalence(t, src, dst)
 
 
 # --- nilpotency_index --------------------------------------------------------
