@@ -52,18 +52,12 @@ class ExponentMatrix:
 
     def __post_init__(self):
         """Check the n x n rows given to the constructor; keep their upper
-        triangle.  Rows of plain non-negative ints, zero on and below the
-        diagonal, pass three whole-matrix tests; any other rows are read
-        entry by entry, which raises on the first bad entry."""
+        triangle, read by _upper_flat."""
         n = self.n
         rows = tuple(tuple(r) for r in self.flat)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ShapeError(f"expected a {n}x{n} matrix")
-        entries = list(chain.from_iterable(rows))
-        if not (set(map(type, entries)) <= {int} and min(entries, default=0) >= 0
-                and not any(any(row[:i + 1]) for i, row in enumerate(rows))):
-            _check_entries(rows)
-        flat = tuple(chain.from_iterable(row[i + 1:] for i, row in enumerate(rows)))
+        flat = _upper_flat(rows)
         _set(self, "flat", flat)
         _set(self, "_hash", hash(flat))
 
@@ -166,6 +160,21 @@ def _check_entries(rows):
                 raise ShapeError("exponents must be non-negative")
             if j <= i and v != 0:
                 raise ShapeError("exponent matrix must be strictly upper triangular")
+
+
+def _upper_flat(rows):
+    """The entries above the diagonal of square rows, row-major, read in one
+    pass.  Rows of plain non-negative ints, zero on and below the diagonal,
+    then pass two whole-matrix tests; any other rows are read entry by entry
+    (_check_entries), which raises ShapeError on the first bad entry."""
+    flat = []
+    for i, row in enumerate(rows):
+        if any(row[:i + 1]):
+            _check_entries(rows)
+        flat += row[i + 1:]
+    if not (set(map(type, chain.from_iterable(rows))) <= {int} and min(flat, default=0) >= 0):
+        _check_entries(rows)
+    return tuple(flat)
 
 
 def _key(n, flat):

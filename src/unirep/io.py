@@ -1,20 +1,23 @@
 """Line-oriented JSON serialization for representations and layer families.
 
 A file is one header object followed by one body object per line.  Scalars are
-decimal strings ("a/b" for rationals, "r" with 0 <= r < p for residues), so the
-files are diff-able and exactly representable.  Writing is canonical: exponent
-matrices in lexicographic order, layers and index pairs in increasing order.
+JSON strings of decimals ("a/b" for rationals, "r" with 0 <= r < p for
+residues), so the files are diff-able and exactly representable; no other JSON
+value is read as a scalar.  Writing is canonical: exponent matrices in
+lexicographic order, layers and index pairs in increasing order, each line's
+keys sorted, its matrices filled into cached per-size texts of their JSON.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from functools import cache
 
-from .arith import check_field, coerce_scalar, scalar_from_str, scalar_to_str
+from .arith import check_field, coerce_scalar, scalar_from_str
 from .errors import CostBoundError, ParseError, ShapeError
-from .hopf import ExponentMatrix, variable_pairs
-from .linalg import SquareMatrix
+from .hopf import _key, _upper_flat, variable_pairs
+from .linalg import SquareMatrix, _field_rows, _wrap
 from .reps import ChiTable, LieLayerData, Representation
 
 __all__ = [
@@ -34,12 +37,17 @@ MISSING_SHOWN = 5
 MAX_LAYERS = 64
 
 
-def _exponent_rows(M: ExponentMatrix):
-    return [list(r) for r in M.rows]
+@cache
+def _text(n, low, high):
+    """The JSON text of an n x n matrix: low on and below the diagonal, high
+    above it.  A "%s" is filled with str of an exponent, or of a field entry's
+    int or Fraction: its scalar_to_str, which JSON writes as it is."""
+    return "[%s]" % ", ".join("[%s]" % ", ".join([low] * (i + 1) + [high] * (n - i - 1)) for i in range(n))
 
 
-def _matrix_to_strings(mat: SquareMatrix):
-    return [[scalar_to_str(v) for v in row] for row in mat.entries]
+def _entries(mat, p):
+    """A matrix's field entries, row-major: ints mod p, or Fractions at p = 0."""
+    return tuple(itertools.chain.from_iterable(_field_rows(mat, p)))
 
 
 def _is_square(rows, size):
@@ -48,29 +56,43 @@ def _is_square(rows, size):
             and all(isinstance(r, list) and len(r) == size for r in rows))
 
 
-def _scalar(s, p, lineno, parsed):
-    """scalar_from_str once per distinct value; the immutable scalars in ``parsed`` are shared."""
+class _Scalars(dict):
+    """A file's scalars by their string, each read once by scalar_from_str
+    (which raises on a bad one) and shared; any other JSON value is a TypeError."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def __missing__(self, s):
+        if type(s) is not str:
+            raise TypeError("not a JSON string")  # so no number is truncated by int()
+        value = self[s] = scalar_from_str(s, self.p)
+        return value
+
+
+def _scalar(s, lineno, parsed):
+    """parsed[s]; a value it refuses is a ParseError that names it."""
     try:
         return parsed[s]
-    except (KeyError, TypeError):  # new, or an unhashable JSON list or object
-        try:
-            parsed[s] = scalar_from_str(s, p)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"line {lineno}: bad scalar {s!r}: {exc}") from None
-    return parsed[s]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:  # a TypeError if s is unhashable
+        raise ParseError(f"line {lineno}: bad scalar {s!r}: "
+                         f"{exc if type(s) is str else 'not a JSON string'}") from None
 
 
-def _matrix_from_strings(rows, d, p, lineno, parsed):
+def _matrix_from_strings(rows, d, lineno, parsed):
     if not _is_square(rows, d):
         raise ParseError(f"line {lineno}: matrix is not {d} x {d}")
-    return SquareMatrix([[_scalar(s, p, lineno, parsed) for s in row] for row in rows])
+    try:  # _wrap at p = 0 keeps the rows of scalars as they are
+        return _wrap([list(map(parsed.__getitem__, row)) for row in rows], 0)
+    except (TypeError, ValueError, ZeroDivisionError):  # _scalar raises at the first bad scalar
+        return SquareMatrix([[_scalar(s, lineno, parsed) for s in row] for row in rows])
 
 
 def _exponent_from_rows(rows, n, lineno):
     if not _is_square(rows, n):
         raise ParseError(f"line {lineno}: exponent matrix is not {n} x {n}")
     try:
-        return ExponentMatrix(n, rows)
+        return _key(n, _upper_flat(rows))
     except ShapeError as exc:
         raise ParseError(f"line {lineno}: bad exponent matrix: {exc}") from None
 
@@ -78,7 +100,7 @@ def _exponent_from_rows(rows, n, lineno):
 def _load_line(line, lineno):
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"line {lineno}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"line {lineno}: expected a JSON object")
@@ -111,26 +133,17 @@ def write_rep_file(rep: Representation, body="chi") -> str:
     polynomial-matrix body."""
     if body not in ("chi", "poly"):
         raise ValueError(f"unknown body format {body!r}")
-    lines = [json.dumps(
-        {"format": body, "version": FORMAT_VERSION, "n": rep.n, "p": rep.p, "d": rep.d},
-        sort_keys=True,
-    )]
+    n, p, d = rep.n, rep.p, rep.d
+    lines = [json.dumps({"d": d, "format": body, "n": n, "p": p, "version": FORMAT_VERSION})]
+    key, matrix = _text(n, "0", "%s"), _text(d, '"%s"', '"%s"')
     if body == "chi":
         for M, mat in rep.chi.items():
-            lines.append(json.dumps(
-                {"M": _exponent_rows(M), "matrix": _matrix_to_strings(mat)}, sort_keys=True
-            ))
+            lines.append('{"M": %s, "matrix": %s}' % (key % M.flat, matrix % _entries(mat, p)))
     else:
-        items = rep.chi.items()
-        for a in range(rep.d):
-            for b in range(rep.d):
-                terms = [
-                    {"M": _exponent_rows(M), "c": scalar_to_str(mat.entries[a][b])}
-                    for M, mat in items if mat.entries[a][b]
-                ]
-                lines.append(json.dumps(
-                    {"row": a + 1, "col": b + 1, "terms": terms}, sort_keys=True
-                ))
+        cells = [(key % M.flat, [*map(str, _entries(mat, p))]) for M, mat in rep.chi.items()]
+        for k in range(d * d):
+            terms = ", ".join('{"M": %s, "c": "%s"}' % (m, c[k]) for m, c in cells if c[k] != "0")
+            lines.append('{"col": %d, "row": %d, "terms": [%s]}' % (k % d + 1, k // d + 1, terms))
     return "\n".join(lines) + "\n"
 
 
@@ -144,7 +157,7 @@ def parse_rep_file(text: str) -> Representation:
     if body not in ("chi", "poly"):
         raise ParseError(f"line 1: unknown format {header.get('format')!r}")
     n, p, d = _header_ints(header)
-    parsed = {}
+    parsed = _Scalars(p)
     if body == "chi":
         support = {}
         for lineno, line in enumerate(lines[1:], start=2):
@@ -152,7 +165,7 @@ def parse_rep_file(text: str) -> Representation:
             M = _exponent_from_rows(obj.get("M"), n, lineno)
             if M in support:
                 raise ParseError(f"line {lineno}: duplicate exponent matrix")
-            support[M] = _matrix_from_strings(obj.get("matrix"), d, p, lineno, parsed)
+            support[M] = _matrix_from_strings(obj.get("matrix"), d, lineno, parsed)
         return Representation(ChiTable(n, p, d, support))
     entries = set()
     support = {}  # rows of chi(M), filled one term at a time; a later term of a cell wins
@@ -172,7 +185,7 @@ def parse_rep_file(text: str) -> Representation:
             M = _exponent_from_rows(t.get("M"), n, lineno)
             if M not in support:
                 support[M] = [[zero] * d for _ in range(d)]
-            support[M][a - 1][b - 1] = _scalar(t.get("c"), p, lineno, parsed)
+            support[M][a - 1][b - 1] = _scalar(t.get("c"), lineno, parsed)
     if len(entries) != d * d:
         # each body line is one distinct in-range entry, so entries are missing
         pairs = itertools.product(range(1, d + 1), repeat=2)
@@ -184,19 +197,17 @@ def parse_rep_file(text: str) -> Representation:
 
 
 def write_layer_file(data: LieLayerData) -> str:
-    """Canonical text for a layer family; every pair of every layer is listed."""
-    lines = [json.dumps(
-        {"format": "layers", "version": FORMAT_VERSION, "n": data.n, "p": data.p,
-         "d": data.d, "layers": len(data.layers)},
-        sort_keys=True,
-    )]
-    for l in range(len(data.layers)):
+    """Canonical text for a layer family; every pair of every layer is listed,
+    an absent image as the zero matrix."""
+    p, d = data.p, data.d
+    lines = [json.dumps({"d": d, "format": "layers", "layers": len(data.layers), "n": data.n,
+                         "p": p, "version": FORMAT_VERSION})]
+    matrix, zero = _text(d, '"%s"', '"%s"'), _text(d, '"0"', '"0"')
+    for l, images in enumerate(data.layers):
         for i, j in variable_pairs(data.n):
-            lines.append(json.dumps(
-                {"layer": l, "i": i, "j": j,
-                 "matrix": _matrix_to_strings(data.image(l, i, j))},
-                sort_keys=True,
-            ))
+            mat = images.get((i, j))
+            lines.append('{"i": %d, "j": %d, "layer": %d, "matrix": %s}'
+                         % (i, j, l, zero if mat is None else matrix % _entries(mat, p)))
     return "\n".join(lines) + "\n"
 
 
@@ -211,7 +222,7 @@ def parse_layer_file(text: str) -> LieLayerData:
     if count > MAX_LAYERS:
         raise CostBoundError(f"line 1: {count} layers is over the bound of {MAX_LAYERS}")
     layers = [dict() for _ in range(count)]
-    parsed = {}
+    parsed = _Scalars(p)
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_line(line, lineno)
         l, i, j = obj.get("layer"), obj.get("i"), obj.get("j")
@@ -221,5 +232,5 @@ def parse_layer_file(text: str) -> LieLayerData:
             raise ParseError(f"line {lineno}: pair ({i}, {j}) out of range")
         if (i, j) in layers[l]:
             raise ParseError(f"line {lineno}: duplicate layer entry")
-        layers[l][(i, j)] = _matrix_from_strings(obj.get("matrix"), d, p, lineno, parsed)
+        layers[l][(i, j)] = _matrix_from_strings(obj.get("matrix"), d, lineno, parsed)
     return LieLayerData(n, p, d, layers)

@@ -27,8 +27,11 @@ every characteristic: at p > 0, one product by base**(p^l) per unit of
 digit l.  The two morphism criteria are kept as they were before they read T
 into the field: T and the tables' matrices multiplied with the entries' own
 arithmetic, a zero SquareMatrix per missing key or image; and
-``nilpotency_index`` as its SquareMatrix power loop.  Each is defined here
-once and imported by the tests that compare against it.
+``nilpotency_index`` as its SquareMatrix power loop.  The rep and layer file
+writers are kept as they were before they filled cached per-size texts:
+json.dumps(..., sort_keys=True) over each line's dict, every scalar through
+scalar_to_str.  Each is defined here once and imported by the tests that
+compare against it.
 """
 
 import contextlib
@@ -42,7 +45,7 @@ from unirep import io, reps
 from unirep.bch import FreeElement
 from unirep.errors import (CostBoundError, HypothesisError, NotNilpotentError, ParseError,
                            SeriesTerminationError, ShapeError, UnirepError)
-from unirep.arith import Residue, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
+from unirep.arith import Residue, coerce_scalar, gamma_factor, p_ary_digits, scalar_to_str, sum_carries
 from unirep.hopf import (ExponentMatrix, Polynomial, TensorElement, _convolve, _generator_power, _index, _key,
                          _monomial_coproduct, tensor_of, variable_pairs)
 from unirep.linalg import SquareMatrix, _divided, _field_rows, _is_nilpotent, _matmul, _series_walk
@@ -145,9 +148,46 @@ def reference_write_poly(rep):
     for a in range(rep.d):
         for b in range(rep.d):
             items = [(_key(rep.n, k), c) for k, c in pm.entries[a][b].terms.items()]
-            terms = [{"M": [list(r) for r in M.rows], "c": io.scalar_to_str(c)}
+            terms = [{"M": [list(r) for r in M.rows], "c": scalar_to_str(c)}
                      for M, c in sorted(items, key=lambda kv: kv[0].sort_key())]
             lines.append(json.dumps({"row": a + 1, "col": b + 1, "terms": terms}, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_rep_file(rep, body="chi"):
+    """write_rep_file as it wrote each line: a dict of the line's fields
+    through json.dumps(..., sort_keys=True), each key as a list of its rows
+    and each scalar through scalar_to_str."""
+    if body not in ("chi", "poly"):
+        raise ValueError(f"unknown body format {body!r}")
+    lines = [json.dumps({"format": body, "version": io.FORMAT_VERSION, "n": rep.n, "p": rep.p,
+                         "d": rep.d}, sort_keys=True)]
+    if body == "chi":
+        for M, mat in rep.chi.items():
+            lines.append(json.dumps({"M": [list(r) for r in M.rows],
+                                     "matrix": [[scalar_to_str(v) for v in row] for row in mat.entries]},
+                                    sort_keys=True))
+    else:
+        items = rep.chi.items()
+        for a in range(rep.d):
+            for b in range(rep.d):
+                terms = [{"M": [list(r) for r in M.rows], "c": scalar_to_str(mat.entries[a][b])}
+                         for M, mat in items if mat.entries[a][b]]
+                lines.append(json.dumps({"row": a + 1, "col": b + 1, "terms": terms}, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_layer_file(data):
+    """write_layer_file as it wrote each line: through json.dumps(...,
+    sort_keys=True), with LieLayerData.image's zero matrix for each absent pair."""
+    lines = [json.dumps({"format": "layers", "version": io.FORMAT_VERSION, "n": data.n, "p": data.p,
+                         "d": data.d, "layers": len(data.layers)}, sort_keys=True)]
+    for l in range(len(data.layers)):
+        for i, j in variable_pairs(data.n):
+            lines.append(json.dumps({"layer": l, "i": i, "j": j,
+                                     "matrix": [[scalar_to_str(v) for v in row]
+                                                for row in data.image(l, i, j).entries]},
+                                    sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -159,7 +199,7 @@ def reference_parse_rep_file(text):
     if not lines or io._load_line(lines[0], 1).get("format") != "poly":
         return io.parse_rep_file(text)
     n, p, d = io._header_ints(io._load_line(lines[0], 1))
-    parsed = {}
+    parsed = io._Scalars(p)
     entries = {}
     for lineno, line in enumerate(lines[1:], start=2):
         obj = io._load_line(line, lineno)
@@ -174,7 +214,7 @@ def reference_parse_rep_file(text):
             raise ParseError(f"line {lineno}: terms must be a list of objects")
         for t in listed:
             M = io._exponent_from_rows(t.get("M"), n, lineno)
-            terms[M] = io._scalar(t.get("c"), p, lineno, parsed)
+            terms[M] = io._scalar(t.get("c"), lineno, parsed)
         entries[(a, b)] = Polynomial(n, p, terms)
     if len(entries) != d * d:
         pairs = itertools.product(range(1, d + 1), repeat=2)

@@ -1,17 +1,19 @@
 """File formats: canonical writing and validating parsing."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from unirep.arith import Residue
-from unirep.errors import ParseError
+from unirep.errors import HypothesisError, ParseError
 from unirep.hopf import ExponentMatrix
 from unirep.io import FORMAT_VERSION, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
 from unirep.linalg import SquareMatrix
-from unirep.reps import ChiTable, Representation, construct_from_layers
-from unirep.samples import random_layer_data
+from unirep.reps import ChiTable, LieLayerData, Representation, construct_from_layers
+from unirep.samples import random_chi_support, random_layer_data
 
+from oracles import reference_write_layer_file, reference_write_rep_file
 from test_cli import run_cli
 
 
@@ -133,3 +135,107 @@ class TestHeaderVersion:
         path.write_text(bad)
         out, err, code = run_cli([command, str(path)])
         assert (out, err, code) == ("", f"error: {message}\n", 2)
+
+
+class TestWritersMatchTheOracle:
+    """The writers fill cached per-size texts of each line's JSON; the
+    oracles are the writers they replaced, json.dumps(..., sort_keys=True)
+    over each line's dict.  Every file must come out byte for byte the same."""
+
+    @staticmethod
+    def same_bytes(data, rep):
+        assert write_layer_file(data) == reference_write_layer_file(data)
+        for body in ("chi", "poly"):
+            assert write_rep_file(rep, body) == reference_write_rep_file(rep, body)
+
+    @pytest.mark.parametrize("p", [0, 2, 11, 13, 2**31 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_random_families_and_tables(self, n, p):
+        for d, layers in ((1, 1), (2, 2), (3, 1), (3, 3)):
+            data = random_layer_data(n, d, p, layers, seed=10 * n + d)
+            try:
+                rep = construct_from_layers(data)
+            except HypothesisError:  # p = 2 below max(n, 2d), or more than one layer at p = 0
+                keys = min(6, 4 ** (n * (n - 1) // 2))
+                rep = Representation(ChiTable(n, p, d, random_chi_support(n, d, p, keys, seed=d)))
+            self.same_bytes(data, rep)
+
+    def test_negative_and_non_integral_fractions(self):
+        q = Fraction
+        a = [[q(-3, 2), q(5, 7), q(-4)], [q(0), q(1, 3), q(22, 1)], [q(-1, 1000), q(7, 3), q(2)]]
+        e = [[q(0), q(-5, 2), q(0)], [q(0), q(0), q(9, 4)], [q(0), q(0), q(0)]]
+        rep = Representation(ChiTable(3, 0, 3, {ExponentMatrix.zero(3): SquareMatrix(a),
+                                                ExponentMatrix.epsilon(3, 1, 3, 2): SquareMatrix(e)}))
+        data = LieLayerData(3, 0, 3, [{(1, 2): SquareMatrix(e)}, {}, {(2, 3): SquareMatrix(a)}])
+        self.same_bytes(data, rep)
+        assert '"-3/2"' in write_rep_file(rep) and '"c": "-1/1000"' in write_rep_file(rep, "poly")
+
+
+class TestNonStringScalars:
+    """A scalar is a JSON string.  A number, boolean, null, list or object in
+    its place is refused: int() would truncate 1.9 to 1 and read true as 1."""
+
+    @staticmethod
+    def files():
+        data = random_layer_data(3, 2, 5, 1, seed=2)
+        rep = construct_from_layers(data)
+        return {"layers": (write_layer_file(data), parse_layer_file, "construct"),
+                "chi": (write_rep_file(rep), parse_rep_file, "verify"),
+                "poly": (write_rep_file(rep, "poly"), parse_rep_file, "decompose")}
+
+    @staticmethod
+    def with_scalar(text, value):
+        """The text with its first scalar, on line 2, replaced by value."""
+        head, first, *rest = text.splitlines()
+        line = json.loads(first)
+        if "terms" in line:
+            line["terms"][0]["c"] = value
+        else:
+            line["matrix"][0][0] = value
+        return "\n".join([head, json.dumps(line)] + rest) + "\n"
+
+    @pytest.mark.parametrize("value", [1.9, 2.7, 1, True, None, [1], {"c": "1"}])
+    @pytest.mark.parametrize("kind", ["layers", "chi", "poly"])
+    def test_refused(self, kind, value, tmp_path):
+        text, parse, command = self.files()[kind]
+        bad = self.with_scalar(text, value)
+        message = f"line 2: bad scalar {value!r}: not a JSON string"
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        assert str(info.value) == message
+        path = tmp_path / "in.txt"
+        path.write_text(bad)
+        assert run_cli([command, str(path)]) == ("", f"error: {message}\n", 2)
+
+    @pytest.mark.parametrize("p,value", [(5, 1.9), (5, True), (0, 1.5), (0, 3)])
+    def test_matrix_of_numbers_is_refused(self, p, value):
+        one = Fraction(1) if p == 0 else Residue(1, p)
+        rep = Representation(ChiTable(3, p, 2, {ExponentMatrix.zero(3): SquareMatrix.identity(2, one)}))
+        bad = self.with_scalar(write_rep_file(rep), value)
+        with pytest.raises(ParseError, match=r"^line 2: bad scalar .*: not a JSON string$"):
+            parse_rep_file(bad)
+
+    def test_string_scalars_still_read(self):
+        for kind, (text, parse, _) in self.files().items():
+            assert parse(self.with_scalar(text, "1")) is not None
+
+
+class TestDeepNesting:
+    """A line nested past the decoder's recursion limit is invalid JSON on
+    that line: exit code 2, one error line and no traceback."""
+
+    DEEP = "[" * 200_000
+
+    @pytest.mark.parametrize("where", ["header", "body"])
+    @pytest.mark.parametrize("command", ["construct", "verify", "decompose"])
+    def test_exit_code_two(self, command, where, tmp_path):
+        data = random_layer_data(3, 2, 7, 1, seed=3)
+        text = write_layer_file(data) if command == "construct" else write_rep_file(construct_from_layers(data))
+        header = text.splitlines()[0]
+        lineno, text = (1, self.DEEP) if where == "header" else (2, header + "\n" + self.DEEP)
+        path = tmp_path / "in.txt"
+        path.write_text(text + "\n")
+        out, err, code = run_cli([command, str(path)])
+        assert (out, code) == ("", 2)
+        assert err.startswith(f"error: line {lineno}: invalid JSON: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """The chi-table paths of the poly writer, the poly reader and the Frobenius
-twist against the polynomial-matrix route they replaced (tests/oracles.py):
+twist against the polynomial-matrix route they replaced (tests/oracles.py),
+and both rep writers against the json.dumps writers they replaced:
 the same bytes, the same table, or the same error, on seeded valid tables,
 on tables with plain-int entries at p = 0, and on mutated poly files.  Plain
 ints at p > 0, Fractions at p > 0 and residues mod another prime or at p = 0
@@ -18,7 +19,7 @@ from unirep.linalg import SquareMatrix, scalar_matrix
 from unirep.reps import ChiTable, Representation, construct_from_layers, frobenius_twist_rep
 from unirep.samples import random_chi_support, random_layer_data
 
-from oracles import reference_parse_rep_file, reference_twist, reference_write_poly
+from oracles import reference_parse_rep_file, reference_twist, reference_write_poly, reference_write_rep_file
 from test_field_reading import in_field
 
 
@@ -116,6 +117,13 @@ def same_outcome(got, want):
 def test_writer_matches_assemble(name, rep):
     if built(rep):
         assert outcome(write_rep_file, rep, "poly") == outcome(reference_write_poly, rep)
+
+
+@pytest.mark.parametrize("name,rep", CASES, ids=[name for name, _ in CASES])
+def test_writers_match_json_dumps(name, rep):
+    if built(rep):
+        for body in ("chi", "poly"):
+            assert write_rep_file(rep, body) == reference_write_rep_file(rep, body)
 
 
 @pytest.mark.parametrize("name,rep", CASES, ids=[name for name, _ in CASES])
