@@ -220,13 +220,15 @@ def scalar_to_str(c) -> str:
 
 
 def scalar_from_str(text: str, p: int):
-    """Inverse of scalar_to_str for the field of characteristic p."""
-    if p == 0:
-        return Fraction(text)
-    value = int(text)
-    if not 0 <= value < p:
+    """Inverse of scalar_to_str for the field of characteristic p: any other
+    text of the value raises ValueError.  Over F_p the value's Residue is
+    _residues(p)'s."""
+    value = Fraction(text) if p == 0 else int(text)
+    if p and not 0 <= value < p:
         raise ValueError(f"residue {value} out of range [0, {p})")
-    return Residue(value, p)
+    if scalar_to_str(value) != text:
+        raise ValueError(f"{text!r} is not the canonical text {scalar_to_str(value)!r}")
+    return _residues(p)[value] if p else value
 
 
 def factorial(k: int) -> int:

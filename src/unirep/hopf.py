@@ -225,27 +225,23 @@ class _Terms:
         clean = {}
         for key, c in (terms or {}).items():
             c = coerce_scalar(c, p)
+            if type(key) is ExponentMatrix and self._factors == 1 and key.n == n:
+                key = key.flat
+            elif not (type(key) is tuple and len(key) == width
+                      and all(type(v) is int and v >= 0 for v in key)):
+                raise ShapeError(f"term key {key!r} is not {self._key_kind} of size {n}")
             if c:
-                if type(key) is ExponentMatrix and self._factors == 1 and key.n == n:
-                    key = key.flat
-                elif not (type(key) is tuple and len(key) == width
-                          and all(type(v) is int and v >= 0 for v in key)):
-                    raise ShapeError(f"term key {key!r} is not {self._key_kind} of size {n}")
                 clean[key] = c
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, n, p, terms):
-        """Wrap {key: nonzero field element} built in this module, unchecked."""
-        f = cls.__new__(cls)
-        f.n, f.p, f.terms = n, p, terms
-        return f
-
-    @classmethod
     def _from_flat(cls, n, p, sums, den=None):
         """The element with the nonzero sums of {flat key: int (p > 0) or
-        Fraction, or int over den}."""
-        return cls._trusted(n, p, dict(_field_sums(sums, p, den)))
+        Fraction, or int over den}, unchecked: every result of the term
+        algebra is built here."""
+        f = cls.__new__(cls)
+        f.n, f.p, f.terms = n, p, dict(_field_sums(sums, p, den))
+        return f
 
     @classmethod
     def zero(cls, n, p):
@@ -253,7 +249,7 @@ class _Terms:
 
     @classmethod
     def one(cls, n, p):
-        return cls._trusted(n, p, {(0,) * (cls._factors * n * (n - 1) // 2): coerce_scalar(1, p)})
+        return cls._from_flat(n, p, {(0,) * (cls._factors * n * (n - 1) // 2): 1}, den=1)
 
     def _flat_items(self):
         """(key, int) over F_p, (key, Fraction) over Q."""
@@ -267,10 +263,13 @@ class _Terms:
 
     def _add(self, other):
         self._check(other)
-        return self._trusted(self.n, self.p, _sum_terms(self.terms, other.terms, self.p))
+        sums = dict(self._flat_items())
+        for k, c in other._flat_items():
+            sums[k] = sums[k] + c if k in sums else c
+        return self._from_flat(self.n, self.p, sums)
 
     def __neg__(self):
-        return self._trusted(self.n, self.p, {k: -c for k, c in self.terms.items()})
+        return self._mul(-1)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, _Terms) else -coerce_scalar(other, self.p))
@@ -278,10 +277,10 @@ class _Terms:
     def _mul(self, other):
         n, p = self.n, self.p
         if not isinstance(other, _Terms):
-            return self._trusted(n, p, _scaled_terms(self.terms, coerce_scalar(other, p), p))
+            c = coerce_scalar(other, p)
+            c = c.value if p else c
+            return self._from_flat(n, p, {k: x * c for k, x in self._flat_items()})
         self._check(other)
-        if not (self.terms and other.terms):
-            return self._trusted(n, p, {})
         return self._from_flat(n, p, _convolve(self._flat_items(), other._flat_items()))
 
     def __pow__(self, m):
@@ -292,7 +291,7 @@ class _Terms:
         distinct ones to distinct ones, since e is an int >= 1."""
         if type(e) is not int or e < 1:
             raise ValueError(f"substitution power must be an integer at least 1, got {e!r}")
-        return self._trusted(self.n, self.p, {tuple(e * v for v in k): c for k, c in self.terms.items()})
+        return self._from_flat(self.n, self.p, {tuple(e * v for v in k): c for k, c in self._flat_items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -389,11 +388,13 @@ class TensorElement(_Terms):
 
 # --- the term kernel ---------------------------------------------------------
 #
-# Over F_p the kernel works on the residues' ints and gives each output term
-# the shared Residue of its value (arith._residues), or a new one when p is
-# past arith.SHARED_BELOW; over Q it works on the Fractions.  Either way the
-# result skips coerce_scalar: sums and products of field elements are field
-# elements.
+# The checked constructor is the one way in; _Terms._from_flat is the one way
+# out: every sum, scaling, negation, product, power, one, scale_exponents,
+# coproduct and tensor_of is built there.  Over F_p the kernel works on the
+# residues' ints and gives each output term the shared Residue of its value
+# (arith._residues), or a new one when p is past arith.SHARED_BELOW; over Q
+# it works on the Fractions.  Either way the result skips coerce_scalar:
+# sums and products of field elements are field elements.
 
 
 def _convolve(xs, ys):
@@ -426,33 +427,6 @@ def _int_scalars(cs, p):
         return [c.value for c in cs], None
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
-
-
-def _sum_terms(a, b, p):
-    """The terms of a + b; a key whose coefficients cancel is dropped."""
-    terms = dict(a)
-    table = p and _residues(p)
-    for k, c in b.items():
-        old = terms.get(k)
-        if old is None:
-            terms[k] = c
-            continue
-        c = table[(old.value + c.value) % p] if p else old + c
-        if c:
-            terms[k] = c
-        else:
-            del terms[k]
-    return terms
-
-
-def _scaled_terms(terms, c, p):
-    """The terms times the field element c."""
-    if not c:
-        return {}
-    if p:
-        v, table = c.value, _residues(p)
-        return {k: table[x.value * v % p] for k, x in terms.items()}
-    return {k: x * c for k, x in terms.items()}
 
 
 def _power(base, m, one):

@@ -3,9 +3,10 @@
 A file is one header object followed by one body object per line.  Scalars are
 JSON strings of decimals ("a/b" for rationals, "r" with 0 <= r < p for
 residues), so the files are diff-able and exactly representable; no other JSON
-value is read as a scalar.  Writing is canonical: exponent matrices in
-lexicographic order, layers and index pairs in increasing order, each line's
-keys sorted, its matrices filled into cached per-size texts of their JSON.
+value, and no other text of a value, is read as a scalar.  Writing is
+canonical: exponent matrices in lexicographic order, layers and index pairs in
+increasing order, each line's keys sorted, its matrices filled into cached
+per-size texts of their JSON.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import json
 from functools import cache
 
-from .arith import check_field, coerce_scalar, scalar_from_str
+from .arith import check_field, scalar_from_str
 from .errors import CostBoundError, ParseError, ShapeError
 from .hopf import _key, _upper_flat, variable_pairs
 from .linalg import SquareMatrix, _field_rows, _wrap
@@ -169,7 +170,7 @@ def parse_rep_file(text: str) -> Representation:
         return Representation(ChiTable(n, p, d, support))
     entries = set()
     support = {}  # rows of chi(M), filled one term at a time; a later term of a cell wins
-    zero = coerce_scalar(0, p)
+    zero = parsed["0"]
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_line(line, lineno)
         a, b = obj.get("row"), obj.get("col")

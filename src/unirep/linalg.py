@@ -4,13 +4,14 @@ Entries are either scalars (Fraction / Residue) or Polynomials, never mixed
 within one matrix.  One reader, `_field_rows`, takes entries to field rows.
 Each operator has one body over the rows `_operands` hands it: when every
 entry of the operands is a Residue mod one p, the ints, and the result is
-built with one Residue per output entry; any other matrix, its entries
-themselves, with their own arithmetic.  The exp/log series take F_p or Q
-entries only: they read their operand once into rows (`_series_rows`), walk
-its powers on them (`_series_walk`) and build the result's entries once, d^2
-Residues over F_p.  The walk stops at the first
-zero power, so no division by k! for k >= index ever happens; this is what
-keeps every denominator coprime to the characteristic.
+built with one Residue per output entry; when every entry is a Fraction or
+a plain int, the Fractions; any other matrix (polynomial or mixed), its
+entries themselves, with their own arithmetic.  The exp/log series take F_p
+or Q entries only: they read their operand once into rows (`_series_rows`),
+walk its powers on them (`_series_walk`) and build the result's entries once,
+d^2 Residues over F_p.  The walk stops at the first zero power, so no division
+by k! for k >= index ever happens; this is what keeps every denominator
+coprime to the characteristic.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def one_like(entry):
     if isinstance(entry, Polynomial):
         return Polynomial.one(entry.n, entry.p)
     if isinstance(entry, Residue):
-        return Residue(1, entry.p)
+        return _residues(entry.p)[1]
     return Fraction(1)
 
 
@@ -135,7 +136,7 @@ def _matmul(a, b, p=None):
         cols = list(zip(*b))
         return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
     cols = nonzero = None
-    zero = [0 if p else Fraction(0)] * len(b[0])
+    zero = 0 if p else Fraction(0)
     out = []
     for row in a:
         zeros = row.count(0)
@@ -150,7 +151,7 @@ def _matmul(a, b, p=None):
                 x = row[k]
                 if x:
                     acc = [x * y for y in brow] if acc is None else [s + x * y for s, y in zip(acc, brow)]
-        out.append(zero[:] if acc is None else [s % p for s in acc] if p else acc)
+        out.append([zero] * len(b[0]) if acc is None else [s % p for s in acc] if p else acc)
     return out
 
 
@@ -184,20 +185,23 @@ def _field_rows(m, p):
     return rows
 
 
-def _operands(*matrices, c=0):
-    """(p, the rows of each matrix, c) for an operator to compute on: p, the
-    int rows and c's int when every entry is a Residue mod one p and c is an
-    int or a Residue mod p; else p None, the entries themselves and c, so the
-    entries' own arithmetic applies and mixed moduli raise there."""
+def _operands(*matrices, c=0, ring=True):
+    """(p, the rows of each matrix, c) for an operator to compute on.  The
+    field is the first entry's: F_p for a Residue mod p, else Q (p = 0).
+    When every entry is in it and c is an int, a Residue mod p or at p = 0 a
+    Fraction: p, the field rows (_field_rows) and c, a Residue as its int.
+    Else p None, the entries themselves and c, so the entries' own arithmetic
+    applies and mixed moduli raise there; with ring=False an entry outside
+    the field raises _field_rows' ModulusMismatchError instead."""
     first = matrices[0].entries[0][0] if matrices[0].size else None
-    if type(first) is Residue:
-        p = first.p
-        v = c.value if type(c) is Residue and c.p == p else c
-        if isinstance(v, int):
-            try:
-                return p, [_field_rows(m, p) for m in matrices], v
-            except ModulusMismatchError:
-                pass
+    p = first.p if type(first) is Residue else 0
+    v = c.value if type(c) is Residue and c.p == p else c
+    if isinstance(v, int) or not p and type(v) is Fraction:
+        try:
+            return p, [_field_rows(m, p) for m in matrices], v
+        except ModulusMismatchError:
+            if not ring:
+                raise
     return None, [m.entries for m in matrices], c
 
 
@@ -223,10 +227,9 @@ def _is_nilpotent(a, cap, p=None):
 
 def _series_rows(*matrices):
     """[p, the unit, the rows of each matrix], all in the field of the first
-    entry (p = 0 unless it is a Residue mod p), read by _field_rows."""
-    first = matrices[0].entries[0][0] if matrices[0].size else None
-    p = first.p if type(first) is Residue else 0
-    return [p, 1 if p else Fraction(1), *(_field_rows(m, p) for m in matrices)]
+    entry (_operands); an entry outside it raises ModulusMismatchError."""
+    p, rows, _ = _operands(*matrices, ring=False)
+    return [p, 1 if p else Fraction(1), *rows]
 
 
 def _wrap(rows, p):

@@ -30,7 +30,10 @@ arithmetic, a zero SquareMatrix per missing key or image; and
 ``nilpotency_index`` as its SquareMatrix power loop.  The rep and layer file
 writers are kept as they were before they filled cached per-size texts:
 json.dumps(..., sort_keys=True) over each line's dict, every scalar through
-scalar_to_str.  Each is defined here once and imported by the tests that
+scalar_to_str.  The term algebra's sums, scalings, negation, ``one``,
+``scale_exponents`` and empty products are kept as they were built before
+``_Terms._from_flat`` was their one exit: on the field elements themselves,
+wrapped unchecked.  Each is defined here once and imported by the tests that
 compare against it.
 """
 
@@ -41,7 +44,7 @@ import json
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
-from unirep import io, reps
+from unirep import arith, io, reps
 from unirep.bch import FreeElement
 from unirep.errors import (CostBoundError, HypothesisError, NotNilpotentError, ParseError,
                            SeriesTerminationError, ShapeError, UnirepError)
@@ -675,3 +678,86 @@ def reference_nilpotency_index(m, cap):
         if k < cap:
             power = power @ m
     raise NotNilpotentError(f"matrix is not nilpotent within {cap} powers")
+
+
+# --- the term algebra's results as they were built before _from_flat was their one exit
+
+def reference_trusted(cls, n, p, terms):
+    """hopf._Terms._trusted as it was: {key: nonzero field element} wrapped unchecked."""
+    f = cls.__new__(cls)
+    f.n, f.p, f.terms = n, p, terms
+    return f
+
+
+def reference_sum_terms(a, b, p):
+    """hopf._sum_terms as it was: the terms of a + b; a key whose coefficients
+    cancel is dropped."""
+    terms = dict(a)
+    table = p and arith._residues(p)
+    for k, c in b.items():
+        old = terms.get(k)
+        if old is None:
+            terms[k] = c
+            continue
+        c = table[(old.value + c.value) % p] if p else old + c
+        if c:
+            terms[k] = c
+        else:
+            del terms[k]
+    return terms
+
+
+def reference_scaled_terms(terms, c, p):
+    """hopf._scaled_terms as it was: the terms times the field element c."""
+    if not c:
+        return {}
+    if p:
+        v, table = c.value, arith._residues(p)
+        return {k: table[x.value * v % p] for k, x in terms.items()}
+    return {k: x * c for k, x in terms.items()}
+
+
+def reference_one(cls, n, p):
+    return reference_trusted(cls, n, p, {(0,) * (cls._factors * n * (n - 1) // 2): coerce_scalar(1, p)})
+
+
+def reference_neg(x):
+    return reference_trusted(type(x), x.n, x.p, {k: -c for k, c in x.terms.items()})
+
+
+def reference_add(x, y):
+    x._check(y)
+    return reference_trusted(type(x), x.n, x.p, reference_sum_terms(x.terms, y.terms, x.p))
+
+
+def reference_scale(x, c):
+    return reference_trusted(type(x), x.n, x.p, reference_scaled_terms(x.terms, coerce_scalar(c, x.p), x.p))
+
+
+def reference_scale_exponents(x, e):
+    return reference_trusted(type(x), x.n, x.p, {tuple(e * v for v in k): c for k, c in x.terms.items()})
+
+
+def reference_product(x, y):
+    """The product with its empty shortcut; nonempty operands were already
+    multiplied by the kernel that still does it."""
+    if not (x.terms and y.terms):
+        return reference_trusted(type(x), x.n, x.p, {})
+    return x * y
+
+
+def reference_route_power(base, m):
+    """hopf._power on the routes above: its square-and-multiply loop, with
+    one, scale_exponents and the products built as they were."""
+    if m < 0:
+        raise ValueError("negative power")
+    result = reference_one(type(base), base.n, base.p)
+    for l, digit in enumerate(p_ary_digits(m, base.p).digits if base.p else (m,)):
+        square = reference_scale_exponents(base, base.p**l) if l else base
+        while digit:
+            if digit & 1:
+                result = reference_product(result, square)
+            digit >>= 1
+            if digit:
+                square = reference_product(square, square)
+    return result

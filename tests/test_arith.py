@@ -1,5 +1,6 @@
 """Scalar domains and base-p combinatorics."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from unirep.arith import (
     MAX_N,
     PAryDigits,
     Residue,
+    _residues,
     check_field,
     coerce_scalar,
     factorial,
@@ -96,6 +98,25 @@ class TestCoercion:
     def test_residue_out_of_range(self):
         with pytest.raises(ValueError):
             scalar_from_str("7", 5)
+
+    @pytest.mark.parametrize("p,text,canonical", [
+        (7, "+1", "1"), (7, " 1", "1"), (7, "1 ", "1"), (7, "01", "1"), (7, "0_1", "1"), (7, "\uff11", "1"),
+        (7, "-0", "0"), (0, "1.5", "3/2"), (0, "1e1", "10"), (0, "3/6", "1/2"), (0, "1/1", "1"),
+        (0, "+1/2", "1/2"), (0, "-0", "0"),
+    ])
+    def test_only_the_canonical_text_is_read(self, p, text, canonical):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(text))} is not the canonical text {canonical!r}$"):
+            scalar_from_str(text, p)
+        assert scalar_to_str(scalar_from_str(canonical, p)) == canonical
+
+    @pytest.mark.parametrize("p", [2, 13, 1021])
+    def test_residues_are_the_shared_ones(self, p):
+        assert all(scalar_from_str(str(v), p) is _residues(p)[v] for v in range(min(p, 50)))
+
+    def test_past_the_bound_residues_are_new(self):
+        a, b = scalar_from_str("5", 1031), scalar_from_str("5", 1031)
+        assert a == b == Residue(5, 1031) and a is not b
+        assert type(scalar_from_str("-7/2", 0)) is Fraction
 
 
 class TestMultinomial:

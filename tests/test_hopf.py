@@ -539,6 +539,10 @@ class TestSharedTermAlgebra:
         for key in (ExponentMatrix.zero(2), (ExponentMatrix.zero(3), ExponentMatrix.zero(3)), "junk"):
             with pytest.raises(ShapeError):
                 Polynomial(3, 5, {key: 1})
+        # a key is checked whatever its coefficient: 0, and 5 = 0 mod 5, with the wrong width
+        for terms in ({"junk": 0}, {(1, 2): 5}):
+            with pytest.raises(ShapeError):
+                Polynomial(3, 5, terms)
 
     def test_shared_operations_agree_on_both_layouts(self):
         # a polynomial f and the tensor f (x) 1 have the same arithmetic
@@ -596,8 +600,9 @@ class TestFlatPolynomialKeys:
                "negative": (0,) * (width - 1) + (-1,),
                "float": (0,) * (width - 1) + (1.0,),
                "bool": (True,) + (0,) * (width - 1)}[bad]
-        with pytest.raises(ShapeError, match="is not"):
-            cls(3, 5, {key: 1})
+        for c in (1, 0, 5, Fraction(10, 3)):  # the last three are 0 mod 5
+            with pytest.raises(ShapeError, match="is not"):
+                cls(3, 5, {key: c})
 
     def test_tensor_refuses_exponent_matrices_of_its_own_n(self):
         with pytest.raises(ShapeError):

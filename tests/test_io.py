@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from unirep import arith
 from unirep.arith import Residue
 from unirep.errors import HypothesisError, ParseError
 from unirep.hopf import ExponentMatrix
@@ -218,6 +219,53 @@ class TestNonStringScalars:
     def test_string_scalars_still_read(self):
         for kind, (text, parse, _) in self.files().items():
             assert parse(self.with_scalar(text, "1")) is not None
+
+
+class TestCanonicalScalars:
+    """A scalar string is read only as the text the writers give its value
+    (scalar_to_str), so no two files parse to one table and a file read and
+    written again comes back as it was; over F_p its residue is the shared one."""
+
+    @staticmethod
+    def files(p):
+        data = random_layer_data(3, 2, p, 1, seed=2)
+        rep = construct_from_layers(data)
+        return {"layers": (write_layer_file(data), parse_layer_file, "construct"),
+                "chi": (write_rep_file(rep), parse_rep_file, "verify"),
+                "poly": (write_rep_file(rep, "poly"), parse_rep_file, "decompose")}
+
+    @pytest.mark.parametrize("p,value,canonical", [
+        (7, "+1", "1"), (7, " 1", "1"), (7, "01", "1"), (7, "0_1", "1"), (7, "\uff11", "1"),
+        (13, "+1", "1"), (0, "1.5", "3/2"), (0, "1e1", "10"), (0, "3/6", "1/2"),
+    ])
+    @pytest.mark.parametrize("kind", ["layers", "chi", "poly"])
+    def test_refused(self, kind, p, value, canonical, tmp_path):
+        text, parse, command = self.files(p)[kind]
+        bad = TestNonStringScalars.with_scalar(text, value)
+        message = f"line 2: bad scalar {value!r}: {value!r} is not the canonical text {canonical!r}"
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        assert str(info.value) == message
+        path = tmp_path / "in.txt"
+        path.write_text(bad)
+        assert run_cli([command, str(path)]) == ("", f"error: {message}\n", 2)
+
+    @pytest.mark.parametrize("p", [0, 7, 13])
+    def test_a_read_file_is_written_back_as_it_was(self, p):
+        files = self.files(p)
+        for kind in ("chi", "poly"):
+            text = files[kind][0]
+            assert write_rep_file(parse_rep_file(text), kind) == text
+        assert write_layer_file(parse_layer_file(files["layers"][0])) == files["layers"][0]
+
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_tables_read_hold_the_shared_residues(self, p):
+        files = self.files(p)
+        shared = arith._residues(p)
+        matrices = [m for kind in ("chi", "poly") for m in parse_rep_file(files[kind][0]).chi.support.values()]
+        matrices += [m for layer in parse_layer_file(files["layers"][0]).layers for m in layer.values()]
+        entries = [c for m in matrices for row in m.entries for c in row]
+        assert entries and all(c is shared[c.value] for c in entries)
 
 
 class TestDeepNesting:

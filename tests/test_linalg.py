@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unirep import reps
+from unirep import arith, reps
 from unirep.arith import Residue, coerce_scalar
 from unirep.bch import bch_components, bch_evaluate
 from unirep.errors import (
@@ -29,6 +29,7 @@ from unirep.linalg import (
     exp_nilpotent,
     log_unipotent,
     nilpotency_index,
+    one_like,
     scalar_matrix,
 )
 from unirep.reps import construct_from_layers
@@ -408,6 +409,28 @@ class TestResidueKernel:
         assert (-a).entries == reference_entrywise(lambda u: -u, a)
         assert a.scale(c).entries == reference_entrywise(lambda u: u * c, a)
         assert (a / 2).entries == reference_entrywise(lambda u: u / 2, a)
+
+    def test_plain_int_matrices_are_read_over_q(self):
+        # they used to take their entries' own arithmetic, so m / 2 was [0.5, 1.0; 1.5, 2.0]
+        rng = random.Random(10)
+        for d in range(1, 5):
+            rows = [[rng.randrange(-9, 10) for _ in range(d)] for _ in range(d)]
+            m, q = SquareMatrix(rows), scalar_matrix(rows, 0)
+            mixed = SquareMatrix([[Fraction(v, 2) if (i + j) % 2 else v for j, v in enumerate(r)]
+                                  for i, r in enumerate(rows)])
+            for got, want in ((m / 2, q / 2), (m @ m, q @ q), (m + m, q + q), (m - m, q - q),
+                              (-m, -q), (m.scale(3), q.scale(3)), (m.scale(Fraction(1, 3)), q.scale(Fraction(1, 3))),
+                              (mixed @ m, SquareMatrix(reference_matmul(mixed.entries, q.entries)))):
+                assert got == want and str(got) == str(want)
+                assert all(type(v) is Fraction for row in got.entries for v in row)
+            assert str(m @ m) == str(SquareMatrix(reference_matmul(rows, rows)))  # same text as int sums
+        assert str(SquareMatrix([[1, 2], [3, 4]]) / 2) == "[1/2, 1; 3/2, 2]"
+        assert nilpotency_index(SquareMatrix([[0, 1], [0, 0]]), 2) == 2
+        assert (SquareMatrix([]) @ SquareMatrix([])).size == 0
+
+    def test_one_like_is_the_shared_one(self):
+        assert one_like(Residue(3, 13)) is arith._residues(13)[1]
+        assert one_like(Fraction(2)) == 1 and one_like(Polynomial.zero(2, 13)) == Polynomial.one(2, 13)
 
     def test_mixed_fraction_and_residue_takes_entry_arithmetic(self):
         a = scalar_matrix([[1, 2], [0, 1]], 5)
