@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache, reduce
+from operator import itemgetter, or_
 
 from .arith import matrix_multinomial
 from .errors import CostBoundError, ShapeError, finding
@@ -37,19 +38,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class SplitVarId:
-    """The variable s_ij^k: position (i, j) of the layer matrix S_k."""
+class SplitVarId(tuple):
+    """The variable s_ij^k, position (i, j) of the layer matrix S_k: the tuple (i, j, k)."""
 
-    i: int
-    j: int
-    k: int
+    __slots__ = ()
+    i, j, k = (property(itemgetter(x)) for x in range(3))
 
-    def __post_init__(self):
-        if not (1 <= self.i < self.j):
-            raise ShapeError(f"need 1 <= i < j, got ({self.i}, {self.j})")
-        if not (1 <= self.k <= self.j - self.i + 1):
-            raise ShapeError(f"layer {self.k} out of range for position ({self.i}, {self.j})")
+    def __new__(cls, i, j, k):
+        if not type(i) is type(j) is type(k) is int:
+            raise ShapeError(f"split variable indices must be ints, got ({i!r}, {j!r}, {k!r})")
+        if not (1 <= i < j):
+            raise ShapeError(f"need 1 <= i < j, got ({i}, {j})")
+        if not (1 <= k <= j - i + 1):
+            raise ShapeError(f"layer {k} out of range for position ({i}, {j})")
+        return tuple.__new__(cls, (i, j, k))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return tuple(self)
+
+    def __repr__(self):
+        return f"SplitVarId(i={self.i}, j={self.j}, k={self.k})"
 
     def __str__(self):
         return f"s_{self.i}{self.j}^{self.k}"
@@ -98,10 +106,7 @@ def shared_variable(l_pair, r_pair, n):
 
 def all_split_vars(n):
     """Every s_ij^k for size n, lexicographic in (i, j, k)."""
-    out = []
-    for i, j in variable_pairs(n):
-        out.extend(SplitVarId(i, j, k) for k in range(1, j - i + 2))
-    return out
+    return [v for slots in _entry_vars(n) for v in slots]
 
 
 class Splitting:
@@ -113,6 +118,8 @@ class Splitting:
         self.n = n
         clean = {}
         for v, m in assignment.items():
+            if not isinstance(v, SplitVarId) or type(m) is not int:
+                raise ShapeError(f"a splitting maps SplitVarIds to ints, got {v!r}: {m!r}")
             if m < 0:
                 raise ShapeError("splitting entries must be non-negative")
             if v.j > n:
@@ -166,19 +173,13 @@ class Splitting:
         return tuple(self.assignment.get(v, 0) for v in all_split_vars(self.n))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Splitting)
-            and self.n == other.n
-            and self.assignment == other.assignment
-        )
+        return isinstance(other, Splitting) and (self.n, self.assignment) == (other.n, other.assignment)
 
     def __hash__(self):
         return hash((self.n, frozenset(self.assignment.items())))
 
     def __str__(self):
-        if not self.assignment:
-            return "0"
-        return ", ".join(f"{v}={m}" for v, m in sorted(self.assignment.items()))
+        return ", ".join(f"{v}={m}" for v, m in sorted(self.assignment.items())) or "0"
 
     __repr__ = __str__
 
@@ -190,6 +191,13 @@ def _entry_vars(n):
     return tuple(tuple(SplitVarId(i, j, k) for k in range(1, j - i + 2)) for i, j in variable_pairs(n))
 
 
+@lru_cache(maxsize=256)
+def _entry_splits(n, ij, m):
+    """Entry m of the ij-th pair of size n split into its slots, each as its (variable, part > 0) pairs."""
+    slots = _entry_vars(n)[ij]
+    return tuple(tuple((v, c) for v, c in zip(slots, parts) if c) for parts in _compositions(m, len(slots)))
+
+
 def enumerate_splittings(M: ExponentMatrix):
     """Every decomposition S_1 + ... + S_n = M respecting the layer shapes.
 
@@ -197,10 +205,7 @@ def enumerate_splittings(M: ExponentMatrix):
     is the per-entry product; the order is lexicographic in (i, j, k).
     """
     n = M.n
-    per_entry = [
-        [tuple((v, m) for v, m in zip(slots, parts) if m) for parts in _compositions(total, len(slots))]
-        for slots, total in zip(_entry_vars(n), M.flat)
-    ]
+    per_entry = [_entry_splits(n, ij, m) for ij, m in enumerate(M.flat) if m]
     return [
         Splitting._trusted(n, dict(itertools.chain.from_iterable(combo)))
         for combo in itertools.product(*per_entry)
@@ -280,23 +285,49 @@ def solve_yz(Y: ExponentMatrix, Z: ExponentMatrix) -> Splitting:
 
 @cache
 def _yz_plan(n):
-    """The variables in lexicographic order, each target's variable indices
+    """The variables in lexicographic order, each target's variables as a bitmask
     (L_ij at the index of (i, j), R_ij N places further), each variable's targets."""
     variables = tuple(all_split_vars(n))
     feeds = tuple(tuple(t for t in _feeds(n)[v] if t < n * (n - 1)) for v in variables)
-    members = tuple(tuple(x for x, targets in enumerate(feeds) if t in targets) for t in range(n * (n - 1)))
-    return variables, members, feeds
+    masks = tuple(sum(1 << x for x, targets in enumerate(feeds) if t in targets) for t in range(n * (n - 1)))
+    return variables, masks, feeds
+
+
+def _propagate(masks, feeds, remaining, bound):
+    """The values the targets force (0 while open) and the bitmask of the open
+    variables, taking ``remaining`` down in place, or (None, 0) when a target
+    cannot be met or a forced value, 0 included, is past ``bound``."""
+    pending = sum(1 << t for t, goal in enumerate(remaining) if goal)
+    zero = reduce(or_, (mask for mask, goal in zip(masks, remaining) if not goal), 0)
+    if zero and bound < 0:
+        return None, 0
+    values, open_ = [0] * len(feeds), (1 << len(feeds)) - 1 & ~zero
+    while pending:
+        t = (pending & -pending).bit_length() - 1
+        pending ^= 1 << t
+        goal, rest = remaining[t], masks[t] & open_
+        if goal > 0 and rest & (rest - 1) or not (goal or rest):
+            continue  # two or more open variables share the goal, or the target is met
+        if goal < 0 or not rest or goal > bound:
+            return None, 0
+        open_ ^= rest
+        while rest:  # its one open variable set to the goal, or every one zeroed
+            x = rest.bit_length() - 1
+            values[x], rest = goal, rest ^ 1 << x
+            for u in feeds[x]:
+                remaining[u] -= goal
+                pending |= 1 << u
+    return values, open_
 
 
 # brute_solve_yz branches once per variable that propagation leaves open, at
 # most n(n-1)(n+4)/6 of them: 800 at n = 16, 952 at n = 17 and 1122 at
 # n = 18, past the default recursion limit of 1000 frames.
 MAX_AUDIT_N = 16
-# An audit checks (bound+1)^N (Y, Z) pairs, N = n(n-1)/2.  Propagation
-# solves each pair without branching, at about the same cost at any bound.
-# Fresh process, 2.1 GHz Xeon: n = 2, --bound 4095 takes 0.2-0.3 s, n = 4,
-# --bound 3 0.5 s and n = 5, --bound 1 0.3 s; n = 6, --bound 1 (2^15 pairs)
-# would take 6 s and n = 5, --bound 2 (3^10 pairs) 8 s.
+# An audit checks (bound+1)^N (Y, Z) pairs, N = n(n-1)/2, each solved by
+# propagation alone.  Fresh process, 2-vCPU Xeon: n = 2 --bound 4095, n = 4
+# --bound 3 and n = 5 --bound 1 take 0.15-0.22 s each, 0.14 s of it start-up;
+# n = 6 --bound 1 (2^15 pairs) would take 0.8 s, n = 5 --bound 2 (3^10) 0.9 s.
 MAX_AUDIT_PAIRS = 4096
 
 
@@ -306,10 +337,11 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
     naive full product.
 
     The default bound is the largest entry of Y + Z (every variable appears in
-    some L or R with coefficient 1, so larger values cannot occur).  A target
-    whose remaining goal is 0 zeroes its open variables, one with a single
-    open variable sets it to the goal: entries are non-negative, so no other
-    value meets it.  What is left is walked in lexicographic order with
+    some L or R with coefficient 1, so larger values cannot occur).  On int
+    bitmasks of each target's open variables, one sweep zeroes those of every
+    target with goal 0, then a target whose goal falls to 0 zeroes its own and
+    one with a single open variable sets it, which looks at that variable's
+    targets again.  What is left is walked in lexicographic order with
     partial-sum pruning.  Sizes above MAX_AUDIT_N raise CostBoundError.
     """
     n = Y.n
@@ -319,29 +351,18 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
         raise CostBoundError(f"splitting search at n = {n} is over the bound of {MAX_AUDIT_N}")
     if bound is None:
         bound = (Y + Z).max_entry()
-    variables, members, feeds = _yz_plan(n)
+    variables, masks, feeds = _yz_plan(n)
     remaining = list(Y.flat + Z.flat)
-    values = [None] * len(variables)
-    queue = dict.fromkeys(range(len(members)))  # a stack that holds each target once
-    while queue:
-        t, _ = queue.popitem()
-        goal, open_vars = remaining[t], [x for x in members[t] if values[x] is None]
-        if goal < 0 or goal and not open_vars:
-            return []
-        if len(open_vars) == 1 or not goal:
-            for x in open_vars:
-                if goal > bound:
-                    return []
-                values[x] = goal
-                for u in feeds[x]:
-                    remaining[u] -= goal
-                    queue[u] = None
-    free = [x for x, m in enumerate(values) if m is None]
+    values, open_ = _propagate(masks, feeds, remaining, bound)
+    if values is None:
+        return []
+    if not open_:  # the one solution
+        return [Splitting._trusted(n, {variables[x]: m for x, m in enumerate(values) if m})]
+    free = [x for x in range(len(variables)) if open_ >> x & 1]
     closes = {}  # a target still open is closed by its last free variable
-    for t, xs in enumerate(members):
-        open_vars = [x for x in xs if values[x] is None]
-        if open_vars:
-            closes.setdefault(open_vars[-1], []).append(t)
+    for t, rest in enumerate(mask & open_ for mask in masks):
+        if rest:
+            closes.setdefault(rest.bit_length() - 1, []).append(t)
     solutions = []
 
     def search(at):
@@ -379,20 +400,14 @@ def occurrence_report(n: int):
     l_exprs = {(i, j): l_expression(i, j, n) for i, j in pairs}
     r_exprs = {(i, j): r_expression(i, j, n) for i, j in pairs}
 
-    seen_l = {}
-    for pos, expr in l_exprs.items():
-        for v in expr.summands:
-            if v in seen_l:
-                findings.append(finding("L-occurrence", v, "at most once among all L",
-                                        f"in L{seen_l[v]} and L{pos}"))
-            seen_l[v] = pos
-    seen_r = {}
-    for pos, expr in r_exprs.items():
-        for v in expr.summands:
-            if v in seen_r:
-                findings.append(finding("R-occurrence", v, "at most once among all R",
-                                        f"in R{seen_r[v]} and R{pos}"))
-            seen_r[v] = pos
+    seen_l, seen_r = {}, {}
+    for side, exprs, seen in (("L", l_exprs, seen_l), ("R", r_exprs, seen_r)):
+        for pos, expr in exprs.items():
+            for v in expr.summands:
+                if v in seen:
+                    findings.append(finding(f"{side}-occurrence", v, f"at most once among all {side}",
+                                            f"in {side}{seen[v]} and {side}{pos}"))
+                seen[v] = pos
 
     for v in all_split_vars(n):
         in_l, in_r = v in seen_l, v in seen_r

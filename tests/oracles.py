@@ -33,8 +33,11 @@ json.dumps(..., sort_keys=True) over each line's dict, every scalar through
 scalar_to_str.  The term algebra's sums, scalings, negation, ``one``,
 ``scale_exponents`` and empty products are kept as they were built before
 ``_Terms._from_flat`` was their one exit: on the field elements themselves,
-wrapped unchecked.  Each is defined here once and imported by the tests that
-compare against it.
+wrapped unchecked.  Splitting enumeration is kept as it ran ``_compositions``
+for every entry of every key, and the Y/Z search's propagation as it was
+before it worked on bitmasks: each target's open variables listed anew, the
+targets waiting on a stack that holds each at most once.  Each is defined
+here once and imported by the tests that compare against it.
 """
 
 import contextlib
@@ -49,11 +52,11 @@ from unirep.bch import FreeElement
 from unirep.errors import (CostBoundError, HypothesisError, NotNilpotentError, ParseError,
                            SeriesTerminationError, ShapeError, UnirepError)
 from unirep.arith import Residue, coerce_scalar, gamma_factor, p_ary_digits, scalar_to_str, sum_carries
-from unirep.hopf import (ExponentMatrix, Polynomial, TensorElement, _convolve, _generator_power, _index, _key,
-                         _monomial_coproduct, tensor_of, variable_pairs)
+from unirep.hopf import (ExponentMatrix, Polynomial, TensorElement, _compositions, _convolve, _generator_power,
+                         _index, _key, _monomial_coproduct, tensor_of, variable_pairs)
 from unirep.linalg import SquareMatrix, _divided, _field_rows, _is_nilpotent, _matmul, _series_walk
 from unirep.reps import ChiTable, Report, Representation, _regime, assemble, extract_chi
-from unirep.splittings import Splitting, SplitVarId, _feeds, enumerate_splittings
+from unirep.splittings import Splitting, SplitVarId, _entry_vars, _feeds, all_split_vars
 
 
 # --- the one-pass exp/log series over SquareMatrix operators -----------------
@@ -321,6 +324,50 @@ def reference_solve_yz(Y, Z):
     return Splitting(n, assignment)
 
 
+# --- the Y/Z search's propagation on listed open variables ---------------------
+
+def reference_propagate(Y, Z, bound):
+    """The values the targets force, None for a variable left open, or None in
+    place of the list when a target cannot be met: a target with goal 0 zeroes
+    its open variables, one with a single open variable sets it, each value
+    checked against ``bound``."""
+    n = Y.n
+    variables = all_split_vars(n)
+    feeds = [tuple(t for t in _feeds(n)[v] if t < n * (n - 1)) for v in variables]
+    members = [tuple(x for x, targets in enumerate(feeds) if t in targets) for t in range(n * (n - 1))]
+    remaining = list(Y.flat + Z.flat)
+    values = [None] * len(variables)
+    queue = dict.fromkeys(range(len(members)))
+    while queue:
+        t, _ = queue.popitem()
+        goal, open_vars = remaining[t], [x for x in members[t] if values[x] is None]
+        if goal < 0 or goal and not open_vars:
+            return None
+        if len(open_vars) == 1 or not goal:
+            for x in open_vars:
+                if goal > bound:
+                    return None
+                values[x] = goal
+                for u in feeds[x]:
+                    remaining[u] -= goal
+                    queue[u] = None
+    return values
+
+
+# --- splitting enumeration, each entry's compositions run anew ----------------
+
+def reference_enumerate_splittings(M):
+    """The per-entry product of every entry's compositions into its slots,
+    zero entries included, each split built afresh."""
+    n = M.n
+    per_entry = [
+        [tuple((v, m) for v, m in zip(slots, parts) if m) for parts in _compositions(total, len(slots))]
+        for slots, total in zip(_entry_vars(n), M.flat)
+    ]
+    return [Splitting._trusted(n, dict(itertools.chain.from_iterable(combo)))
+            for combo in itertools.product(*per_entry)]
+
+
 # --- the coproduct, each term expanded anew, Q summed as Fractions ------------
 
 def reference_coproduct(poly):
@@ -340,8 +387,9 @@ def reference_coproduct(poly):
 
 
 def reference_split_coproduct_sums(chi):
-    """The closed formula with the weights of one M summed per L/R key, each
-    entry coerced where its cell is touched, Q summed as Fractions."""
+    """The closed formula on the reference enumeration, with the weights of
+    one M summed per L/R key, each entry coerced where its cell is touched, Q
+    summed as Fractions."""
     n, p, d = chi.n, chi.p, chi.d
     feeds = _feeds(n)
     width = n * (n - 1)
@@ -349,7 +397,7 @@ def reference_split_coproduct_sums(chi):
     for M, mat in chi.items():
         whole = prod(map(factorial, M.flat))
         weights = {}
-        for s in enumerate_splittings(M):
+        for s in reference_enumerate_splittings(M):
             key = [0] * (width + 1)
             parts = 1
             for v, m in s.assignment.items():

@@ -176,6 +176,27 @@ class TestValueRefusals:
             Residue(1, 5) / other
 
 
+class TestSplittingInputs:
+    @pytest.mark.parametrize("args", [(1.0, 2, 1), (True, 2, 1), ("1", 2, 1), (1, 2.0, 1), (1, 2, False)])
+    def test_split_variable_takes_exact_ints(self, args):
+        with pytest.raises(ShapeError, match=rf"^split variable indices must be ints, got {re_escape(repr(args))}$"):
+            SplitVarId(*args)
+
+    @pytest.mark.parametrize("value", [1.5, True, "1", Fraction(1)])
+    def test_splitting_values_are_ints(self, value):
+        message = f"a splitting maps SplitVarIds to ints, got SplitVarId(i=1, j=2, k=1): {value!r}"
+        with pytest.raises(ShapeError, match=f"^{re_escape(message)}$"):
+            Splitting(3, {SplitVarId(1, 2, 1): value})
+
+    def test_splitting_keys_are_split_variables(self):
+        # a plain tuple equals its SplitVarId but is not one
+        assert (1, 2, 1) == SplitVarId(1, 2, 1)
+        for key in ((1, 2, 1), "s_12^1"):
+            message = f"a splitting maps SplitVarIds to ints, got {key!r}: 1"
+            with pytest.raises(ShapeError, match=f"^{re_escape(message)}$"):
+                Splitting(3, {key: 1})
+
+
 class TestPublicOperations:
     def test_scalar_minus_polynomial(self):
         f = 2 * Polynomial.variable(3, 7, 1, 2) + 1

@@ -1,14 +1,19 @@
 """Splitting combinatorics behind the closed-form coproduct."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unirep import splittings
+from unirep.cli import _yz_pairs
 from unirep.errors import CostBoundError, ShapeError
-from unirep.hopf import ExponentMatrix, TensorElement, coproduct, variable_pairs
+from unirep.hopf import ExponentMatrix, TensorElement, _key, coproduct, variable_pairs
 from unirep.linalg import scalar_matrix
 from unirep.reps import ChiTable, Representation
 from unirep.samples import random_chi_support
@@ -28,7 +33,8 @@ from unirep.splittings import (
     split_coproduct,
 )
 
-from oracles import reference_solve_yz
+from oracles import (reference_enumerate_splittings, reference_propagate, reference_solve_yz,
+                     reference_split_coproduct_sums)
 
 
 def s(i, j, k):
@@ -83,6 +89,29 @@ class TestExpressions:
         assert len(variables) == n * (n - 1) * (n + 4) // 6
         assert variables == sorted(variables) and len(set(variables)) == len(variables)
         assert variables == [s(i, j, k) for i, j in variable_pairs(n) for k in range(1, j - i + 2)]
+
+
+class TestSplitVarIdIsItsTuple:
+    def test_equals_hashes_orders_and_unpacks_as_i_j_k(self):
+        v = s(1, 3, 2)
+        assert isinstance(v, tuple)
+        assert v == (1, 3, 2) and hash(v) == hash((1, 3, 2))
+        assert {(1, 3, 2): "x"}[v] == "x" and v in {(1, 3, 2)}
+        assert (1, 3, 1) < v < (1, 4, 1) and s(1, 2, 2) < v < s(2, 3, 1)
+        assert sorted([(2, 3, 1), v, (1, 2, 1)]) == [(1, 2, 1), v, (2, 3, 1)]
+        i, j, k = v
+        assert (i, j, k) == (v.i, v.j, v.k) == (1, 3, 2)
+
+    def test_repr_str_and_immutability_stay(self):
+        # the constructor's checks and messages are pinned in TestExpressions
+        v = s(1, 3, 2)
+        assert repr(v) == "SplitVarId(i=1, j=3, k=2)" and str(v) == "s_13^2"
+        with pytest.raises(AttributeError):
+            v.i = 2
+        with pytest.raises(AttributeError):
+            v.extra = 0
+        for back in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(back) is SplitVarId and back == v
 
 
 class TestOccurrenceReport:
@@ -351,6 +380,69 @@ class TestSearchOracle:
         assert brute_solve_yz(ExponentMatrix.zero(3), ExponentMatrix.zero(3), bound=-1) == []
 
 
+def with_entry(E, i, j, m):
+    """E with entry (i, j) set to m."""
+    flat = list(E.flat)
+    flat[variable_pairs(E.n).index((i, j))] = m
+    return _key(E.n, tuple(flat))
+
+
+class TestPropagationOracle:
+    """The bitmask propagation against the listed-variable one, and the whole
+    search against the variable-by-variable one."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_search_matches_the_oracle(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        bound = data.draw(st.sampled_from([-1, 0, 1, 2, None]), label="bound")
+        variables = all_split_vars(n)
+        parts = st.integers(0, 1 if n == 5 else 2)
+        values = data.draw(st.lists(parts, min_size=len(variables), max_size=len(variables)))
+        hit = Splitting(n, dict(zip(variables, values)))
+        y, z = hit.left_matrix(), hit.right_matrix()
+        expected = reference_brute_solve_yz(y, z, bound)
+        assert brute_solve_yz(y, z, bound) == expected
+        if bound is None:
+            assert hit in expected
+        elif n > 1:
+            # R_1j = s_1j^1 and L_in = s_in^{n-i+1} have one variable each: past
+            # the bound, neither can be met
+            goal = max(bound + 1, 0) + data.draw(st.integers(0, 2), label="over")
+            other = data.draw(st.integers(1, n - 1), label="pair")
+            if data.draw(st.booleans(), label="side"):
+                y, z = y, with_entry(z, 1, other + 1, goal)
+            else:
+                y, z = with_entry(y, other, n, goal), z
+            assert brute_solve_yz(y, z, bound) == reference_brute_solve_yz(y, z, bound) == []
+
+    @pytest.mark.parametrize("n, bound", [(4, 2), (5, 1)])
+    def test_audit_grid_leaves_no_more_open(self, n, bound):
+        # the pairs and the bound of audit-splittings --n n --bound bound
+        _, masks, feeds = splittings._yz_plan(n)
+        for y, z in _yz_pairs(n, bound):
+            old = reference_propagate(y, z, bound + 1)
+            values, open_ = splittings._propagate(masks, feeds, list(y.flat + z.flat), bound + 1)
+            assert values is not None and old is not None
+            assert bin(open_).count("1") <= old.count(None)
+            assert all(values[x] == m for x, m in enumerate(old) if m is not None)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_targets_leave_no_more_open(self, n):
+        rng = random.Random(n)
+        _, masks, feeds = splittings._yz_plan(n)
+        for _ in range(60):
+            hit = Splitting(n, {v: rng.choice((0, 0, 1, 2)) for v in all_split_vars(n)})
+            y, z = hit.left_matrix(), hit.right_matrix()
+            for bound in (-1, 0, 1, 2, 3):
+                old = reference_propagate(y, z, bound)
+                values, open_ = splittings._propagate(masks, feeds, list(y.flat + z.flat), bound)
+                assert (values is None) == (old is None)
+                if values is not None:
+                    assert bin(open_).count("1") <= old.count(None)
+                    assert all(values[x] == m for x, m in enumerate(old) if m is not None)
+
+
 # --- the per-splitting split_coproduct, kept as the oracle -------------------
 
 
@@ -426,11 +518,12 @@ class TestSplitCoproductOracle:
         for count in range(1, 6):
             chi = small_chi(n, 2, p, count, seed=100 * n + 10 * p + count)
             fast = split_coproduct(chi)
-            slow = reference_split_coproduct(chi)
+            slow, summed = reference_split_coproduct(chi), reference_split_coproduct_sums(chi)
             for a in range(2):
                 for b in range(2):
                     assert fast[a][b] == slow[a][b]
-                    assert fast[a][b].terms == slow[a][b].terms
+                    assert fast[a][b].terms == slow[a][b].terms == summed[a][b].terms
+                    assert list(fast[a][b].terms) == list(summed[a][b].terms)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_enumeration_matches_reference(self, n):
@@ -442,6 +535,16 @@ class TestSplitCoproductOracle:
             for s in fast:
                 assert all(v == SplitVarId(v.i, v.j, v.k) and m > 0 for v, m in s.assignment.items())
                 assert s.sum_matrix() == M
+
+    @pytest.mark.parametrize("n, top", [(2, 5), (3, 2), (4, 1)])
+    def test_every_small_key_enumerates_as_the_references(self, n, top):
+        # every key with entries <= top, twice: the second reads the cached splits
+        for flat in itertools.product(range(top + 1), repeat=n * (n - 1) // 2):
+            M = _key(n, flat)
+            slow = reference_enumerate(M)
+            for fast in (enumerate_splittings(M), enumerate_splittings(M)):
+                assert fast == slow == reference_enumerate_splittings(M)
+                assert [list(x.assignment.items()) for x in fast] == [list(x.assignment.items()) for x in slow]
 
     def test_one_dimensional_identity_table(self):
         # d = 1, only the zero key: Delta(1) = 1 (x) 1
