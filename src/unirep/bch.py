@@ -16,14 +16,15 @@ p and then shares the matrix products of word halves across all words.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, product
 from math import comb, factorial, lcm
-from operator import add, sub
+from operator import sub
 from types import MappingProxyType
 
 from .arith import _inverse
 from .errors import CostBoundError, SeriesTerminationError
-from .linalg import _identity_rows, _matmul, _series_rows, _wrap, _zip_rows
+from .linalg import _identity_rows, _matmul, _packed, _series_rows, _wrap
 
 GENERATORS = ("x", "y")
 _BITS = str.maketrans("xy", "01")
@@ -233,14 +234,9 @@ def _left_nested_sum(v):
     return v
 
 
-def dynkin_projection(e: FreeElement) -> FreeElement:
-    """c * w  ->  (c/len(w)) * (left-nested bracket of w), expanded.
-
-    Words of one length L share a common denominator, so their brackets are
-    summed over the integers, on a dense vector of 2^L entries: each length
-    present costs about L 2^L steps, however few its words.  A word longer
-    than MAX_BCH_DEGREE raises CostBoundError before any vector is built.
-    """
+def _length_vectors(e: FreeElement):
+    """(L, denominator, v) for each length L of e's words, v the numerators of
+    their coefficients over it, dense over the words of length L."""
     by_length = {}
     for w, c in e.terms.items():
         if len(w) == 0:
@@ -249,16 +245,33 @@ def dynkin_projection(e: FreeElement) -> FreeElement:
             raise CostBoundError(f"projection of a word of length {len(w)} "
                                  f"is over the bound of {MAX_BCH_DEGREE}")
         by_length.setdefault(len(w), {})[w] = c
-    out = {}
     for length, terms in by_length.items():
         denom = lcm(*(c.denominator for c in terms.values()))
         v = [0] * (1 << length)
         for w, c in terms.items():
             v[int("".join(w).translate(_BITS), 2)] = c.numerator * (denom // c.denominator)
+        yield length, denom, v
+
+
+def dynkin_projection(e: FreeElement) -> FreeElement:
+    """c * w  ->  (c/len(w)) * (left-nested bracket of w), expanded.
+
+    Words of one length L share a common denominator, so their brackets are
+    summed over the integers, on a dense vector of 2^L entries: each length
+    present costs about L 2^L steps, however few its words.  A word longer
+    than MAX_BCH_DEGREE raises CostBoundError before any vector is built.
+    """
+    out = {}
+    for length, denom, v in _length_vectors(e):
         scale = denom * length
         out.update((w, Fraction(c, scale))
                    for w, c in zip(product(GENERATORS, repeat=length), _left_nested_sum(v)) if c)
     return FreeElement._trusted(out)
+
+
+def _dynkin_fixed(e: FreeElement) -> bool:
+    """dynkin_projection(e) == e without a Fraction: theta(v) = L v for each L."""
+    return all(_left_nested_sum(v) == [length * c for c in v] for length, _, v in _length_vectors(e))
 
 
 def _combine_left_nested(p, q, coeff):
@@ -304,47 +317,51 @@ def denominator_audit(e: FreeElement, p: int) -> bool:
     return all(c.denominator % p != 0 for c in e.terms.values())
 
 
+def _plan(components, p):
+    """(heads, tails, c): each word cut into a head and a tail no longer than
+    it, the empty word first in both, and c[t][h] the coefficient of
+    heads[h] + tails[t], mod p when p > 0, after the denominator audit."""
+    halves = {((), ()): 0}
+    for i, comp in enumerate(components):
+        if p and not denominator_audit(comp, p):
+            raise SeriesTerminationError(f"component {i + 1} has a denominator divisible by {p}")
+        for w, c in comp.terms.items():
+            half = w[:(len(w) + 1) // 2], w[(len(w) + 1) // 2:]
+            halves[half] = halves.get(half, 0) + c
+    heads, tails = ({w: k for k, w in enumerate(dict.fromkeys(half[i] for half in halves))} for i in (0, 1))
+    coefficients = [[0] * len(heads) for _ in tails]
+    for (head, tail), c in halves.items():
+        coefficients[tails[tail]][heads[head]] = c.numerator * _inverse(c.denominator, p) % p if p else c
+    return tuple(heads), tuple(tails), coefficients
+
+
+@lru_cache(maxsize=64)  # bch_components(max_degree) is the same series in any tuple
+def _cached_plan(max_degree, p):
+    return _plan(_component_cache[max_degree], p)
+
+
 def bch_evaluate(components, X, Y):
     """Substitute matrices X, Y for the generators in each component and sum.
 
-    X and Y are read once into rows of the field of X's first entry (ints
-    mod p, or Fractions with plain ints read as Fractions; an entry outside
-    it raises ModulusMismatchError), and the result's entries are built once,
-    d^2 Residues over F_p.  In characteristic p each component must pass the
-    denominator audit first.  Each word is cut into a head and a tail no
-    longer than the head, and the sum is taken as
-    sum_head X_head @ (sum_tail c_w X_tail).  The product of each distinct
-    head or tail is formed once, from the product of its prefix, and shared
-    by every word that uses it.
+    X and Y, of one size, are read once into rows of the field of X's first
+    entry (else ModulusMismatchError); over F_p each component must pass the
+    denominator audit.  With words cut into head and tail (_plan, kept per p
+    for bch_components' tuples), sum_tail (sum_head c_w X_head) X_tail is two
+    products on packed right operands (linalg._packed): coefficients by the
+    flattened heads, then those sums side by side by the tails stacked.
     """
+    X._check(Y)
     p, one, x, y = _series_rows(X, Y)
-    if p:
-        for i, comp in enumerate(components):
-            if not denominator_audit(comp, p):
-                raise SeriesTerminationError(
-                    f"component {i + 1} has a denominator divisible by {p}"
-                )
-    halves = {}
-    for comp in components:
-        for w, c in comp.terms.items():
-            cut = (len(w) + 1) // 2
-            tails, tail = halves.setdefault(w[:cut], {}), w[cut:]
-            tails[tail] = tails[tail] + c if tail in tails else c
-    gens = {"x": x, "y": y}
-    products = {(): _identity_rows(len(x), one)}
+    cached = _component_cache.get(len(components)) is components
+    heads, tails, coefficients = _cached_plan(len(components), p) if cached else _plan(components, p)
+    gens, right, d = {"x": x, "y": y}, {"x": _packed(x, p), "y": _packed(y, p)}, len(x)
+    products = {(): _identity_rows(d, one)}
 
     def product(w):
         if w not in products:
-            products[w] = gens[w[0]] if len(w) == 1 else _matmul(product(w[:-1]), gens[w[-1]], p)
+            products[w] = gens[w[0]] if len(w) == 1 else _matmul(product(w[:-1]), right[w[-1]], p)
         return products[w]
 
-    result = zero = _zip_rows(sub, products[()], products[()])
-    for head, tails in halves.items():
-        inner = zero
-        for tail, c in tails.items():
-            if p:
-                c = c.numerator * _inverse(c.denominator, p) % p
-            if c:
-                inner = [[s + c * t for s, t in zip(srow, trow)] for srow, trow in zip(inner, product(tail))]
-        result = _zip_rows(add, result, _matmul(product(head), inner, p) if head else inner)
-    return _wrap(result, p)
+    outer = _matmul(coefficients, _packed([list(chain.from_iterable(product(h))) for h in heads], p), p)
+    side = [list(chain.from_iterable(g[i * d:i * d + d] for g in outer)) for i in range(d)]
+    return _wrap(_matmul(side, _packed([row for t in tails for row in product(t)], p), p), p)

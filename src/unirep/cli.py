@@ -20,7 +20,7 @@ import json
 import sys
 
 from .arith import check_field
-from .bch import bch_components, dynkin_projection
+from .bch import _dynkin_fixed, bch_components
 from .errors import CostBoundError, UnirepError, finding
 from .hopf import _key
 from .io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
@@ -131,7 +131,7 @@ def cmd_bch(args):
     components = bch_components(args.max_degree)
     all_fixed = True
     for m, comp in enumerate(components, start=1):
-        fixed = dynkin_projection(comp) == comp
+        fixed = _dynkin_fixed(comp)
         all_fixed = all_fixed and fixed
         _emit([finding("bch", f"P_{m}", "dynkin(P_m) = P_m",
                        f"{comp}" + ("" if fixed else " (projection differs)"))])

@@ -11,11 +11,14 @@ or Q entries only: they read their operand once into rows (`_series_rows`),
 walk its powers on them (`_series_walk`) and build the result's entries once,
 d^2 Residues over F_p.  The walk stops at the first zero power, so no division
 by k! for k >= index ever happens; this is what keeps every denominator
-coprime to the characteristic.
+coprime to the characteristic.  A packed right operand (`_packed`) makes each
+row of a product one int sum (Kronecker substitution), reduced mod p once.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul, sub, truediv
@@ -125,16 +128,48 @@ class SquareMatrix:
     __repr__ = __str__
 
 
+_FIELDS = sorted((8 * array(code).itemsize, code) for code in "BHIQ")
+
+
+def _field_code(bound):
+    """The array code of the narrowest field holding 0..bound; None past 64 bits."""
+    return next((code for bits, code in _FIELDS if bound >> bits == 0), None)
+
+
+class _Packed(list):
+    """Rows of ints >= 0, each one int with entry k in field k of the array
+    type ``code``, so sums of rows times ints >= 0 add field by field."""
+
+    __slots__ = ("code", "nbytes")
+
+
+def _packed(rows, p):
+    """The rows of ints mod p as _matmul's right operand: packed in the
+    narrowest fields that hold len(rows) (p - 1)^2, an entry's bound in a
+    product by ints mod p, else (p = 0, past 64 bits) the rows themselves."""
+    code = p and _field_code(len(rows) * (p - 1) ** 2)
+    if not code:
+        return rows
+    out = _Packed([int.from_bytes(array(code, row).tobytes(), sys.byteorder) for row in rows])
+    out.code, out.nbytes = code, len(rows[0]) * array(code).itemsize
+    return out
+
+
 def _matmul(a, b, p=None):
     """Rows of the product of the row lists a (r x k) and b (k x c), k >= 1,
     each a new list.  Ring elements (p None) are summed left to right.  Over
     a field, ints mod p > 0 or Fractions at p = 0, each row of a takes its own
     method: an int row more than half nonzero takes the dot product with each
     column of b, any other row adds x b_k over its nonzero x = a_ik and the
-    nonzero rows b_k (Gustavson, ACM TOMS 4(3), 1978)."""
+    nonzero rows b_k (Gustavson, ACM TOMS 4(3), 1978); with a packed b
+    (_packed), one int sum of x b_k, unpacked and reduced mod p once."""
     if p is None:
         cols = list(zip(*b))
         return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+    if type(b) is _Packed:
+        code, nbytes = b.code, b.nbytes
+        return [[v % p for v in memoryview(sum(map(mul, row, b)).to_bytes(nbytes, sys.byteorder)).cast(code)]
+                for row in a]
     cols = nonzero = None
     zero = 0 if p else Fraction(0)
     out = []

@@ -41,6 +41,7 @@ from .linalg import (
     _field_rows,
     _is_nilpotent,
     _matmul,
+    _packed,
     _series_walk,
     _wrap,
 )
@@ -577,12 +578,18 @@ def _factor_order(n):
     return tuple(_index(n, i, j) for i in range(n - 1, 0, -1) for j in range(i + 1, n + 1))
 
 
+# d from which the walk packs its options: packed, (3, 16, 37, 2) walks 4x faster and
+# (60, 3, 61, 1) 1.4x slower; d = 4..7 gain in process but are not yet measured end to end
+_PACKED_FROM = 8
+
+
 def _products(partials, options, join, one, p, charge):
     """Each partial (key, rows) followed by its nonzero products with the
     options (r, rows), r >= 1, keyed join(key, r).  All len(partials) *
     (1 + len(options)) products are charged first, a partial counting as its
     product by the identity ``one``; none is formed with ``one``, and none
-    whose factors' nonzero columns and rows miss each other."""
+    whose factors' nonzero columns and rows miss each other.  From d =
+    _PACKED_FROM on the options are packed (linalg._packed)."""
     charge(len(partials) * (1 + len(options)))
     out, masked = [], None
     for item in partials:
@@ -591,7 +598,8 @@ def _products(partials, options, join, one, p, charge):
         if partial is one:
             out.extend((join(key, r), rows) for r, rows in options)
             continue
-        masked = masked or [(r, rows, _mask(rows)) for r, rows in options]
+        masked = masked or [(r, _packed(rows, p) if len(one) >= _PACKED_FROM else rows, _mask(rows))
+                            for r, rows in options]
         columns = _mask(zip(*partial))
         for r, rows, mask in masked:
             if columns & mask:

@@ -36,8 +36,10 @@ scalar_to_str.  The term algebra's sums, scalings, negation, ``one``,
 wrapped unchecked.  Splitting enumeration is kept as it ran ``_compositions``
 for every entry of every key, and the Y/Z search's propagation as it was
 before it worked on bitmasks: each target's open variables listed anew, the
-targets waiting on a stack that holds each at most once.  Each is defined
-here once and imported by the tests that compare against it.
+targets waiting on a stack that holds each at most once.  BCH evaluation
+is kept as it summed each head's tails on list rows, one product per head,
+before the halves were planned once and the right operands packed.  Each is
+defined here once and imported by the tests that compare against it.
 """
 
 import contextlib
@@ -46,15 +48,17 @@ import itertools
 import json
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
+from operator import add, sub
 
 from unirep import arith, io, reps
-from unirep.bch import FreeElement
+from unirep.bch import FreeElement, denominator_audit
 from unirep.errors import (CostBoundError, HypothesisError, NotNilpotentError, ParseError,
                            SeriesTerminationError, ShapeError, UnirepError)
 from unirep.arith import Residue, coerce_scalar, gamma_factor, p_ary_digits, scalar_to_str, sum_carries
 from unirep.hopf import (ExponentMatrix, Polynomial, TensorElement, _compositions, _convolve, _generator_power,
                          _index, _key, _monomial_coproduct, tensor_of, variable_pairs)
-from unirep.linalg import SquareMatrix, _divided, _field_rows, _is_nilpotent, _matmul, _series_walk
+from unirep.linalg import (SquareMatrix, _divided, _field_rows, _identity_rows, _is_nilpotent, _matmul,
+                           _series_rows, _series_walk, _wrap, _zip_rows)
 from unirep.reps import ChiTable, Report, Representation, _regime, assemble, extract_chi
 from unirep.splittings import Splitting, SplitVarId, _entry_vars, _feeds, all_split_vars
 
@@ -299,6 +303,46 @@ def reference_dynkin_projection(e):
             if v:
                 out[w] = Fraction(v, denom * length)
     return FreeElement(out)
+
+
+# --- BCH evaluation with each head's tails summed on list rows -----------------
+
+def reference_halves_evaluate(components, X, Y):
+    """bch.bch_evaluate as it was: the audit, each word cut into a head and a
+    tail no longer than the head, and sum_head X_head @ (sum_tail c_w X_tail)
+    with the inner sums on list rows and one product per head.  Operands of
+    two sizes were not refused."""
+    p, one, x, y = _series_rows(X, Y)
+    if p:
+        for i, comp in enumerate(components):
+            if not denominator_audit(comp, p):
+                raise SeriesTerminationError(
+                    f"component {i + 1} has a denominator divisible by {p}"
+                )
+    halves = {}
+    for comp in components:
+        for w, c in comp.terms.items():
+            cut = (len(w) + 1) // 2
+            tails, tail = halves.setdefault(w[:cut], {}), w[cut:]
+            tails[tail] = tails[tail] + c if tail in tails else c
+    gens = {"x": x, "y": y}
+    products = {(): _identity_rows(len(x), one)}
+
+    def product(w):
+        if w not in products:
+            products[w] = gens[w[0]] if len(w) == 1 else _matmul(product(w[:-1]), gens[w[-1]], p)
+        return products[w]
+
+    result = zero = _zip_rows(sub, products[()], products[()])
+    for head, tails in halves.items():
+        inner = zero
+        for tail, c in tails.items():
+            if p:
+                c = c.numerator * arith._inverse(c.denominator, p) % p
+            if c:
+                inner = [[s + c * t for s, t in zip(srow, trow)] for srow, trow in zip(inner, product(tail))]
+        result = _zip_rows(add, result, _matmul(product(head), inner, p) if head else inner)
+    return _wrap(result, p)
 
 
 # --- the closed-form Y/Z solve through ExponentMatrix.entry -------------------

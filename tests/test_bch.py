@@ -1,6 +1,7 @@
 """The series log(e^x e^y), its components, and the projection machinery."""
 
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -16,6 +17,7 @@ from unirep.bch import (
     bracket_expand,
     bracket_normalize,
     denominator_audit,
+    _dynkin_fixed,
     dynkin_projection,
     homogeneous_component,
     left_nested_expand,
@@ -200,6 +202,27 @@ class TestDynkin:
     def test_fixes_components(self):
         for m, comp in enumerate(bch_components(6), start=1):
             assert dynkin_projection(comp) == comp, m
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_integer_check_agrees_with_the_projection(self, m):
+        comp = bch_components(12)[m - 1]
+        assert _dynkin_fixed(comp) and dynkin_projection(comp) == comp
+        words = sorted(comp.terms)
+        for w in (words[0], words[len(words) // 2], words[-1]):
+            changed = F({**comp.terms, w: comp.terms[w] + Fraction(1, 7)})
+            # one word of length >= 2 is not Lie; every element of length 1 is
+            assert _dynkin_fixed(changed) == (dynkin_projection(changed) == changed) == (m == 1)
+
+    def test_integer_check_agrees_on_random_elements(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            e = random_element(rng, lengths=range(1, 8), count=rng.randint(0, 12))
+            assert _dynkin_fixed(e) == (dynkin_projection(e) == e)
+        for e in (F({(): 1}), F({("x",) * (MAX_BCH_DEGREE + 1): 1})):
+            with pytest.raises((ValueError, CostBoundError)) as raised:
+                _dynkin_fixed(e)
+            with pytest.raises(raised.type, match=f"^{re.escape(str(raised.value))}$"):
+                dynkin_projection(e)
 
     def test_left_nested_expand(self):
         # (x o y) o x = xyx - yx^2 - x^2y + xyx = 2xyx - yx^2 - x^2y

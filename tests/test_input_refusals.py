@@ -2,6 +2,7 @@
 message, and public operations that no other test runs."""
 
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 from re import escape as re_escape
@@ -10,7 +11,7 @@ import pytest
 
 from unirep import arith
 from unirep.arith import Residue, check_field, coerce_scalar, matrix_multinomial
-from unirep.bch import FreeElement, left_nested_expand
+from unirep.bch import FreeElement, bch_components, bch_evaluate, left_nested_expand
 from unirep.errors import (
     ConversionError,
     HypothesisError,
@@ -20,14 +21,14 @@ from unirep.errors import (
 )
 from unirep.hopf import ExponentMatrix, Polynomial
 from unirep.io import parse_rep_file, write_rep_file
-from unirep.linalg import SquareMatrix, nilpotency_index, scalar_matrix
+from unirep.linalg import SquareMatrix, commutator, nilpotency_index, scalar_matrix
 from unirep.reps import (
     ChiTable,
     LieLayerData,
     construct_from_layers,
     verify_group_law_pointwise,
 )
-from unirep.samples import random_layer_data
+from unirep.samples import random_layer_data, random_strict_upper
 from unirep.splittings import Splitting, SplitVarId, brute_solve_yz, l_expression
 
 E12 = [[0, 1], [0, 0]]
@@ -117,6 +118,19 @@ class TestShapeRefusals:
             SquareMatrix([[1]]) + SquareMatrix([[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="^cap must be at least 1$"):
             nilpotency_index(scalar_matrix(E12, 5), 0)
+
+    def test_bch_operands_of_two_sizes(self):
+        # a 3 x 3 and a 4 x 4 operand evaluated to a 3 x 3 matrix, [0, 2, 6; 0, 0, 3; 0, 0, 0],
+        # where X @ Y and the commutator refuse them; now refused as they are, before the audit
+        rng = random.Random(0)
+        x, y = random_strict_upper(3, 7, rng), random_strict_upper(4, 7, rng)
+        for refused in (lambda: x @ y, lambda: commutator(x, y), lambda: bch_evaluate(bch_components(3), x, y),
+                        lambda: bch_evaluate(bch_components(3), y, x)):
+            with pytest.raises(ShapeError, match="^matrix size mismatch$"):
+                refused()
+        x3, y3 = random_strict_upper(3, 3, rng), random_strict_upper(2, 3, rng)  # P_3's 1/12 fails the audit at 3
+        with pytest.raises(ShapeError, match="^matrix size mismatch$"):
+            bch_evaluate(bch_components(3), x3, y3)
 
     def test_split_variables_and_search(self):
         with pytest.raises(ShapeError, match=r"^need 1 <= i < j <= n, got \(2, 1\) with n = 3$"):
