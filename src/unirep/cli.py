@@ -84,17 +84,18 @@ def cmd_verify(args):
     checked, the factorization and Gamma audits are the walk's closed form, and
     the carrying lemma is the paper's.  Otherwise the checks run as before."""
     rep = parse_rep_file(_read(args.repfile))
+    pointwise = args.pointwise and _pointwise_request(args)
     if rep.p:  # the certificate is tried here, so the comodule check below is symbolic
         with contextlib.suppress(UnirepError, ValueError):  # refused below, in its turn
-            if args.pointwise:
-                _pointwise_pairs(rep.chi, **_pointwise_request(args))
+            if pointwise:
+                _pointwise_pairs(rep.chi, **pointwise)
             if _certificate(rep) is not None:
                 return 0
     findings = []
     if args.comodule or not (args.pointwise or args.chi_relations or args.lemmas):
         findings.extend((_comodule_findings if rep.p else verify_comodule)(rep).findings)
-    if args.pointwise:
-        findings.extend(verify_group_law_pointwise(rep, **_pointwise_request(args)).findings)
+    if pointwise:
+        findings.extend(verify_group_law_pointwise(rep, **pointwise).findings)
     if args.chi_relations:
         findings.extend(verify_chi_relations(rep).findings)
     if args.lemmas:

@@ -21,7 +21,7 @@ from math import comb, factorial, lcm, prod
 from operator import add
 
 from .arith import _residues, coerce_scalar, p_ary_digits
-from .errors import ShapeError
+from .errors import HypothesisError, ShapeError
 
 __all__ = [
     "ExponentMatrix",
@@ -345,6 +345,8 @@ class Polynomial(_Terms):
 
     def evaluate_mod(self, point):
         """Evaluate at a dict (i, j) -> int, mod p.  Requires p > 0."""
+        if not self.p:
+            raise HypothesisError("evaluation mod p needs a positive characteristic")
         total = 0
         for key, c in self.terms.items():
             v = c.value

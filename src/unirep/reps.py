@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add
 
 from .arith import check_field, coerce_scalar, gamma_factor, p_ary_digits, sum_carries
 from .errors import CostBoundError, HypothesisError, ShapeError, UnirepError, finding
@@ -39,6 +39,7 @@ from .linalg import (
     _bracket,
     _divided,
     _field_rows,
+    _identity_rows,
     _is_nilpotent,
     _matmul,
     _packed,
@@ -416,13 +417,13 @@ def _comodule_findings(rep: Representation) -> Report:
     return report
 
 
-# U_3(F_5) has 125^2 = 15625 pairs and checks in 0.23-0.36 s at d = 3 on a
-# 2.1 GHz Xeon, so the bound is some 20 s of work; U_4(F_5) has 5^12 pairs.
+# U_3(F_5) has 125^2 = 15625 pairs and checks in 0.10 s at d = 3 on a
+# 2.1 GHz Xeon, so the bound is some 6 s of work; U_4(F_5) has 5^12 pairs.
 # Phi is kept per point only when the group is small enough for this check.
 MAX_EXHAUSTIVE_PAIRS = 10**6
 
 # sampled:N times a pair's work (three Phi, Phi(g) Phi(h), gh, the draws): a
-# unit took 0.08-0.23 us over ten shapes, so the bound is 6-19 s of work.
+# unit took 0.004-0.28 us over ten shapes, so the bound is 0.3-22 s of work.
 MAX_SAMPLED_WORK = 8 * 10**7
 
 
@@ -433,26 +434,23 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
     'sampled' draws ``count`` seeded pairs, 100 when count is None.  Either
     refuses with CostBoundError before evaluating anything past its bound,
     MAX_EXHAUSTIVE_PAIRS or MAX_SAMPLED_WORK.  A point is the flat tuple of
-    its entries above the diagonal, and Phi(g) = sum_M g^M chi(M) mod p.
+    its entries above the diagonal, and Phi(g) = sum_M g^M chi(M) mod p is one
+    product of the monomials' values with the table's rows, packed (linalg._packed).
     """
     report = Report()
     chi = rep.chi
     n, p, d = chi.n, chi.p, chi.d
     stream = _pointwise_pairs(chi, mode, count, seed)
     pairs = variable_pairs(n)
-    plan = ([], [], [])  # the constant keys, the one-variable keys, the rest
-    for M, mat in chi.support.items():
-        plan[min(len(M.flat) - M.flat.count(0), 2)].append((M.flat, _field_rows(mat, p)))
-    cells = [[rows[a][b] for _, rows in itertools.chain(*plan)] for a in range(d) for b in range(d)]
-    cells = [cell if any(cell) else None for cell in cells]  # None: zero in every chi(M)
-    singles = [next((k, e) for k, e in enumerate(flat) if e) for flat, _ in plan[1]]
+    monomials = [[(k, e) for k, e in enumerate(M.flat) if e] for M in chi.support]
+    table = [[x for row in _field_rows(mat, p) for x in row] for mat in chi.support.values()]
+    table = table and _packed(table, p)
     index = {ij: k for k, ij in enumerate(pairs)}
     inner = [[(index[i, m], index[m, j]) for m in range(i + 1, j)] for i, j in pairs]
 
     def phi(point):
-        values = [1] * len(plan[0]) + [pow(point[k], e, p) for k, e in singles]
-        values += [math.prod(map(pow, point, M, itertools.repeat(p))) % p for M, _ in plan[2]]
-        flat = [0 if cell is None else sum(map(mul, values, cell)) % p for cell in cells]
+        values = [math.prod([pow(point[k], e, p) for k, e in monomial]) % p for monomial in monomials]
+        flat = _matmul([values], table, p)[0] if table else [0] * (d * d)
         return [flat[a * d:(a + 1) * d] for a in range(d)]
 
     if p ** (2 * len(pairs)) <= MAX_EXHAUSTIVE_PAIRS:
@@ -464,7 +462,7 @@ def verify_group_law_pointwise(rep: Representation, mode="exhaustive", count=Non
                      for k, terms in enumerate(inner))
 
     identity = phi((0,) * len(pairs))
-    if identity != [[int(a == b) for b in range(d)] for a in range(d)]:
+    if identity != _identity_rows(d, 1):
         report.add("group-law", "Phi(1)", "identity", tuple(map(tuple, identity)))
     for g, h in stream:
         if _matmul(phi(g), phi(h), p) != phi(product(g, h)):
@@ -552,7 +550,7 @@ def _walk(data: LieLayerData, table=()):
         if nodes > 9 * MAX_CONSTRUCT_NODES:
             raise CostBoundError(f"constructing chi takes over {MAX_CONSTRUCT_NODES} nodes")
 
-    one = [[int(a == b) for b in range(d)] for a in range(d)]
+    one = _identity_rows(d, 1)
     size, pairs = n * (n - 1) // 2, variable_pairs(n)
     steps, depth = [], [-1] * size  # (flat index, nonzero (r, chi(r eps_ij)), r >= 1); each index's step
     for index in _factor_order(n):
@@ -713,17 +711,16 @@ def audit_structure_lemmas(rep: Representation) -> Report:
         raise HypothesisError(f"structure audits need p >= 2d = {2 * d}, got p = {p}")
     report = Report()
     zero = [[0] * d for _ in range(d)]
-    one = [[int(a == b) for b in range(d)] for a in range(d)]
+    one = _identity_rows(d, 1)
     singles = chi.single_position_items()
     chi_at = {(_index(n, i, j), r): _field_rows(mat, p) for r, (i, j), mat in singles}  # chi(r eps_ij)
 
     def product(factors):
-        """Rows of the product of the factors, left to right.  Skipping the
-        factors that are ``one`` is exact: every entry is already in [0, p)."""
+        """Rows of the product of the factors, left to right (``one`` for none).
+        The first factor is kept as it is, which is exact: its entries are in [0, p)."""
         out = one
         for f in factors:
-            if f is not one:
-                out = f if out is one else _matmul(out, f, p)
+            out = f if out is one else _matmul(out, f, p)
         return out
 
     # at a zero m_ij the factor is chi(0), which is left out only when it is the identity
@@ -751,9 +748,8 @@ def audit_structure_lemmas(rep: Representation) -> Report:
             if not _is_nilpotent(f, min(p, d), p):
                 report.add("gamma-formula", f"chi(p^{t} eps_{i}{j})",
                            "nilpotent of order <= p", "not nilpotent")
-        inverse = pow(gamma_factor(r, p), -1, p)
         prod = product(f for f, digit in zip(powers, digits) for _ in range(digit))
-        if [[x * inverse % p for x in row] for row in prod] != chi_at[index, r]:
+        if _divided(prod, gamma_factor(r, p), p) != chi_at[index, r]:
             report.add("gamma-formula", f"chi({r} eps_{i}{j})",
                        "Gamma(r)^-1 prod chi(p^t eps_ij)^{r_t}", "mismatch")
 

@@ -38,8 +38,12 @@ for every entry of every key, and the Y/Z search's propagation as it was
 before it worked on bitmasks: each target's open variables listed anew, the
 targets waiting on a stack that holds each at most once.  BCH evaluation
 is kept as it summed each head's tails on list rows, one product per head,
-before the halves were planned once and the right operands packed.  Each is
-defined here once and imported by the tests that compare against it.
+before the halves were planned once and the right operands packed.  The
+pointwise group-law check is kept as it summed the table cell by cell, with
+the constant, one-variable and other keys apart and the cells zero in every
+chi(M) skipped, before Phi became one packed product over each key's nonzero
+exponents.  Each is defined here once and imported by the tests that compare
+against it.
 """
 
 import contextlib
@@ -48,7 +52,7 @@ import itertools
 import json
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 from unirep import arith, io, reps
 from unirep.bch import FreeElement, denominator_audit
@@ -59,7 +63,8 @@ from unirep.hopf import (ExponentMatrix, Polynomial, TensorElement, _composition
                          _index, _key, _monomial_coproduct, tensor_of, variable_pairs)
 from unirep.linalg import (SquareMatrix, _divided, _field_rows, _identity_rows, _is_nilpotent, _matmul,
                            _series_rows, _series_walk, _wrap, _zip_rows)
-from unirep.reps import ChiTable, Report, Representation, _regime, assemble, extract_chi
+from unirep.reps import (MAX_EXHAUSTIVE_PAIRS, ChiTable, Report, Representation, _pointwise_pairs, _regime,
+                         assemble, extract_chi)
 from unirep.splittings import Splitting, SplitVarId, _entry_vars, _feeds, all_split_vars
 
 
@@ -636,6 +641,50 @@ def reference_audit_structure_lemmas(rep):
                        "at least one zero when r + s carries mod p", "both nonzero")
     return report
 
+
+
+# --- the pointwise group law summed cell by cell --------------------------------
+
+def reference_verify_group_law_pointwise(rep, mode="exhaustive", count=None, seed=0):
+    """reps.verify_group_law_pointwise as it was: the constant, one-variable
+    and other keys valued apart (every variable raised to its power for the
+    last), and each cell of Phi its own sum over the keys, None where chi(M)
+    is zero at that cell for every M."""
+    report = Report()
+    chi = rep.chi
+    n, p, d = chi.n, chi.p, chi.d
+    stream = _pointwise_pairs(chi, mode, count, seed)
+    pairs = variable_pairs(n)
+    plan = ([], [], [])  # the constant keys, the one-variable keys, the rest
+    for M, mat in chi.support.items():
+        plan[min(len(M.flat) - M.flat.count(0), 2)].append((M.flat, _field_rows(mat, p)))
+    cells = [[rows[a][b] for _, rows in itertools.chain(*plan)] for a in range(d) for b in range(d)]
+    cells = [cell if any(cell) else None for cell in cells]  # None: zero in every chi(M)
+    singles = [next((k, e) for k, e in enumerate(flat) if e) for flat, _ in plan[1]]
+    index = {ij: k for k, ij in enumerate(pairs)}
+    inner = [[(index[i, m], index[m, j]) for m in range(i + 1, j)] for i, j in pairs]
+
+    def phi(point):
+        values = [1] * len(plan[0]) + [pow(point[k], e, p) for k, e in singles]
+        values += [prod(map(pow, point, M, itertools.repeat(p))) % p for M, _ in plan[2]]
+        flat = [0 if cell is None else sum(map(mul, values, cell)) % p for cell in cells]
+        return [flat[a * d:(a + 1) * d] for a in range(d)]
+
+    if p ** (2 * len(pairs)) <= MAX_EXHAUSTIVE_PAIRS:
+        phi = functools.cache(phi)
+
+    def product(g, h):
+        return tuple((g[k] + h[k] + sum(g[a] * h[b] for a, b in terms)) % p
+                     for k, terms in enumerate(inner))
+
+    identity = phi((0,) * len(pairs))
+    if identity != [[int(a == b) for b in range(d)] for a in range(d)]:
+        report.add("group-law", "Phi(1)", "identity", tuple(map(tuple, identity)))
+    for g, h in stream:
+        if _matmul(phi(g), phi(h), p) != phi(product(g, h)):
+            report.add("group-law", f"g={dict(zip(pairs, g))}, h={dict(zip(pairs, h))}",
+                       "Phi(g)Phi(h) = Phi(gh)", "mismatch")
+    return report
 
 # --- kernel outputs with a new scalar per term; the comodule check on Fractions
 

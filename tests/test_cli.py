@@ -19,6 +19,7 @@ from unirep import bch, cli, reps, splittings
 from unirep.arith import MAX_D, MAX_N
 from unirep.bch import MAX_BCH_DEGREE
 from unirep.cli import main
+from unirep.errors import CostBoundError
 from unirep.hopf import ExponentMatrix
 from unirep.io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
 from unirep.linalg import scalar_matrix
@@ -127,6 +128,29 @@ class TestVerify:
         rep_path = tmp_path / "rep.txt"
         rep_path.write_text(write_rep_file(construct_from_layers(data)))
         assert main(["verify", str(rep_path), "--pointwise", "everything"]) == 2
+
+    @pytest.mark.parametrize("p", [7, 0])
+    def test_bad_pointwise_flag_is_refused_before_any_check(self, tmp_path, capsys, monkeypatch, p):
+        # the flag is read once, right after the file: no certificate, no check,
+        # and its own message even where a check would have raised CostBoundError
+        rep_path = tmp_path / "rep.txt"
+        rep_path.write_text(write_rep_file(construct_from_layers(random_layer_data(3, 2, p, 1, seed=1))))
+        ran = []
+
+        def spy(name):
+            def check(*args, **kwargs):
+                ran.append(name)
+                raise CostBoundError(f"{name} ran")
+            return check
+
+        for name in ("_certificate", "_comodule_findings", "verify_comodule", "_pointwise_pairs",
+                     "verify_group_law_pointwise", "verify_chi_relations", "audit_structure_lemmas"):
+            monkeypatch.setattr(cli, name, spy(name))
+        argv = ["verify", str(rep_path), "--comodule", "--pointwise", "sampled:x", "--chi-relations", "--lemmas"]
+        assert main(argv) == 2
+        assert ran == []
+        assert capsys.readouterr() == ("", "error: --pointwise must be 'exhaustive' or 'sampled:N', "
+                                           "got 'sampled:x'\n")
 
     @pytest.mark.parametrize("flag", ["sampled:0", "sampled:00"])
     def test_zero_samples_refused(self, layer_file, tmp_path, capsys, flag):

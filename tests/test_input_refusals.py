@@ -149,6 +149,13 @@ class TestValueRefusals:
         with pytest.raises(HypothesisError, match="^unknown pointwise mode 'random'$"):
             verify_group_law_pointwise(rep, mode="random")
 
+    def test_evaluate_mod_over_q(self):
+        # before the refusal it read the Fraction coefficient's .value and raised AttributeError
+        point = {(1, 2): 3, (1, 3): 0, (2, 3): 0}
+        with pytest.raises(HypothesisError, match="^evaluation mod p needs a positive characteristic$"):
+            Polynomial.variable(3, 0, 1, 2).evaluate_mod(point)
+        assert Polynomial.variable(3, 5, 1, 2).evaluate_mod(point) == 3
+
     def test_rep_file_body_and_empty_file(self):
         rep = construct_from_layers(LieLayerData(2, 5, 2, [{(1, 2): scalar_matrix(E12, 5)}]))
         with pytest.raises(ValueError, match="^unknown body format 'xml'$"):

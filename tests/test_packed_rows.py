@@ -1,8 +1,9 @@
 """Packed F_p rows (linalg._packed) against the list-row bodies they stand in for.
 
 bch_evaluate multiplies on packed right operands whenever a field holds the
-products' entries, and the construct walk packs its options from d =
-reps._PACKED_FROM on.  Each is compared with the path it replaced, kept in
+products' entries, the construct walk packs its options from d =
+reps._PACKED_FROM on, and the pointwise group-law check sums the table in one
+packed product per point.  Each is compared with the path it replaced, kept in
 tests/oracles.py, and bch_evaluate also with the per-word matmul chains of
 test_bch; _matmul's packed method is compared with its list-row body.
 """
@@ -19,11 +20,13 @@ from unirep import bch, reps
 from unirep.bch import bch_components, bch_evaluate
 from unirep.errors import UnirepError
 from unirep.io import write_rep_file
+from unirep.hopf import variable_pairs
 from unirep.linalg import SquareMatrix, _field_code, _matmul, _Packed, _packed, scalar_matrix
-from unirep.reps import construct_from_layers
+from unirep.reps import ChiTable, Representation, construct_from_layers, verify_group_law_pointwise
 from unirep.samples import random_layer_data, random_strict_upper
 
-from oracles import reference_construct_from_layers, reference_halves_evaluate
+from oracles import (reference_construct_from_layers, reference_halves_evaluate,
+                     reference_verify_group_law_pointwise)
 from test_bch import F, random_element, reference_evaluate
 from test_construct_walk import mode
 from test_linalg import random_field_rows, reference_int_matmul
@@ -155,3 +158,46 @@ def test_walk_writes_the_oracles_tables_from_the_packing_threshold(n, d, p, laye
     want = reference_construct_from_layers(data)
     for body in ("chi", "poly"):
         assert write_rep_file(got, body) == write_rep_file(want, body)
+
+
+BIG = 2**31 - 1
+
+
+def pointwise_table(p, kind, rng):
+    """A constructed table over F_p, as it is, with one entry changed, with a
+    key dropped, or emptied; at p = BIG one of at least 5 keys, too many for
+    _packed's fields (4 (p - 1)^2 is still below 2^64), so its rows stay plain."""
+    while True:
+        n, d = rng.randint(1, min(p, 4)), rng.randint(1, min(p, 3))
+        layers = 1 if p == BIG else rng.randint(1, 2)
+        rep = construct_from_layers(random_layer_data(n, d, p, layers, rng.randrange(1000)).trimmed())
+        support = dict(rep.chi.support)
+        if p != BIG or len(support) >= 5 + (kind == "dropped"):
+            break
+    key = rng.choice(list(support))
+    if kind == "corrupted":
+        rows = [[x.value for x in row] for row in support[key].entries]
+        a, b = rng.randrange(d), rng.randrange(d)
+        rows[a][b] = (rows[a][b] + rng.randrange(1, p)) % p
+        support[key] = scalar_matrix(rows, p)
+    elif kind == "dropped":
+        del support[key]
+    elif kind == "empty":
+        support = {}
+    return Representation(ChiTable(n, p, d, support))
+
+
+class TestPointwise:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from((2, 3, 5, 7, 13, BIG)), st.sampled_from(("valid", "corrupted", "dropped", "empty")),
+           st.randoms(use_true_random=False))
+    def test_findings_match_the_cell_by_cell_body(self, p, kind, rng):
+        rep = pointwise_table(p, kind, rng)
+        if p == BIG and kind != "empty":
+            assert _field_code(len(rep.chi.support) * (p - 1) ** 2) is None  # unpacked
+        count, seed = rng.choice((None, rng.randint(0, 40))), rng.randrange(100)
+        got = verify_group_law_pointwise(rep, "sampled", count, seed).findings
+        assert got == reference_verify_group_law_pointwise(rep, "sampled", count, seed).findings
+        if p ** (2 * len(variable_pairs(rep.n))) <= 1000:
+            got = verify_group_law_pointwise(rep, "exhaustive").findings
+            assert got == reference_verify_group_law_pointwise(rep, "exhaustive").findings
