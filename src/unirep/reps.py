@@ -394,6 +394,7 @@ def _comodule_findings(rep: Representation) -> Report:
     if unit != one:
         report.add("chi-at-zero", "chi(0)", "identity matrix", unit)
     image = functools.cache(functools.partial(_monomial_coproduct, n, p))
+    rows, columns = list(map(_mask, cells)), list(map(_mask, zip(*cells)))  # each one's nonempty cells
     for a in range(d):
         for b in range(d):
             sums = {}
@@ -402,7 +403,10 @@ def _comodule_findings(rep: Representation) -> Report:
                 c *= scale
                 for key, w in image(flat):
                     sums[key] = get(key, 0) + w * c
-            for k in range(d):
+            both = rows[a] & columns[b]  # the k with cells (a, k) and (k, b) nonempty
+            while both:
+                k = (both & -both).bit_length() - 1
+                both ^= 1 << k
                 right = cells[k][b]
                 for f, c in cells[a][k]:
                     for g, e in right:

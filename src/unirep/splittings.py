@@ -295,28 +295,20 @@ def _yz_plan(n):
 
 def _propagate(masks, feeds, remaining, bound):
     """The values the targets force (0 while open) and the bitmask of the open
-    variables, taking ``remaining`` down in place, or (None, 0) when a target
-    cannot be met or a forced value, 0 included, is past ``bound``."""
-    pending = sum(1 << t for t, goal in enumerate(remaining) if goal)
+    variables, taking ``remaining`` down in place, or (None, 0) when a forced
+    value, 0 included, is past ``bound``: one sweep zeroes the variables of the
+    targets with goal 0, one pass sets each other target's last open variable,
+    its private one (s_ij^{j-i+1} of L_ij, s_ij^1 of R_ij), to the goal."""
     zero = reduce(or_, (mask for mask, goal in zip(masks, remaining) if not goal), 0)
     if zero and bound < 0:
         return None, 0
     values, open_ = [0] * len(feeds), (1 << len(feeds)) - 1 & ~zero
-    while pending:
-        t = (pending & -pending).bit_length() - 1
-        pending ^= 1 << t
-        goal, rest = remaining[t], masks[t] & open_
-        if goal > 0 and rest & (rest - 1) or not (goal or rest):
-            continue  # two or more open variables share the goal, or the target is met
-        if goal < 0 or not rest or goal > bound:
-            return None, 0
-        open_ ^= rest
-        while rest:  # its one open variable set to the goal, or every one zeroed
-            x = rest.bit_length() - 1
-            values[x], rest = goal, rest ^ 1 << x
-            for u in feeds[x]:
-                remaining[u] -= goal
-                pending |= 1 << u
+    for t, goal in enumerate(remaining):
+        rest = masks[t] & open_
+        if goal and not rest & (rest - 1):
+            if goal > bound:
+                return None, 0
+            values[rest.bit_length() - 1], open_, remaining[t] = goal, open_ ^ rest, 0
     return values, open_
 
 
@@ -326,8 +318,8 @@ def _propagate(masks, feeds, remaining, bound):
 MAX_AUDIT_N = 16
 # An audit checks (bound+1)^N (Y, Z) pairs, N = n(n-1)/2, each solved by
 # propagation alone.  Fresh process, 2-vCPU Xeon: n = 2 --bound 4095, n = 4
-# --bound 3 and n = 5 --bound 1 take 0.15-0.22 s each, 0.14 s of it start-up;
-# n = 6 --bound 1 (2^15 pairs) would take 0.8 s, n = 5 --bound 2 (3^10) 0.9 s.
+# --bound 3 and n = 5 --bound 1 take 0.13-0.15 s each, 0.11 s of it start-up;
+# n = 6 --bound 1 (2^15 pairs) would take 0.55 s, n = 5 --bound 2 (3^10) 0.7 s.
 MAX_AUDIT_PAIRS = 4096
 
 
@@ -339,10 +331,10 @@ def brute_solve_yz(Y: ExponentMatrix, Z: ExponentMatrix, bound=None):
     The default bound is the largest entry of Y + Z (every variable appears in
     some L or R with coefficient 1, so larger values cannot occur).  On int
     bitmasks of each target's open variables, one sweep zeroes those of every
-    target with goal 0, then a target whose goal falls to 0 zeroes its own and
-    one with a single open variable sets it, which looks at that variable's
-    targets again.  What is left is walked in lexicographic order with
-    partial-sum pruning.  Sizes above MAX_AUDIT_N raise CostBoundError.
+    target with goal 0, then one pass sets each target left with one open
+    variable, its private one, to its goal, which moves no other target.  What
+    is left is walked in lexicographic order with partial-sum pruning.  Sizes
+    above MAX_AUDIT_N raise CostBoundError.
     """
     n = Y.n
     if Z.n != n:

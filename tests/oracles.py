@@ -705,7 +705,8 @@ def reference_wrap(rows, p):
 
 def reference_comodule_findings(rep):
     """reps._comodule_findings as it was, without its cost bound: over Q both
-    sides summed as Fractions, one per contribution."""
+    sides summed as Fractions, one per contribution, and the tensor side run
+    over every k, empty cells included."""
     report = Report()
     chi = rep.chi
     n, p, d = chi.n, chi.p, chi.d

@@ -23,7 +23,7 @@ from unirep import arith, reps
 from unirep.arith import SHARED_BELOW, Residue
 from unirep.errors import ShapeError
 from unirep.hopf import ExponentMatrix, Polynomial, _field_sums, coproduct
-from unirep.linalg import _wrap, exp_nilpotent
+from unirep.linalg import _wrap, exp_nilpotent, scalar_matrix
 from unirep.reps import ChiTable, Representation, construct_from_layers
 from unirep.samples import random_chi_support, random_layer_data, random_strict_upper
 
@@ -221,6 +221,28 @@ def test_comodule_findings_on_ints_match_the_fraction_sums(name, rep):
     got = reps._comodule_findings(rep).findings
     assert got == reference_comodule_findings(rep).findings
     assert not got or not name.endswith("valid")
+
+
+def sparse_tables(p, d=5):
+    """F_p tables with most cells empty: each entry of a random table kept
+    with probability 1/4, with chi(0) = Id and without, and one with no keys."""
+    tables = [("empty", Representation(ChiTable(3, p, d, {})))]
+    for seed in range(4):
+        rng = random.Random(seed)
+        support = {M: scalar_matrix([[rng.randrange(p) if rng.random() < 0.25 else 0 for _ in range(d)]
+                                     for _ in range(d)], p)
+                   for M in random_chi_support(3, d, p, 6, seed, max_entry=2)}
+        if seed % 2:
+            support[ExponentMatrix.zero(3)] = ChiTable(3, p, d, {}).identity_matrix()
+        tables.append((f"sparse-{seed}", Representation(ChiTable(3, p, d, support))))
+    return tables
+
+
+def test_comodule_findings_pair_only_the_nonempty_cells():
+    # the tensor side sums a_ik (x) a_kj only over the k where cells (a, k) and
+    # (k, b) both have entries; the oracle runs every k
+    for name, rep in [(name, rep) for name, rep in CORPUS if rep.p] + sparse_tables(7):
+        assert reps._comodule_findings(rep).findings == reference_comodule_findings(rep).findings, name
 
 
 class Small(enum.IntEnum):

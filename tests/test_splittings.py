@@ -416,31 +416,48 @@ class TestPropagationOracle:
                 y, z = with_entry(y, other, n, goal), z
             assert brute_solve_yz(y, z, bound) == reference_brute_solve_yz(y, z, bound) == []
 
+    @staticmethod
+    def assert_propagates_as_the_reference(y, z, bound):
+        # the same refusal, the same open set and the same forced values
+        n = y.n
+        _, masks, feeds = splittings._yz_plan(n)
+        old = reference_propagate(y, z, bound)
+        values, open_ = splittings._propagate(masks, feeds, list(y.flat + z.flat), bound)
+        assert (values is None) == (old is None)
+        if values is not None:
+            assert [x for x in range(len(old)) if open_ >> x & 1] == [x for x, m in enumerate(old) if m is None]
+            assert all(values[x] == m for x, m in enumerate(old) if m is not None)
+        return values
+
+    def test_every_target_owns_one_private_variable(self):
+        # the premise of the one-pass propagation: each L_ij and R_ij has exactly
+        # one variable that feeds no other target, so fixing it moves no other goal
+        for n in range(2, MAX_AUDIT_N + 1):
+            _, masks, feeds = splittings._yz_plan(n)
+            owners = sorted(targets[0] for targets in feeds if len(targets) == 1)
+            assert owners == list(range(len(masks))) and len(masks) == n * (n - 1), n
+
     @pytest.mark.parametrize("n, bound", [(4, 2), (5, 1)])
     def test_audit_grid_leaves_no_more_open(self, n, bound):
         # the pairs and the bound of audit-splittings --n n --bound bound
-        _, masks, feeds = splittings._yz_plan(n)
         for y, z in _yz_pairs(n, bound):
-            old = reference_propagate(y, z, bound + 1)
-            values, open_ = splittings._propagate(masks, feeds, list(y.flat + z.flat), bound + 1)
-            assert values is not None and old is not None
-            assert bin(open_).count("1") <= old.count(None)
-            assert all(values[x] == m for x, m in enumerate(old) if m is not None)
+            assert self.assert_propagates_as_the_reference(y, z, bound + 1) is not None
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_random_targets_leave_no_more_open(self, n):
+        # targets drawn from a splitting, which can always be met, and targets
+        # drawn entry by entry, which mostly cannot; up to n = 4 the whole search
+        # is also checked against the variable-by-variable one
         rng = random.Random(n)
-        _, masks, feeds = splittings._yz_plan(n)
+        width = n * (n - 1) // 2
         for _ in range(60):
             hit = Splitting(n, {v: rng.choice((0, 0, 1, 2)) for v in all_split_vars(n)})
-            y, z = hit.left_matrix(), hit.right_matrix()
-            for bound in (-1, 0, 1, 2, 3):
-                old = reference_propagate(y, z, bound)
-                values, open_ = splittings._propagate(masks, feeds, list(y.flat + z.flat), bound)
-                assert (values is None) == (old is None)
-                if values is not None:
-                    assert bin(open_).count("1") <= old.count(None)
-                    assert all(values[x] == m for x, m in enumerate(old) if m is not None)
+            drawn = [(hit.left_matrix(), hit.right_matrix())]
+            drawn.append(tuple(_key(n, tuple(rng.choice((0, 0, 1, 2)) for _ in range(width))) for _ in "yz"))
+            for (y, z), bound in itertools.product(drawn, (-1, 0, 1, 2, 3)):
+                self.assert_propagates_as_the_reference(y, z, bound)
+                if n <= 4:
+                    assert brute_solve_yz(y, z, bound) == reference_brute_solve_yz(y, z, bound)
 
 
 # --- the per-splitting split_coproduct, kept as the oracle -------------------
