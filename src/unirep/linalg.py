@@ -8,7 +8,8 @@ built with one Residue per output entry; when every entry is a Fraction or
 a plain int, the Fractions; any other matrix (polynomial or mixed), its
 entries themselves, with their own arithmetic.  The exp/log series take F_p
 or Q entries only: they read their operand once into rows (`_series_rows`),
-walk its powers on them (`_series_walk`) and build the result's entries once,
+walk its powers on them (`_series_walk`, which `_is_nilpotent` counts, so no
+nilpotency test forms a power past d) and build the result's entries once,
 d^2 Residues over F_p.  The walk stops at the first zero power, so no division
 by k! for k >= index ever happens; this is what keeps every denominator
 coprime to the characteristic.  A packed right operand (`_packed`) makes each
@@ -21,7 +22,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul, sub, truediv
+from operator import add, mul, sub
 
 from .arith import Residue, _inverse, _residues, coerce_scalar
 from .errors import ModulusMismatchError, NotNilpotentError, SeriesTerminationError, ShapeError
@@ -103,8 +104,7 @@ class SquareMatrix:
 
     def __truediv__(self, k):
         p, (a,), k = _operands(self, c=k)
-        op, k = (mul, _inverse(k, p)) if p else (truediv, k)
-        return _wrap([[op(x, k) for x in row] for row in a], p)
+        return _wrap(_divided(a, k, p), p)
 
     def map_entries(self, fn):
         return SquareMatrix([[fn(a) for a in row] for row in self.entries])
@@ -250,14 +250,13 @@ def _bracket(a, b, p=None):
 
 
 def _is_nilpotent(a, cap, p=None):
-    """The least k <= cap with a^k = 0 on the rows a (by _matmul), else None."""
-    power = a
-    for k in range(1, cap + 1):
-        if not any(map(any, power)):
-            return k
-        if k < cap:
-            power = _matmul(power, a, p)
-    return None
+    """The least k <= cap with a^k = 0 on the rows a, else None, counted on _series_walk."""
+    if cap < 1 or not a:  # the walk refuses both; a 0 x 0 matrix is zero
+        return 1 if cap >= 1 else None
+    try:
+        return 1 + sum(1 for _ in _series_walk(a, cap, p))
+    except (NotNilpotentError, SeriesTerminationError):
+        return None
 
 
 def _series_rows(*matrices):

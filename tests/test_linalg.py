@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -24,7 +25,9 @@ from unirep.hopf import Polynomial
 from unirep.io import write_rep_file
 from unirep.linalg import (
     SquareMatrix,
+    _is_nilpotent,
     _matmul,
+    _operands,
     commutator,
     exp_nilpotent,
     log_unipotent,
@@ -35,7 +38,7 @@ from unirep.linalg import (
 from unirep.reps import construct_from_layers
 from unirep.samples import random_invertible, random_layer_data, random_strict_upper
 
-from oracles import generic_element, reference_walk_exp, reference_walk_log
+from oracles import generic_element, reference_nilpotency_index, reference_walk_exp, reference_walk_log
 
 
 class TestSquareMatrix:
@@ -64,6 +67,94 @@ class TestNilpotency:
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotentError):
             nilpotency_index(SquareMatrix.identity(2, Fraction(1)), 5)
+
+
+# --- nilpotency counted on the series walk, against the SquareMatrix power loop ---
+
+def assert_index_matches_the_power_loop(m, cap):
+    expected = outcome(reference_nilpotency_index, m, cap)
+    assert outcome(nilpotency_index, m, cap) == expected
+    p, (a,), _ = _operands(m)
+    assert outcome(_is_nilpotent, a, cap, p) == (expected if type(expected) is str else "None")
+
+
+@st.composite
+def conjugated_cases(draw):
+    """(m, d) for a d x d matrix m over F_p (Q when p = 0), 0 <= d <= 5:
+    S N S^-1 for a strictly upper N (nilpotent), S (1 + N) S^-1 (unipotent,
+    so not), random entries (mostly not), or zero."""
+    p = draw(st.sampled_from([0, 2, 13, 2**31 - 1]))
+    d = draw(st.integers(0, 5))
+    if d == 0:
+        return SquareMatrix([]), d
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(["nilpotent", "unipotent", "random", "zero"]))
+    if shape == "random":
+        modulus = p or 7
+        return scalar_matrix([[rng.randrange(modulus) for _ in range(d)] for _ in range(d)], p), d
+    nilpotent = random_strict_upper(d, p, rng)
+    if shape == "zero":
+        return nilpotent.zero_like(), d
+    s, s_inv = random_invertible(d, p, rng)
+    if shape == "unipotent":
+        nilpotent = nilpotent + nilpotent.identity_like()
+    return s @ nilpotent @ s_inv, d
+
+
+@st.composite
+def polynomial_conjugated_cases(draw):
+    """(m, d) for a d x d matrix m over F_13[x12, x13, x23] or Q[x12, x13, x23],
+    1 <= d <= 4: S U S^-1 for a constant S and a strictly upper U (nilpotent),
+    optionally with one nonzero diagonal entry (not)."""
+    p = draw(st.sampled_from([0, 13]))
+    d = draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    xs = [Polynomial.variable(3, p, i, j) for i, j in ((1, 2), (1, 3), (2, 3))]
+    one, zero = Polynomial.one(3, p), Polynomial.zero(3, p)
+    rows = [[rng.choice(xs) ** rng.randrange(3) * rng.randrange(3) if j > i else zero for j in range(d)]
+            for i in range(d)]
+    if draw(st.booleans()):
+        k = rng.randrange(d)
+        rows[k][k] = rng.choice(xs) + rng.randrange(3)
+    s, s_inv = (m.map_entries(lambda c: one * c) for m in random_invertible(d, p, rng))
+    return s @ SquareMatrix(rows) @ s_inv, d
+
+
+class TestNilpotencyOracle:
+    @given(conjugated_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_matrices(self, case):
+        m, d = case
+        for cap in range(1, d + 3):
+            assert_index_matches_the_power_loop(m, cap)
+
+    @given(polynomial_conjugated_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_polynomial_matrices(self, case):
+        m, d = case
+        for cap in range(1, d + 3):
+            assert_index_matches_the_power_loop(m, cap)
+
+    @pytest.mark.parametrize("m", [
+        scalar_matrix([[1, 1], [0, 1]], 7),
+        SquareMatrix([[Polynomial.variable(3, 7, 1, 2), Polynomial.one(3, 7)],
+                      [Polynomial.zero(3, 7), Polynomial.variable(3, 7, 1, 2)]]),
+    ], ids=["unipotent", "polynomial"])
+    def test_a_huge_cap_forms_at_most_d_powers(self, m):
+        cap = 10**9
+        start = time.perf_counter()
+        with pytest.raises(NotNilpotentError) as exc:
+            nilpotency_index(m, cap)
+        p, (a,), _ = _operands(m)
+        assert _is_nilpotent(a, cap, p) is None
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == "matrix is not nilpotent within 1000000000 powers"
+
+    def test_empty_matrix_has_index_one(self):
+        assert nilpotency_index(SquareMatrix([]), 1) == 1
+        assert _is_nilpotent([], 1) == 1
+        assert _is_nilpotent([], 0) is None
+        assert _is_nilpotent([[0]], 0) is None
 
 
 class TestExpLog:
