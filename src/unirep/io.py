@@ -34,7 +34,7 @@ MISSING_SHOWN = 5
 # Layer l of a family sits at the exponents p^l with p >= 2, so 64 layers
 # already reach exponents of 2^63.  A header's count above this is refused
 # before any per-layer storage is made, so one line cannot ask for unbounded
-# memory.
+# memory; the writer refuses such a family, so it writes no file the reader refuses.
 MAX_LAYERS = 64
 
 
@@ -199,8 +199,10 @@ def parse_rep_file(text: str) -> Representation:
 
 def write_layer_file(data: LieLayerData) -> str:
     """Canonical text for a layer family; every pair of every layer is listed,
-    an absent image as the zero matrix."""
+    an absent image as the zero matrix.  Like parse_layer_file, it refuses over MAX_LAYERS layers."""
     p, d = data.p, data.d
+    if len(data.layers) > MAX_LAYERS:
+        raise CostBoundError(f"{len(data.layers)} layers is over the bound of {MAX_LAYERS}")
     lines = [json.dumps({"d": d, "format": "layers", "layers": len(data.layers), "n": data.n,
                          "p": p, "version": FORMAT_VERSION})]
     matrix, zero = _text(d, '"%s"', '"%s"'), _text(d, '"0"', '"0"')

@@ -93,14 +93,31 @@ def lie_bracket_pairs(rs, tu):
     return []
 
 
-def _bracket_image(images, rs, tu, p):
-    """Rows of the image of [eps_rs, eps_tu] under a map given by its nonzero
-    images (rows by pair), or None when that image is zero."""
-    for ij, sign in lie_bracket_pairs(rs, tu):
-        img = images.get(ij)
-        if img is not None:
-            return img if sign > 0 else [[-x % p if p else -x for x in row] for row in img]
-    return None
+def _relation_failures(images, p, d):
+    """The failed layer relations among images, a list of (l, (i, j), rows of
+    the layer-l image of eps_ij), in its order: (l, ij) for each image not
+    nilpotent; (l, rs, m, tu, expected, bracket) for each pair whose bracket is
+    not zero (l != m) or the image of [eps_rs, eps_tu] (l == m); the same for
+    each [eps_ik, eps_kj] with a side absent while eps_ij's image is present."""
+    layers = {}
+    for l, ij, a in images:
+        layers.setdefault(l, {})[ij] = a
+        if not _is_nilpotent(a, d, p):
+            yield l, ij
+    zero = [[0] * d for _ in range(d)]
+    for (l, rs, a), (m, tu, b) in itertools.combinations(images, 2):
+        expected = zero
+        for ij, sign in lie_bracket_pairs(rs, tu) if l == m else ():
+            img = layers[l].get(ij, zero)
+            expected = img if sign > 0 else [[-x % p if p else -x for x in row] for row in img]
+        if expected is zero and _matmul(a, b, p) == _matmul(b, a, p):
+            continue  # [a, b] = 0 as expected, tested without forming it
+        if (bracket := _bracket(a, b, p)) != expected:
+            yield l, rs, m, tu, expected, bracket
+    for l, (i, j), a in images:
+        for k in range(i + 1, j):
+            if (i, k) not in layers[l] or (k, j) not in layers[l]:
+                yield l, (i, k), l, (k, j), a, zero
 
 
 def _field_matrix(mat, p):
@@ -271,35 +288,26 @@ class LieLayerData:
         return LieLayerData(self.n, self.p, self.d, layers)
 
     def validate(self) -> Report:
-        """Check the layer invariants: each layer a Lie algebra homomorphism on
-        the basis, nilpotent basis images, and cross-layer commutation."""
+        """Check the layer invariants (_relation_failures): nilpotent basis
+        images, each layer a Lie algebra homomorphism on the basis, and
+        cross-layer commutation; layer by layer, then across layers."""
+        images = [(l, ij, _field_rows(mat, self.p)) for l, layer in enumerate(self.layers)
+                  for ij, mat in sorted(layer.items())]  # row-major, as variable_pairs
+        found = []  # (sort key, check, location, expected, actual)
+        for l, rs, *pair in _relation_failures(images, self.p, self.d):
+            m, tu = pair[:2] or (l, None)
+            if tu is None:
+                found.append(((False, l, l, 0), "layer-nilpotency", f"layer {l}, eps_{rs[0]}{rs[1]}",
+                              "nilpotent image", "not nilpotent"))
+            elif l == m:
+                found.append(((False, l, l, 1, rs, tu), "layer-homomorphism", f"layer {l}, [{rs}, {tu}]",
+                              "bracket-compatible", "bracket mismatch"))
+            else:
+                found.append(((True, l, m), "cross-layer-commutation", f"layers {l}/{m}, eps_{rs} vs eps_{tu}",
+                              "commuting images", "nonzero commutator"))
         report = Report()
-        p, d = self.p, self.d
-        layers = [{ij: _field_rows(mat, p) for ij, mat in layer.items()} for layer in self.layers]
-        present = [sorted(images) for images in layers]  # row-major, as variable_pairs
-        zero = [[0] * d for _ in range(d)]
-        for l, images in enumerate(layers):
-            for i, j in present[l]:
-                if not _is_nilpotent(images[i, j], d, p):
-                    report.add("layer-nilpotency", f"layer {l}, eps_{i}{j}",
-                               "nilpotent image", "not nilpotent")
-            # a pair can fail only if both images, or its bracket's image, are present
-            candidates = set(itertools.combinations(present[l], 2))
-            candidates.update(((i, k), (k, j)) for i, j in images for k in range(i + 1, j))
-            for rs, tu in sorted(candidates):
-                a, b = images.get(rs), images.get(tu)
-                lhs = zero if a is None or b is None else _bracket(a, b, p)
-                rhs = _bracket_image(images, rs, tu, p) or zero
-                if lhs != rhs:
-                    report.add("layer-homomorphism", f"layer {l}, [{rs}, {tu}]",
-                               "bracket-compatible", "bracket mismatch")
-        for la, lb in itertools.combinations(range(len(layers)), 2):
-            for rs, tu in itertools.product(present[la], present[lb]):
-                a, b = layers[la][rs], layers[lb][tu]
-                if _matmul(a, b, p) != _matmul(b, a, p):
-                    report.add("cross-layer-commutation",
-                               f"layers {la}/{lb}, eps_{rs} vs eps_{tu}",
-                               "commuting images", "nonzero commutator")
+        for _, *args in sorted(found, key=lambda f: f[0]):
+            report.add(*args)
         return report
 
     def __eq__(self, other):
@@ -684,24 +692,13 @@ def verify_chi_relations(rep: Representation) -> Report:
         raise HypothesisError("chi relations are a positive-characteristic statement")
     report = Report()
     powers = [(l, ij, _field_rows(mat, p)) for l, ij, mat in _chi_power_items(chi)]
-    for l, (i, j), a in powers:
-        if not _is_nilpotent(a, d, p):
-            report.add("chi-nilpotency", f"chi(p^{l} eps_{i}{j})", "nilpotent", "not nilpotent")
-    layers = {}
-    for l, ij, a in powers:
-        layers.setdefault(l, {})[ij] = a
-    zero = [[0] * d for _ in range(d)]
-    for (l, rs, a), (m, tu, b) in itertools.combinations(powers, 2):
-        bracket = _bracket(a, b, p)
-        expected = (_bracket_image(layers[l], rs, tu, p) if l == m else None) or zero
-        if bracket != expected:
+    for l, rs, *pair in _relation_failures(powers, p, d):
+        if not pair:
+            report.add("chi-nilpotency", f"chi(p^{l} eps_{rs[0]}{rs[1]})", "nilpotent", "not nilpotent")
+        else:
+            m, tu, expected, bracket = pair
             report.add("chi-bracket", f"[chi(p^{l} eps_{rs}), chi(p^{m} eps_{tu})]",
                        SquareMatrix(expected), SquareMatrix(bracket))
-    for l, (i, j), a in powers:  # brackets with a zero side, which the pairs above miss
-        for k in range(i + 1, j):
-            if (i, k) not in layers[l] or (k, j) not in layers[l]:
-                report.add("chi-bracket", f"[chi(p^{l} eps_{(i, k)}), chi(p^{l} eps_{(k, j)})]",
-                           SquareMatrix(a), SquareMatrix(zero))
     return report
 
 

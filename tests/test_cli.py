@@ -27,6 +27,7 @@ from unirep.reps import (
     MAX_EXHAUSTIVE_PAIRS,
     MAX_SAMPLED_WORK,
     ChiTable,
+    LieLayerData,
     Representation,
     construct_from_layers,
     frobenius_twist_rep,
@@ -273,6 +274,28 @@ class TestLayerCountBound:
     def test_largest_layer_count_parses(self):
         header = {"format": "layers", "version": 1, "n": 3, "p": 7, "d": 2, "layers": MAX_LAYERS}
         assert len(parse_layer_file(json.dumps(header) + "\n").layers) == MAX_LAYERS
+
+    @staticmethod
+    def top_layer_family(count):
+        """chi(5^(count - 1) eps_12) = E12 alone over F_5, at layer count - 1."""
+        e12 = scalar_matrix([[0, 1], [0, 0]], 5)
+        return LieLayerData(2, 5, 2, [{}] * (count - 1) + [{(1, 2): e12}])
+
+    def test_writer_refuses_what_the_reader_refuses(self):
+        text = write_layer_file(self.top_layer_family(MAX_LAYERS))
+        assert parse_layer_file(text) == self.top_layer_family(MAX_LAYERS)
+        with pytest.raises(CostBoundError, match=f"^{MAX_LAYERS + 1} layers is over the bound of 64$"):
+            write_layer_file(self.top_layer_family(MAX_LAYERS + 1))
+
+    @pytest.mark.parametrize("count", [MAX_LAYERS + 1, 6001])
+    def test_decompose_writes_no_family_over_the_bound(self, count, tmp_path, capsys):
+        # the table is a valid comodule, but its layer file would be one construct refuses
+        rep = construct_from_layers(self.top_layer_family(count))
+        path, out = tmp_path / "rep.txt", tmp_path / "layers.txt"
+        path.write_text(write_rep_file(rep))
+        assert main(["decompose", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {count} layers is over the bound of 64\n")
+        assert not out.exists()
 
 
 class TestCostBounds:

@@ -20,6 +20,7 @@ from unirep.reps import (
     _chi_power_items,
     audit_structure_lemmas,
     construct_from_layers,
+    decompose_to_layers,
     lie_bracket_pairs,
     verify_chi_relations,
     verify_group_law_pointwise,
@@ -243,6 +244,8 @@ def test_validate_on_sparse_images_matches_the_full_walk():
                                       else coerce_scalar(0, p) for b in range(d)] for a in range(d)])
                    for ij in rng.sample(pairs, rng.randrange(len(pairs) + 1))}
                   for _ in range(rng.randrange(1, 4))]
+        if seed % 3 == 0:  # empty layers before and between the image layers
+            layers = [layer for image in layers for layer in [{}] * rng.randrange(3) + [image]]
         data = LieLayerData(n, p, d, layers)
         got = data.validate().findings
         assert got == reference_validate(data).findings, seed
@@ -257,6 +260,12 @@ def test_validate_cost_follows_the_images():
     start = time.perf_counter()
     assert data.validate().ok
     assert construct_from_layers(data) == construct_from_layers(data, validate=False)
+    # one image, at layer 6000: the pairs of layer indices took about 5 s
+    data = LieLayerData(2, 5, 2, [{}] * 6000 + [{(1, 2): scalar_matrix(E12, 5)}])
+    assert data.validate().ok
+    rep = chi_rep(2, 5, {(): I2, ((1, 2, 5**6000),): E12})
+    assert decompose_to_layers(rep) == data
+    assert verify_chi_relations(rep).ok
     assert time.perf_counter() - start < 1.0
 
 
@@ -411,6 +420,7 @@ def test_pinned_cases_match_the_oracle():
         chi_rep(2, 5, {((1, 2, 1),): E12}),  # chi(0) absent
         chi_rep(3, 7, {(): I3, ((2, 3, 1),): E12_3, ((1, 3, 1),): E12_3}, d=3),
         chi_rep(3, 7, {(): I3, ((1, 2, 7),): E12_3, ((1, 3, 7),): E12_3}, d=3),
+        chi_rep(3, 5, {(): I2, ((1, 2, 1),): E12, ((2, 3, 25),): E21, ((1, 3, 25),): E12}),  # p^0 and p^2
     ]
     for rep in cases:
         assert verify_chi_relations(rep).findings == reference_chi_relations(rep).findings
