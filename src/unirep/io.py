@@ -6,7 +6,9 @@ residues), so the files are diff-able and exactly representable; no other JSON
 value, and no other text of a value, is read as a scalar.  Writing is
 canonical: exponent matrices in lexicographic order, layers and index pairs in
 increasing order, each line's keys sorted, its matrices filled into cached
-per-size texts of their JSON.
+per-size texts of their JSON.  A layer file lists only the images present: the
+reader takes a missing (layer, i, j) line, or a line of the zero matrix, as
+the zero image.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cache
 
 from .arith import check_field, scalar_from_str
 from .errors import CostBoundError, ParseError, ShapeError
-from .hopf import _key, _upper_flat, variable_pairs
+from .hopf import _key, _upper_flat
 from .linalg import SquareMatrix, _field_rows, _wrap
 from .reps import ChiTable, LieLayerData, Representation
 
@@ -169,7 +171,7 @@ def parse_rep_file(text: str) -> Representation:
             support[M] = _matrix_from_strings(obj.get("matrix"), d, lineno, parsed)
         return Representation(ChiTable(n, p, d, support))
     entries = set()
-    support = {}  # rows of chi(M), filled one term at a time; a later term of a cell wins
+    support = {}  # rows of chi(M), filled one term at a time
     zero = parsed["0"]
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_line(line, lineno)
@@ -182,8 +184,12 @@ def parse_rep_file(text: str) -> Representation:
         listed = obj.get("terms", [])
         if not (isinstance(listed, list) and all(isinstance(t, dict) for t in listed)):
             raise ParseError(f"line {lineno}: terms must be a list of objects")
+        cell = set()
         for t in listed:
             M = _exponent_from_rows(t.get("M"), n, lineno)
+            if M in cell:
+                raise ParseError(f"line {lineno}: duplicate exponent matrix in entry ({a}, {b})")
+            cell.add(M)
             if M not in support:
                 support[M] = [[zero] * d for _ in range(d)]
             support[M][a - 1][b - 1] = _scalar(t.get("c"), lineno, parsed)
@@ -198,19 +204,19 @@ def parse_rep_file(text: str) -> Representation:
 
 
 def write_layer_file(data: LieLayerData) -> str:
-    """Canonical text for a layer family; every pair of every layer is listed,
-    an absent image as the zero matrix.  Like parse_layer_file, it refuses over MAX_LAYERS layers."""
+    """Canonical text for a layer family: one line for each image present, in
+    (layer, i, j) order, and none for an absent (zero) image.  The header counts
+    every layer, empty ones included.  Like parse_layer_file, it refuses over
+    MAX_LAYERS layers."""
     p, d = data.p, data.d
     if len(data.layers) > MAX_LAYERS:
         raise CostBoundError(f"{len(data.layers)} layers is over the bound of {MAX_LAYERS}")
     lines = [json.dumps({"d": d, "format": "layers", "layers": len(data.layers), "n": data.n,
                          "p": p, "version": FORMAT_VERSION})]
-    matrix, zero = _text(d, '"%s"', '"%s"'), _text(d, '"0"', '"0"')
+    matrix = _text(d, '"%s"', '"%s"')
     for l, images in enumerate(data.layers):
-        for i, j in variable_pairs(data.n):
-            mat = images.get((i, j))
-            lines.append('{"i": %d, "j": %d, "layer": %d, "matrix": %s}'
-                         % (i, j, l, zero if mat is None else matrix % _entries(mat, p)))
+        for (i, j), mat in sorted(images.items()):
+            lines.append('{"i": %d, "j": %d, "layer": %d, "matrix": %s}' % (i, j, l, matrix % _entries(mat, p)))
     return "\n".join(lines) + "\n"
 
 

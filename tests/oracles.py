@@ -192,13 +192,17 @@ def reference_write_rep_file(rep, body="chi"):
     return "\n".join(lines) + "\n"
 
 
-def reference_write_layer_file(data):
+def reference_write_layer_file(data, zeros=False):
     """write_layer_file as it wrote each line: through json.dumps(...,
-    sort_keys=True), with LieLayerData.image's zero matrix for each absent pair."""
+    sort_keys=True), one line for each image present.  With zeros=True, the
+    older writer that listed every pair of every layer, with LieLayerData.image's
+    zero matrix for each absent pair: the files the reader must still read."""
     lines = [json.dumps({"format": "layers", "version": io.FORMAT_VERSION, "n": data.n, "p": data.p,
                          "d": data.d, "layers": len(data.layers)}, sort_keys=True)]
     for l in range(len(data.layers)):
         for i, j in variable_pairs(data.n):
+            if not (zeros or (i, j) in data.layers[l]):
+                continue
             lines.append(json.dumps({"layer": l, "i": i, "j": j,
                                      "matrix": [[scalar_to_str(v) for v in row]
                                                 for row in data.image(l, i, j).entries]},
@@ -229,6 +233,8 @@ def reference_parse_rep_file(text):
             raise ParseError(f"line {lineno}: terms must be a list of objects")
         for t in listed:
             M = io._exponent_from_rows(t.get("M"), n, lineno)
+            if M in terms:
+                raise ParseError(f"line {lineno}: duplicate exponent matrix in entry ({a}, {b})")
             terms[M] = io._scalar(t.get("c"), lineno, parsed)
         entries[(a, b)] = Polynomial(n, p, terms)
     if len(entries) != d * d:

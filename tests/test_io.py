@@ -10,7 +10,7 @@ from unirep.arith import Residue
 from unirep.errors import HypothesisError, ParseError
 from unirep.hopf import ExponentMatrix
 from unirep.io import FORMAT_VERSION, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
-from unirep.linalg import SquareMatrix
+from unirep.linalg import SquareMatrix, scalar_matrix
 from unirep.reps import ChiTable, LieLayerData, Representation, construct_from_layers
 from unirep.samples import random_chi_support, random_layer_data
 
@@ -66,11 +66,44 @@ class TestRepFiles:
         with pytest.raises(ParseError):
             parse_rep_file(json.dumps(wrong) + "\n" + body + "\n")
 
+    @pytest.mark.parametrize("c", ["1", "2", "0"])
+    def test_a_term_repeated_in_a_poly_cell_is_refused(self, c, tmp_path):
+        """Two terms of one M in one cell would leave the table to the later
+        one, so two files would parse to one table; the chi body refuses a
+        repeated M in the same way."""
+        head, first, *rest = write_rep_file(identity_rep(), "poly").splitlines()
+        line = json.loads(first)
+        line["terms"].append({**line["terms"][0], "c": c})
+        bad = "\n".join([head, json.dumps(line)] + rest) + "\n"
+        message = "line 2: duplicate exponent matrix in entry (1, 1)"
+        with pytest.raises(ParseError) as info:
+            parse_rep_file(bad)
+        assert str(info.value) == message
+        path = tmp_path / "in.txt"
+        path.write_text(bad)
+        assert run_cli(["verify", str(path)]) == ("", f"error: {message}\n", 2)
+
     def test_additive_group_formula(self):
         # [[1, x_12], [0, 1]]: two-dimensional with chi(0) = I and chi(eps_12) = E_12
         rep = construct_from_layers(random_layer_data(2, 2, 5, 1, seed=0))
         text = write_rep_file(rep, "poly")
         assert parse_rep_file(text).poly_matrix == rep.poly_matrix
+
+
+def layer_families():
+    """A full family and families with empty layers: in the middle, trailing
+    (untrimmed), the only layer, and no layer at all."""
+    full = random_layer_data(4, 2, 11, 3, seed=9)
+    trailing = random_layer_data(3, 2, 7, 3, seed=4)
+    assert all(full.layers) and trailing.layers[0] and not any(trailing.layers[1:])
+    return {"full": full,
+            "empty-middle": LieLayerData(4, 11, 2, [full.layers[0], {}, full.layers[2]]),
+            "empty-trailing": trailing,
+            "one-empty": LieLayerData(3, 7, 2, [{}]),
+            "none": LieLayerData(3, 7, 2, [])}
+
+
+LAYER_FAMILIES = layer_families()
 
 
 class TestLayerFiles:
@@ -82,10 +115,55 @@ class TestLayerFiles:
 
     def test_bad_pair_rejected(self):
         data = random_layer_data(3, 2, 7, 1, seed=1)
-        text = write_layer_file(data)
-        bad = text.replace('"i": 1, "j": 2', '"i": 2, "j": 2', 1)
-        with pytest.raises(ParseError):
-            parse_layer_file(bad)
+        head, first, *rest = write_layer_file(data).splitlines()
+        line = json.loads(first)
+        line["i"] = line["j"]
+        with pytest.raises(ParseError, match=r"^line 2: pair \((\d), \1\) out of range$"):
+            parse_layer_file("\n".join([head, json.dumps(line)] + rest) + "\n")
+
+    @pytest.mark.parametrize("name", LAYER_FAMILIES)
+    def test_only_the_images_present_are_listed(self, name):
+        data = LAYER_FAMILIES[name]
+        head, *body = write_layer_file(data).splitlines()
+        assert json.loads(head)["layers"] == len(data.layers)  # empty layers counted, none trimmed
+        listed = [(line["layer"], line["i"], line["j"]) for line in map(json.loads, body)]
+        assert listed == sorted((l, *ij) for l, layer in enumerate(data.layers) for ij in layer)
+        assert write_layer_file(data) == reference_write_layer_file(data)
+        assert parse_layer_file(write_layer_file(data)) == data
+
+    @pytest.mark.parametrize("name", LAYER_FAMILIES)
+    def test_a_file_listing_zero_images_reads_as_the_new_one(self, name, tmp_path):
+        """A file that lists every pair of every layer, an absent image as
+        the zero matrix, is the new file with more lines: it parses to the
+        same family, is written back as the new file and constructs to the
+        same rep file."""
+        data = LAYER_FAMILIES[name]
+        old, new = reference_write_layer_file(data, zeros=True), write_layer_file(data)
+        zero = '"matrix": %s}' % json.dumps([["0"] * data.d] * data.d)
+        assert new.splitlines() == [line for line in old.splitlines() if not line.endswith(zero)]
+        assert parse_layer_file(old) == parse_layer_file(new) == data
+        assert write_layer_file(parse_layer_file(old)) == new
+        outputs = []
+        for kind, text in (("old", old), ("new", new)):
+            path = tmp_path / f"{kind}.txt"
+            path.write_text(text)
+            outputs.append(run_cli(["construct", str(path)]))
+        assert outputs[0] == outputs[1] and outputs[0][2] == 0
+
+    def test_one_image_at_the_size_bounds(self, tmp_path):
+        """chi(eps_12) = E_12 at (n, p, d) = (100, 131, 64): decompose writes
+        one image line, not the 4,950 pairs as 64 x 64 zero matrices (102 MB),
+        and construct of that file gives the rep file back byte for byte."""
+        e12 = [[0] * 64 for _ in range(64)]
+        e12[0][1] = 1
+        rep_path, layers_path = tmp_path / "rep.txt", tmp_path / "layers.txt"
+        rep_path.write_text(write_rep_file(construct_from_layers(
+            LieLayerData(100, 131, 64, [{(1, 2): scalar_matrix(e12, 131)}]))))
+        out, err, code = run_cli(["decompose", str(rep_path), "-o", str(layers_path)])
+        assert (out, code) == ("", 0) and "satisfied; 1 layers" in err
+        assert len(layers_path.read_bytes()) < 64 * 1024
+        assert len(layers_path.read_text().splitlines()) == 2
+        assert run_cli(["construct", str(layers_path)]) == (rep_path.read_text(), "", 0)
 
     def test_empty_file(self):
         with pytest.raises(ParseError):

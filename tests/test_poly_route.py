@@ -149,5 +149,6 @@ def test_the_corpus_reaches_every_outcome():
     assert sum(isinstance(r, Representation) for r in parsed) > len(CASES)
     messages = [r[1] for r in parsed if isinstance(r, tuple)]
     for part in ("missing matrix entries", "and 4 more", "duplicate entry", "row/col out of range",
-                 "terms must be", "bad scalar", "exponent matrix", "unknown format", "header field"):
+                 "terms must be", "bad scalar", "exponent matrix", "unknown format", "header field",
+                 "duplicate exponent matrix in entry"):
         assert any(part in m for m in messages), part
