@@ -70,13 +70,26 @@ def layer_file(tmp_path):
     return path, data
 
 
+# What an -o target holds before the command: no file, junk 64 KB longer than
+# the output, or junk shorter than it.  The command leaves exactly its output.
+PRIOR_TARGETS = ["none", "longer", "shorter"]
+
+
+def prepare_target(path, prior, expected):
+    if prior != "none":
+        path.write_bytes(b"x" * (len(expected) + 65536 if prior == "longer" else 3))
+
+
 class TestConstruct:
     def test_construct_writes_rep(self, layer_file, tmp_path):
         path, data = layer_file
-        out = tmp_path / "rep.txt"
-        assert main(["construct", str(path), "-o", str(out)]) == 0
-        rep = parse_rep_file(out.read_text())
-        assert rep == construct_from_layers(data)
+        for body, prior in itertools.product(["chi", "poly"], PRIOR_TARGETS):
+            out = tmp_path / f"rep-{body}-{prior}.txt"
+            expected = write_rep_file(construct_from_layers(data), body=body).encode()
+            prepare_target(out, prior, expected)
+            assert run_cli(["construct", str(path), "--format", body, "-o", str(out)]) == ("", "", 0)
+            assert out.read_bytes() == expected, (body, prior)
+            assert parse_rep_file(out.read_text()) == construct_from_layers(data)
 
     def test_poly_format(self, layer_file, tmp_path, capsys):
         path, _ = layer_file
@@ -87,6 +100,55 @@ class TestConstruct:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["construct", str(tmp_path / "nope.txt")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestOutputFile:
+    """-o writes over an existing file in place and cuts a regular file to
+    length; everything else it does as open(path, "w") did."""
+
+    @pytest.fixture
+    def rep_file(self, layer_file, tmp_path):
+        path = tmp_path / "rep.txt"
+        path.write_text(write_rep_file(construct_from_layers(layer_file[1])))
+        return path
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_null_device(self, layer_file, rep_file):
+        assert run_cli(["construct", str(layer_file[0]), "-o", os.devnull]) == ("", "", 0)
+        out, err, code = run_cli(["decompose", str(rep_file), "-o", os.devnull])
+        assert (out, code) == ("", 0) and err == run_cli(["decompose", str(rep_file)])[1]  # its summary line
+
+    def test_symlink_keeps_the_link_and_writes_its_target(self, layer_file, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        expected = write_rep_file(construct_from_layers(layer_file[1])).encode()
+        prepare_target(target, "longer", expected)
+        link.symlink_to(target)
+        assert run_cli(["construct", str(layer_file[0]), "-o", str(link)]) == ("", "", 0)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_is_that_of_open(self, layer_file, tmp_path, mask):
+        out, reference = tmp_path / "rep.txt", tmp_path / "reference.txt"
+        old = os.umask(mask)
+        try:
+            assert main(["construct", str(layer_file[0]), "-o", str(out)]) == 0
+            open(reference, "w").close()
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == reference.stat().st_mode & 0o777 == 0o666 & ~mask
+
+    @pytest.mark.parametrize("command", ["construct", "decompose"])
+    @pytest.mark.parametrize("target, message", [
+        ("", "[Errno 2] No such file or directory: ''"),  # refused, not written to stdout
+        ("{tmp}", "[Errno 21] Is a directory: '{tmp}'"),
+        ("{tmp}/missing/out.txt", "[Errno 2] No such file or directory: '{tmp}/missing/out.txt'"),
+        ("{tmp}/a\0b.txt", "embedded null byte"),
+    ])
+    def test_unwritable_target_refused(self, layer_file, rep_file, tmp_path, command, target, message):
+        source = layer_file[0] if command == "construct" else rep_file
+        target, message = (s.format(tmp=tmp_path) for s in (target, message))
+        assert run_cli([command, str(source), "-o", target]) == ("", f"error: {message}\n", 2)
 
 
 class TestVerify:
@@ -181,10 +243,13 @@ class TestDecompose:
     def test_roundtrip_through_files(self, layer_file, tmp_path):
         path, data = layer_file
         rep_path = tmp_path / "rep.txt"
-        back_path = tmp_path / "back.txt"
         assert main(["construct", str(path), "-o", str(rep_path)]) == 0
-        assert main(["decompose", str(rep_path), "-o", str(back_path)]) == 0
-        assert parse_layer_file(back_path.read_text()) == data.trimmed()
+        for prior in PRIOR_TARGETS:
+            back_path = tmp_path / f"back-{prior}.txt"
+            prepare_target(back_path, prior, write_layer_file(data.trimmed()).encode())
+            assert main(["decompose", str(rep_path), "-o", str(back_path)]) == 0
+            assert back_path.read_text() == write_layer_file(data.trimmed()), prior
+            assert parse_layer_file(back_path.read_text()) == data.trimmed()
 
     def test_hypothesis_regime_exit_two(self, tmp_path, capsys):
         # p = 5 < 2d = 6: the regime guard must trip with exit 2
