@@ -13,7 +13,6 @@ findings, 2 usage or hypothesis error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -87,19 +86,17 @@ def _pointwise_request(args):
 
 
 def cmd_verify(args):
-    """For p > 0 and p >= max(n, 2d), one certificate answers every check of a
-    request that is not refused: a comodule (reps._certificate) obeys the group
-    law at every F_p point, its chi relations are the layer relations validate
-    checked, the factorization and Gamma audits are the walk's closed form, and
-    the carrying lemma is the paper's.  Otherwise the checks run as before."""
+    """A refused --pointwise request exits first.  For p > 0, p >= max(n, 2d),
+    one certificate answers every check: a comodule (reps._certificate) obeys the
+    group law at every F_p point, its chi relations are the layer relations
+    validate checked, the factorization and Gamma audits are the walk's closed
+    form, and the carrying lemma is the paper's.  Else every check runs."""
     rep = parse_rep_file(_read(args.repfile))
     pointwise = args.pointwise and _pointwise_request(args)
-    if rep.p:  # the certificate is tried here, so the comodule check below is symbolic
-        with contextlib.suppress(UnirepError, ValueError):  # refused below, in its turn
-            if pointwise:
-                _pointwise_pairs(rep.chi, **pointwise)
-            if _certificate(rep) is not None:
-                return 0
+    if pointwise:
+        _pointwise_pairs(rep.chi, **pointwise)
+    if rep.p and _certificate(rep) is not None:  # else the comodule check below is the relation check
+        return 0
     findings = []
     if args.comodule or not (args.pointwise or args.chi_relations or args.lemmas):
         findings.extend((_comodule_findings if rep.p else verify_comodule)(rep).findings)

@@ -17,7 +17,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import chain
-from math import comb, factorial, lcm, prod
+from math import factorial, lcm, prod
 from operator import add
 
 from .arith import _residues, coerce_scalar, p_ary_digits
@@ -487,15 +487,6 @@ def _generator_power(n, p, ij, m):
             block.append((tuple(key), factorial(digit) // prod(map(factorial, parts))))
         out = _convolve(out, block).items()
     return tuple(out)
-
-
-def _expansion_size(n, p, flat):
-    """prod len(_generator_power): per digit, its compositions into j - i + 1."""
-    size = 1
-    for (i, j), m in zip(_pairs(n), flat):
-        for digit in _digits(m, p) if m else ():
-            size *= comb(digit + j - i, j - i)
-    return size
 
 
 def coproduct(poly: Polynomial) -> TensorElement:

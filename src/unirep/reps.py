@@ -26,12 +26,8 @@ from .hopf import (
     ExponentMatrix,
     Polynomial,
     _digits,
-    _expansion_size,
-    _field_sums,
     _index,
-    _int_scalars,
     _key,
-    _monomial_coproduct,
     variable_pairs,
 )
 from .linalg import (
@@ -347,86 +343,92 @@ def _certificate(rep: Representation):
         data = decompose_to_layers(rep, check=False)
         if data.validate().ok:
             table = {M.flat: _field_rows(m, rep.p) for M, m in rep.chi.support.items()}
-            if _walk(data, table) == table:
+            if _walk(data, table)[0] == table:
                 return data
 
 
 def verify_comodule(rep: Representation) -> Report:
     """Check the comodule axioms: empty at once for a table that its own layers
-    rebuild (_certificate), else _comodule_findings."""
+    rebuild (_certificate), else _comodule_findings, at any p."""
     if _certificate(rep) is not None:
         return Report()
     return _comodule_findings(rep)
 
 
-# A term counts as n(n-1) + 8 exponents, its key and its overhead; the check
-# builds 1.3-3e7 a second (2.1 GHz Xeon), so the bound is 10-23 s of work; it
-# holds one entry at a time, 4.5 bytes an exponent at n = 60 (1.4 GB).
-MAX_COMODULE_EXPONENTS = 3 * 10**8
-
-
 def _comodule_findings(rep: Representation) -> Report:
-    """Check chi(0) = Id and, on the chi table, Delta(a_ij) = sum_k a_ik (x) a_kj
-    and eps(a_ij) = delta_ij: for each (a, b)
-
-        sum_M chi(M)_ab Delta(x^M) = sum_k sum_{M1, M2} chi(M1)_ak chi(M2)_kb x^M1 (x) x^M2
-
-    and chi(0)_ab = delta_ab, one entry at a time, each Delta(x^M) expanded once.
-    Past MAX_COMODULE_EXPONENTS, counted first, it raises CostBoundError.
-    """
+    """Check the comodule axioms at any p.  U_n(R) is presented, for every
+    commutative ring R, by its root subgroups x_ij(t) = 1 + t E_ij, additivity
+    and the Steinberg relations (Steinberg, Lectures on Chevalley Groups, 1967,
+    section 6), and a comodule of the additive group is a family of commuting
+    X_l with X_l^p = 0 (Jantzen, Representations of Algebraic Groups, I.2 and
+    I.7).  So the table is a comodule exactly when (a) chi(0) = Id and the table
+    is the walk of its layers X_l = chi(p^l eps_ij), each X_l^p = 0 (nilpotent
+    at p = 0); (b) the layers of each root commute; (c) on the root tables, as
+    identities in s and t, x_ij(s) x_jl(t) = x_jl(t) x_il(st) x_ij(s) for
+    i < j < l and x_ij(s) x_kl(t) = x_kl(t) x_ij(s) for j != k, i != l.  A
+    relation is checked where x_il, or x_ij and x_jl (x_kl), are not trivial,
+    and every product is charged to the walk's bound (CostBoundError)."""
     report = Report()
     chi = rep.chi
     n, p, d = chi.n, chi.p, chi.d
-    nonzero = []  # (a, b, flat key, chi(M)_ab) where nonzero
-    terms = 0
-    for M, mat in chi.support.items():
-        size = _expansion_size(n, p, M.flat)
-        for a, row in enumerate(mat.entries):
-            for b, c in enumerate(row):
-                if c:
-                    nonzero.append((a, b, M.flat, c))
-                    terms += size
-    # Both sides on ints: values mod p, or over Q numerators over den, so the
-    # coproduct side times den and the tensor side are both over den^2.
-    values, den = _int_scalars([c for *_, c in nonzero], p)
-    scale = den or 1
-    cells = [[[] for _ in range(d)] for _ in range(d)]  # (flat key, chi(M)_ab's int) where nonzero
-    for (a, b, flat, _), c in zip(nonzero, values):
-        cells[a][b].append((flat, c))
-    terms += sum(sum(map(len, col)) * sum(map(len, row)) for col, row in zip(zip(*cells), cells))
-    cost = terms * (n * (n - 1) + 8)
-    if cost > MAX_COMODULE_EXPONENTS:
-        raise CostBoundError(f"the comodule check costs {cost} exponents ({terms} terms), "
-                             f"over the bound of {MAX_COMODULE_EXPONENTS}")
     unit, one = chi.get(ExponentMatrix.zero(n)), chi.identity_matrix()
     if unit != one:
         report.add("chi-at-zero", "chi(0)", "identity matrix", unit)
-    image = functools.cache(functools.partial(_monomial_coproduct, n, p))
-    rows, columns = list(map(_mask, cells)), list(map(_mask, zip(*cells)))  # each one's nonempty cells
-    for a in range(d):
-        for b in range(d):
-            sums = {}
-            get = sums.get
-            for flat, c in cells[a][b]:
-                c *= scale
-                for key, w in image(flat):
-                    sums[key] = get(key, 0) + w * c
-            both = rows[a] & columns[b]  # the k with cells (a, k) and (k, b) nonempty
-            while both:
-                k = (both & -both).bit_length() - 1
-                both ^= 1 << k
-                right = cells[k][b]
-                for f, c in cells[a][k]:
-                    for g, e in right:
-                        key = f + g
-                        sums[key] = get(key, 0) - c * e
-            if _field_sums(sums, p):
-                report.add("coproduct", f"entry ({a + 1}, {b + 1})",
-                           "Delta(a_ij) = sum_k a_ik (x) a_kj", "mismatch")
-            delta, counit = one.entries[a][b], unit.entries[a][b]
-            if counit != delta:
-                report.add("counit", f"entry ({a + 1}, {b + 1})", delta, counit)
+        for a, b in itertools.product(range(d), repeat=2):
+            if unit.entries[a][b] != one.entries[a][b]:
+                report.add("counit", f"entry ({a + 1}, {b + 1})", one.entries[a][b], unit.entries[a][b])
+    data = _chi_layers(chi)
+    images = sorted((ij, l, _field_rows(x, p)) for l, layer in enumerate(data.layers) for ij, x in layer.items())
+    failing = [(l, ij) for ij, l, x in images if not _is_nilpotent(x, p or d, p)]
+    for l, (i, j) in failing:
+        report.add("root-nilpotency", f"chi(p^{l} eps_{i}{j})", "nilpotent of order <= p" if p else "nilpotent",
+                   "not nilpotent")
+    if failing:
+        return report  # the root tables are not defined
+    table = {M.flat: _field_rows(m, p) for M, m in chi.support.items()}
+    walked, charge = _walk(data, table)
+    for flat in sorted((table.keys() | walked.keys()) - {ExponentMatrix.zero(n).flat}):
+        if (rows := table.get(flat)) != walked.get(flat):
+            report.add("product", f"chi({_key(n, flat)})", "the product of its root tables",
+                       "missing" if rows is None else "mismatch" if flat in walked else "not in the product")
+    for ij, group in itertools.groupby(images, key=lambda image: image[0]):
+        for (_, l, x), (_, m, y) in itertools.combinations(group, 2):
+            charge(2)
+            if _matmul(x, y, p) != _matmul(y, x, p):
+                report.add("root-commutation", f"chi(p^{l} eps_{ij}) vs chi(p^{m} eps_{ij})",
+                           "commuting layers", "nonzero commutator")
+    pairs, roots = variable_pairs(n), {}  # (i, j): nonzero (r, chi(r eps_ij)), the walk's keys with one entry
+    for flat, rows in walked.items():
+        if len(flat) - flat.count(0) == 1:
+            at = next(itertools.compress(itertools.count(), flat))
+            roots.setdefault(pairs[at], []).append((flat[at], rows))
+    relations = {(ij, kl) if ij[1] == kl[0] else tuple(sorted([ij, kl]))  # (first, second): x_first(s) x_second(t)
+                 for ij, kl in itertools.permutations(roots, 2) if ij[0] != kl[1]}
+    relations.update(((i, k), (k, j)) for i, j in roots for k in range(i + 1, j))
+    for first, second in sorted(relations):
+        s, t = (roots.get(first, ()), (1, 0)), (roots.get(second, ()), (0, 1))
+        triple = first[1] == second[0]  # x_il(st) is the third root
+        right = [t, (roots.get((first[0], second[1]), ()), (1, 1)), s] if triple else [t, s]
+        if ab := _first_difference([s, t], right, _identity_rows(d, 1), p, charge):
+            report.add("steinberg", f"x{first}(s) x{second}(t), coefficient of s^{ab[0]} t^{ab[1]}",
+                       "x_ij(s) x_jl(t) = x_jl(t) x_il(st) x_ij(s)" if triple else "x_ij(s) x_kl(t) = x_kl(t) x_ij(s)",
+                       "mismatch")
     return report
+
+
+def _first_difference(left, right, one, p, charge):
+    """The first (a, b) at which the coefficients of s^a t^b of two products
+    of root tables differ, else None; a factor (options, (u, v)) is a root's
+    table at s^u t^v, its options (r, rows) the nonzero ones, r >= 1."""
+    sums, zero = {}, [[0] * len(one)] * len(one)  # (a, b): left's rows minus right's
+    for factors, sign in ((left, 1), (right, -1)):
+        partials = [((0, 0), one)]
+        for options, (u, v) in factors:
+            partials = _products(partials, options, lambda key, r, u=u, v=v: (key[0] + u * r, key[1] + v * r),
+                                 one, p, charge)
+        for key, rows in partials:
+            sums[key] = [[x + sign * y for x, y in zip(a, b)] for a, b in zip(sums.get(key, zero), rows)]
+    return next((key for key in sorted(sums) if any(x % p if p else x for row in sums[key] for x in row)), None)
 
 
 # U_3(F_5) has 125^2 = 15625 pairs and checks in 0.10 s at d = 3 on a
@@ -545,14 +547,15 @@ def construct_from_layers(data: LieLayerData, validate=True) -> Representation:
         report = data.validate()
         if not report.ok:
             raise HypothesisError(f"layer data invariants fail: {report.findings}")
-    support = {_key(n, flat): _wrap(rows, p) for flat, rows in _walk(data).items()}
+    support = {_key(n, flat): _wrap(rows, p) for flat, rows in _walk(data)[0].items()}
     return Representation(ChiTable(n, p, d, support))
 
 
 def _walk(data: LieLayerData, table=()):
-    """{flat key: rows of chi(M)} over construct_from_layers' support, the rows
-    shared with the walk's operands.  Given the flat keys of a table to rebuild,
-    it raises CostBoundError before walking if their nodes pass the bound."""
+    """({flat key: rows of chi(M)} over construct_from_layers' support, the rows
+    shared with the walk's operands; the walk's charge, for a caller to charge
+    more products to the same bound).  Given the flat keys of a table to
+    rebuild, it raises CostBoundError before walking if their nodes pass the bound."""
     n, p, d = data.n, data.p, data.d
     nodes = 0  # in ninths of a d = 3 node
 
@@ -578,8 +581,12 @@ def _walk(data: LieLayerData, table=()):
         nodes = saved
     support = [((0,) * size, one)]
     for index, options in steps:
-        support = _products(support, options, lambda key, r: key[:index] + (r,) + key[index + 1:], one, p, charge)
-    return dict(support)
+        def join(key, r, index=index):  # in a list: 27% faster than slicing and joining at n = 60
+            key = list(key)
+            key[index] = r
+            return tuple(key)
+        support = _products(support, options, join, one, p, charge)
+    return dict(support), charge
 
 
 @functools.cache
@@ -653,21 +660,24 @@ def decompose_to_layers(rep: Representation, check=True) -> LieLayerData:
     n, p, d = chi.n, chi.p, chi.d
     if _regime(n, p, d) not in ("Q", "layers"):
         raise HypothesisError(f"decomposition needs p >= max(n, 2d) = {max(n, 2 * d)}, got p = {p}")
-    if check and (certified := _certificate(rep)) is not None:
+    if not check:
+        return _chi_layers(chi)
+    if (certified := _certificate(rep)) is not None:
         return certified
-    report = _comodule_findings(rep) if check else Report()
-    if not report.ok:
+    if not (report := _comodule_findings(rep)).ok:
         raise UnirepError(f"input fails the comodule axioms: {report.findings}")
+    if not (report := (data := _chi_layers(chi)).validate()).ok:
+        raise UnirepError(f"extracted layers violate the theorem: {report.findings}")
+    return data
+
+
+def _chi_layers(chi: ChiTable) -> LieLayerData:
+    """The layers chi(p^l eps_ij) read off the table, with no regime test."""
     layers = []
     for l, ij, mat in _chi_power_items(chi):
         layers.extend({} for _ in range(l + 1 - len(layers)))
         layers[l][ij] = mat
-    data = LieLayerData(n, p, d, layers)
-    if check:
-        report = data.validate()
-        if not report.ok:
-            raise UnirepError(f"extracted layers violate the theorem: {report.findings}")
-    return data
+    return LieLayerData(chi.n, chi.p, chi.d, layers)
 
 
 def _chi_power_items(chi: ChiTable):

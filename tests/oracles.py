@@ -710,9 +710,10 @@ def reference_wrap(rows, p):
 
 
 def reference_comodule_findings(rep):
-    """reps._comodule_findings as it was, without its cost bound: over Q both
-    sides summed as Fractions, one per contribution, and the tensor side run
-    over every k, empty cells included."""
+    """The symbolic comodule check that reps._comodule_findings replaced, without
+    its cost bound: Delta(a_ij) = sum_k a_ik (x) a_kj and the counit on the chi
+    table, over Q both sides summed as Fractions, one per contribution, and the
+    tensor side run over every k, empty cells included."""
     report = Report()
     chi = rep.chi
     n, p, d = chi.n, chi.p, chi.d
@@ -743,6 +744,12 @@ def reference_comodule_findings(rep):
             if counit != delta:
                 report.add("counit", f"entry ({a + 1}, {b + 1})", delta, counit)
     return report
+
+
+def comodule_verdict(findings):
+    """What the relation check keeps of the symbolic check's findings: the
+    verdict, and the chi-at-zero and counit findings in their order."""
+    return not findings, [f for f in findings if f["check"] in ("chi-at-zero", "counit")]
 
 
 def reference_power(base, m):

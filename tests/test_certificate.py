@@ -1,11 +1,12 @@
 """The comodule certificate (a table rebuilt from its own layers) against the
-symbolic check it shortcuts.
+relation check it shortcuts, and that check's verdict against the symbolic
+check it replaced (tests/oracles.py).
 
 The corpus holds seeded valid tables, tables with one entry changed, one key
 deleted or one key added, tables whose chi(p eps_ij) no longer commutes with
 layer 0, Fraction tables at p = 0, and a valid table whose rebuild the walk
 bound refuses.  On each, verify_comodule and decompose_to_layers must give
-what the symbolic path gives, and the command line must print the same
+what the relation check gives, and the command line must print the same
 bytes and exit with the same code with the certificate and without it.  The
 certificate compares the walk's rows with the table's; the one it replaced,
 which compared a rebuilt Representation (tests/oracles.py), must give the
@@ -24,14 +25,14 @@ import pytest
 
 from unirep import cli, reps
 from unirep.arith import Residue
-from unirep.errors import ModulusMismatchError, UnirepError
+from unirep.errors import CostBoundError, ModulusMismatchError, UnirepError
 from unirep.hopf import ExponentMatrix, variable_pairs
 from unirep.io import write_rep_file
 from unirep.linalg import SquareMatrix, scalar_matrix
 from unirep.reps import ChiTable, Representation, construct_from_layers, decompose_to_layers, verify_comodule
 from unirep.samples import random_layer_data
 
-from oracles import reference_certificate
+from oracles import reference_certificate, reference_comodule_findings
 
 # (n, d, p, layers), each drawn with every seed; each valid table seeds the corrupted ones
 SHAPES = [(3, 2, 7, 2), (3, 3, 11, 1), (4, 2, 11, 2), (4, 3, 13, 1), (3, 2, 13, 3),
@@ -124,7 +125,7 @@ def outcome(call, *args):
 
 
 def symbolic_decompose(rep):
-    """decompose_to_layers(check=True) before the certificate."""
+    """decompose_to_layers(check=True) without the certificate."""
     report = reps._comodule_findings(rep)
     if not report.ok:
         raise UnirepError(f"input fails the comodule axioms: {report.findings}")
@@ -148,17 +149,19 @@ def test_corpus_covers_each_kind():
 def test_library_matches_the_symbolic_path(name, rep):
     got = outcome(lambda r: verify_comodule(r).findings, rep)
     assert got == outcome(lambda r: reps._comodule_findings(r).findings, rep)
-    assert (got == ("returns", [])) == name.endswith("valid")
+    assert (got == ("returns", [])) == name.endswith("valid") == reference_comodule_findings(rep).ok
     assert outcome(decompose_to_layers, rep) == outcome(symbolic_decompose, rep)
 
 
 def test_refused_walk_is_not_a_certificate(monkeypatch):
+    # the relation check charges the same bound, so the table is refused, not answered
     rep = construct_from_layers(random_layer_data(3, 2, 7, 2, seed=0))
     assert reps._certificate(rep) is not None
     monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 3)
     assert reps._certificate(rep) is None
-    assert verify_comodule(rep).findings == []
-    assert decompose_to_layers(rep) == symbolic_decompose(rep)
+    for call in (verify_comodule, decompose_to_layers, symbolic_decompose):
+        with pytest.raises(CostBoundError, match="^constructing chi takes over 3 nodes$"):
+            call(rep)
 
 
 def test_valid_tables_take_no_other_check(tmp_path, monkeypatch):

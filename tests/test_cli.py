@@ -19,7 +19,7 @@ from unirep import bch, cli, reps, splittings
 from unirep.arith import MAX_D, MAX_N
 from unirep.bch import MAX_BCH_DEGREE
 from unirep.cli import main
-from unirep.errors import CostBoundError
+from unirep.errors import CostBoundError, UnirepError
 from unirep.hopf import ExponentMatrix
 from unirep.io import MAX_LAYERS, parse_layer_file, parse_rep_file, write_layer_file, write_rep_file
 from unirep.linalg import scalar_matrix
@@ -195,9 +195,11 @@ class TestVerify:
     @pytest.mark.parametrize("p", [7, 0])
     def test_bad_pointwise_flag_is_refused_before_any_check(self, tmp_path, capsys, monkeypatch, p):
         # the flag is read once, right after the file: no certificate, no check,
-        # and its own message even where a check would have raised CostBoundError
+        # and its own message even where a check would have raised CostBoundError;
+        # so is a request over the sampled bound (at p = 0 any pointwise request)
+        rep = construct_from_layers(random_layer_data(3, 2, p, 1, seed=1))
         rep_path = tmp_path / "rep.txt"
-        rep_path.write_text(write_rep_file(construct_from_layers(random_layer_data(3, 2, p, 1, seed=1))))
+        rep_path.write_text(write_rep_file(rep))
         ran = []
 
         def spy(name):
@@ -214,6 +216,13 @@ class TestVerify:
         assert ran == []
         assert capsys.readouterr() == ("", "error: --pointwise must be 'exhaustive' or 'sampled:N', "
                                            "got 'sampled:x'\n")
+        monkeypatch.setattr(cli, "_pointwise_pairs", reps._pointwise_pairs)
+        argv[4] = "sampled:99999999"
+        with pytest.raises(UnirepError) as refusal:
+            reps._pointwise_pairs(rep.chi, "sampled", 99999999)
+        assert main(argv) == 2
+        assert ran == []
+        assert capsys.readouterr() == ("", f"error: {refusal.value}\n")
 
     @pytest.mark.parametrize("flag", ["sampled:0", "sampled:00"])
     def test_zero_samples_refused(self, layer_file, tmp_path, capsys, flag):
@@ -460,22 +469,19 @@ class TestCostBounds:
 
     @pytest.mark.parametrize("command", [["verify", "--comodule"], ["decompose"]])
     def test_comodule_check_over_the_bound_refused(self, command, rep_path, capsys, monkeypatch):
-        cost = 4  # below what any chi table costs: chi(0) alone is a term of 6 + 8 exponents
-        monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost)
-        # a valid table is rebuilt from its layers, so the bound is never consulted
-        assert main([command[0], rep_path, *command[1:]]) == 0
+        # the relation check charges its products to the walk's bound: past it a
+        # table is refused, valid or not, with construct's one error line
+        argv = [command[0], rep_path, *command[1:]]
+        assert main(argv) == 0
         assert "error" not in capsys.readouterr().err
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 3)
+        self.assert_refused(argv, capsys, "constructing chi takes over 3 nodes")
         rep = parse_rep_file(Path(rep_path).read_text())
         rows = [list(row) for row in rep.chi.identity_matrix().entries]
-        rows[0][-1] += 1  # chi(0) is not Id: the symbolic check runs, and meets the bound
+        rows[0][-1] += 1  # chi(0) is not Id: found before the walk, but no finding is printed
         rep.chi.support[ExponentMatrix.zero(rep.n)] = scalar_matrix(rows, rep.p)
         Path(rep_path).write_text(write_rep_file(rep))
-        assert main([command[0], rep_path, *command[1:]]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: the comodule check costs ")
-        assert captured.err.endswith(f" terms), over the bound of {cost}\n")
-        assert captured.err.count("\n") == 1
+        self.assert_refused(argv, capsys, "constructing chi takes over 3 nodes")
 
 
 class TestOtherCommands:

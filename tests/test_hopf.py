@@ -1,7 +1,6 @@
 """The representing Hopf algebra: polynomials, coproduct, counit."""
 
 import copy
-import math
 import pickle
 import random
 import time
@@ -17,8 +16,6 @@ from unirep.hopf import (
     ExponentMatrix,
     Polynomial,
     TensorElement,
-    _expansion_size,
-    _generator_power,
     coproduct,
     counit,
     tensor_of,
@@ -393,20 +390,6 @@ class TestCoproductOracle:
             for row in Representation(chi).poly_matrix.entries:
                 for f in row:
                     assert coproduct(f).terms == reference_coproduct(f).terms
-
-    @pytest.mark.parametrize("p", [0, 5, 7, 11])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_expansion_size_counts_the_generator_powers(self, n, p):
-        # the comodule check's cost bound reads _expansion_size without expanding
-        exponents = (1, p, p + 1, 2 * p, p * p, p * p + 1) if p else (1, 2, 3, 4)
-        N = n * (n - 1) // 2
-        for ij in range(N):
-            for m in exponents:
-                flat = tuple(m if at == ij else 0 for at in range(N))
-                assert _expansion_size(n, p, flat) == len(_generator_power(n, p, ij, m))
-        flat = tuple(exponents[at % len(exponents)] for at in range(N))
-        sizes = [len(_generator_power(n, p, ij, m)) for ij, m in enumerate(flat)]
-        assert _expansion_size(n, p, flat) == math.prod(sizes)
 
 
 class TestKeys:

@@ -51,7 +51,8 @@ from unirep.reps import (
 from unirep.samples import _embed, random_chi_support, random_layer_data, random_strict_upper
 from unirep.splittings import split_coproduct
 
-from oracles import construct_single_layer, matrix_product_tensor_side
+from oracles import (comodule_verdict, construct_single_layer, matrix_product_tensor_side,
+                     reference_comodule_findings)
 
 
 def poly(n, p, exponents):
@@ -323,10 +324,15 @@ class TestComodule:
             ExponentMatrix.zero(n): SquareMatrix.identity(d, Residue(1, p)),
             ExponentMatrix.epsilon(n, 1, 3): scalar_matrix([[0, 1], [0, 0]], p),
         }
-        # x_13 without the x_12 x_23 cross term cannot satisfy the coproduct
+        # x_13 without the x_12 x_23 cross term is no comodule: chi(eps_13) is the
+        # one root table that is not trivial, and the triple (1, 2, 3), whose outer
+        # roots are trivial, still needs chi(c eps_13) = 0, so x_12(s) x_23(t) =
+        # x_23(t) x_13(st) x_12(s) fails at s t; the product check finds nothing
         rep = Representation(ChiTable(n, p, d, support))
-        report = verify_comodule(rep)
-        assert any(f["check"] == "coproduct" for f in report.findings)
+        assert verify_comodule(rep).findings == [{
+            "check": "steinberg", "location": "x(1, 2)(s) x(2, 3)(t), coefficient of s^1 t^1",
+            "expected": "x_ij(s) x_jl(t) = x_jl(t) x_il(st) x_ij(s)", "actual": "mismatch"}]
+        assert not reference_comodule_findings(rep).ok
 
     def test_missing_identity_detected(self):
         n, p, d = 3, 7, 2
@@ -339,43 +345,74 @@ class TestComodule:
     @pytest.mark.parametrize("d, pairs", [(1, 4), (2, 18)])
     @pytest.mark.parametrize("direct", [False, True])
     def test_cost_bound_counts_terms_before_expanding(self, p, r, size, d, pairs, direct, monkeypatch):
-        # chi(0) = Id and chi(r eps_12) = 3 in every entry at n = 2: Delta(x_12^r)
-        # multiplies out r + 1 pairs over Q and, over F_p, the product of
-        # (digit + 1) over the p-ary digits of r, once per nonzero entry; the
-        # tensor side sum_k a_ik (x) a_kj has 2 * 2 term pairs at d = 1 and
-        # 2 * (3 * 3) at d = 2 (a_ii = 1 + 3 x^r, a_ij = 3 x^r).  The table fails
-        # the certificate, so verify_comodule falls back to _comodule_findings,
-        # which `verify --comodule` calls directly at p > 0
+        # chi(0) = Id and chi(r eps_12) = 3 in every entry at n = 2.  The symbolic
+        # check multiplied out Delta(x_12^r), r + 1 terms over Q and the product of
+        # (digit + 1) over the p-ary digits of r over F_p, for each nonzero entry,
+        # and paired 2 * 2 tensor-side terms at d = 1, 2 * (3 * 3) at d = 2.  The
+        # relation check forms none of them, and multiplies no root table:
+        # chi(r eps_12) is no layer at r = 6, and at r = 25 a layer that is not
+        # nilpotent.  So the walk's bound refuses it at no count of nodes.  The
+        # table fails the certificate, so verify_comodule falls back to
+        # _comodule_findings, which `verify --comodule` calls directly at p > 0
         check = reps._comodule_findings if direct else verify_comodule
         chi = ChiTable(2, p, d, {ExponentMatrix.zero(2): SquareMatrix.identity(d, coerce_scalar(1, p)),
                                  ExponentMatrix.epsilon(2, 1, 2, r): scalar_matrix([[3] * d] * d, p)})
         rep = Representation(chi)
-        terms = pairs + d + d * d * size
-        cost = terms * (2 + 8)
-        monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost)
-        check(rep)
+        assert len(hopf._monomial_coproduct(2, p, (r,))) == size
+        cells = [[sum(1 for m in chi.support.values() if m.entries[a][b]) for b in range(d)] for a in range(d)]
+        assert sum(cells[a][k] * cells[k][b] for a, b, k in itertools.product(range(d), repeat=3)) == pairs
+        oracle = comodule_verdict(reference_comodule_findings(rep).findings)
 
-        def expand(*args):
-            raise AssertionError("expanded before the bound was checked")
+        def product(*args):
+            raise AssertionError("a root table was multiplied")
 
-        monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", cost - 1)
-        monkeypatch.setattr(reps, "_monomial_coproduct", expand)
-        with pytest.raises(CostBoundError, match=fr"costs {cost} exponents \({terms} terms\), "
-                                                 fr"over the bound of {cost - 1}$"):
-            check(rep)
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 0)
+        monkeypatch.setattr(reps, "_matmul", product)
+        findings = check(rep).findings
+        assert comodule_verdict(findings) == oracle
+        assert [(f["check"], f["location"]) for f in findings] == [
+            ("root-nilpotency", "chi(p^2 eps_12)") if r == 25 else ("product", f"chi(x12^{r})")]
 
     def test_cost_bound_keeps_decompose_from_expanding(self, monkeypatch):
         data = random_layer_data(3, 2, 7, 2, seed=0).trimmed()
         rep = construct_from_layers(data)
-        monkeypatch.setattr(reps, "MAX_COMODULE_EXPONENTS", 0)
-        # a valid table is rebuilt from its layers, so the bound is never consulted
-        assert decompose_to_layers(rep) == decompose_to_layers(rep, check=False) == data
+        # the relation check charges its products to the walk's bound, so a table
+        # whose rebuild the bound refuses is refused by decompose's check too
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", 3)
+        for call in (decompose_to_layers, verify_comodule, reps._comodule_findings):
+            with pytest.raises(CostBoundError, match="over 3 nodes"):
+                call(rep)
+        assert decompose_to_layers(rep, check=False) == data
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", MAX_CONSTRUCT_NODES)
+        assert decompose_to_layers(rep) == data
         rows = [list(row) for row in rep.chi.identity_matrix().entries]
-        rows[0][-1] += 1  # chi(0) is not Id: the symbolic check runs, and meets the bound
+        rows[0][-1] += 1  # chi(0) is not Id: the certificate fails and the relation check finds it
         rep.chi.support[ExponentMatrix.zero(3)] = SquareMatrix(rows)
-        with pytest.raises(CostBoundError, match="the comodule check costs"):
+        with pytest.raises(UnirepError, match="input fails the comodule axioms: .*'chi-at-zero'"):
             decompose_to_layers(rep)
         assert decompose_to_layers(rep, check=False) == data
+
+    def test_relation_check_shares_the_walk_bound(self, monkeypatch):
+        # (3, 4, 5, 2) is outside the certificate's regime, so the relation check
+        # answers it: it needs more nodes than the walk that constructs it, and
+        # one node less than it needs refuses it
+        data = random_layer_data(3, 4, 5, 2, seed=0).trimmed()
+        rep = construct_from_layers(data)
+
+        def answer(bound):
+            monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", bound)
+            try:
+                return verify_comodule(rep).findings
+            except CostBoundError as exc:
+                return str(exc)
+
+        lo, hi = 0, MAX_CONSTRUCT_NODES
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if answer(mid) == [] else (mid, hi)
+        assert answer(hi) == [] and answer(hi - 1) == f"constructing chi takes over {hi - 1} nodes"
+        monkeypatch.setattr(reps, "MAX_CONSTRUCT_NODES", hi - 1)
+        assert construct_from_layers(data) == rep
 
 
 def non_representation():
@@ -673,12 +710,13 @@ def comodule_cases():
 
 class TestComoduleOracle:
     """verify_comodule reads the chi table; the check on the polynomial matrix
-    that it replaced stays the oracle, on whole findings lists."""
+    that the symbolic check replaced stays the oracle, on the verdict and on
+    the chi-at-zero and counit findings."""
 
     @pytest.mark.parametrize("name,rep", comodule_cases())
     def test_findings_match(self, name, rep):
         got = verify_comodule(rep).findings
-        assert got == reference_verify_comodule(rep), name
+        assert comodule_verdict(got) == comodule_verdict(reference_verify_comodule(rep)), name
         assert "/" in name or not got  # the uncorrupted reps pass
 
     @pytest.mark.parametrize("name,rep", comodule_cases())
@@ -712,10 +750,9 @@ class TestComoduleOracle:
         half = SquareMatrix([[1, 0], [0, Fraction(1, 2)]])
         rep = Representation(ChiTable(2, 0, 2, {ExponentMatrix.zero(2): half}))
         findings = verify_comodule(rep).findings
-        assert findings == reference_verify_comodule(rep)
+        assert comodule_verdict(findings) == comodule_verdict(reference_verify_comodule(rep))
         assert [(f["check"], f["location"], f["actual"]) for f in findings] == [
             ("chi-at-zero", "chi(0)", "[1, 0; 0, 1/2]"),
-            ("coproduct", "entry (2, 2)", "mismatch"),
             ("counit", "entry (2, 2)", "1/2")]
 
     def test_entries_mod_another_prime_refused(self):
